@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import MissingFile, SeedloopError, ShapeMismatch
+from .errors import DimOverflow, MissingFile, SeedloopError, ShapeMismatch
 from .features import FeatureMatrix, load_external_features, standardize, superpixel_features
 from .metrics import confusion, scores
 from .pipeline import LoopConfig, parse_config, run_closed_loop, run_dataset
@@ -31,6 +31,8 @@ from .tensorio import (
 def _spmap_from_tensor(arr: np.ndarray) -> SuperpixelMap:
     if arr.ndim != 2 or arr.dtype != np.uint16:
         raise ShapeMismatch("superpixel tensor must be u16 [H, W]")
+    if arr.size == 0 or not np.bincount(arr.ravel()).all():
+        raise ShapeMismatch("superpixel ids must be contiguous 0..N-1, N >= 1")
     region_of = arr.astype(np.int32)
     return SuperpixelMap(arr.shape[1], arr.shape[0], region_of, int(arr.max()) + 1)
 
@@ -52,6 +54,8 @@ def _cmd_superpix(args):
     spmap = rag_merge(
         felzenszwalb(image, params), image, params.merge_thresh, args.max_regions
     )
+    if spmap.n_regions > 1 << 16:
+        raise DimOverflow(f"{spmap.n_regions} regions do not fit u16 ids")
     save_tensor(spmap.region_of.astype(np.uint16), args.out)
     print(f"{spmap.n_regions} regions -> {args.out}")
 

@@ -6,7 +6,7 @@ monitor."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,46 +44,36 @@ class LoopConfig:
     learning_rate: float = 0.5
     l2: float = 1e-3
     n_categories: int = 4
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.total_epochs < 1 or self.update_every < 1:
             raise InvalidParams("bad loop schedule")
         if not 0.0 <= self.w <= 1.0:
             raise InvalidParams("w must lie in [0, 1]")
+        if min(self.walk_steps, self.epochs_per_phase, self.topk) < 1:
+            raise InvalidParams("walk_steps, epochs_per_phase and topk must be >= 1")
+        if self.n_categories < 2:
+            raise InvalidParams("n_categories must be >= 2")
+        if not (0.0 <= self.learning_rate < np.inf and 0.0 <= self.l2 < np.inf):
+            raise InvalidParams("learning_rate and l2 must be finite and >= 0")
 
 
-# flat key -> (sub-config attribute or None, field name, parser)
+_SUB_CONFIGS = {"gates": GateParams, "conv": ConvergenceParams, "seg": SegParams}
+
+# flat key -> (sub-config attribute or None, parser); the parser is the type
+# of the field's default
 _CONFIG_KEYS = {
-    "alpha_fg": ("gates", "alpha_fg", float),
-    "alpha_bg": ("gates", "alpha_bg", float),
-    "beta_fg": ("gates", "beta_fg", float),
-    "beta_bg": ("gates", "beta_bg", float),
-    "delta": ("conv", "delta", float),
-    "rho": ("conv", "rho", float),
-    "k": ("seg", "k", float),
-    "sigma": ("seg", "sigma", float),
-    "min_size": ("seg", "min_size", int),
-    "merge_thresh": ("seg", "merge_thresh", float),
-    "w": (None, "w", float),
-    "walk_steps": (None, "walk_steps", int),
-    "total_epochs": (None, "total_epochs", int),
-    "update_start_epoch": (None, "update_start_epoch", int),
-    "update_every": (None, "update_every", int),
-    "epochs_per_phase": (None, "epochs_per_phase", int),
-    "topk": (None, "topk", int),
-    "learning_rate": (None, "learning_rate", float),
-    "l2": (None, "l2", float),
-    "n_categories": (None, "n_categories", int),
-    "rng_seed": (None, "rng_seed", int),
+    f.name: (sub, type(f.default))
+    for sub, cls in [(None, LoopConfig), *_SUB_CONFIGS.items()]
+    for f in fields(cls)
+    if f.name not in _SUB_CONFIGS
 }
 
 
 def parse_config(path) -> LoopConfig:
     """Parse a `key = value` config file; '#' starts a comment; unknown keys
     are errors."""
-    top = {}
-    nested = {"gates": {}, "conv": {}, "seg": {}}
+    values = {sub: {} for sub in (None, *_SUB_CONFIGS)}
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
@@ -98,22 +88,15 @@ def parse_config(path) -> LoopConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise InvalidParams(f"{path}:{lineno}: unknown key {key!r}")
-        sub, name, parser = _CONFIG_KEYS[key]
+        sub, parser = _CONFIG_KEYS[key]
         try:
             parsed = parser(value)
         except ValueError as e:
             raise InvalidParams(f"{path}:{lineno}: bad value for {key}") from e
-        if sub is None:
-            top[name] = parsed
-        else:
-            nested[sub][name] = parsed
-    cfg = LoopConfig(
-        gates=GateParams(**nested["gates"]),
-        conv=ConvergenceParams(**nested["conv"]),
-        seg=SegParams(**nested["seg"]),
-        **top,
+        values[sub][key] = parsed
+    return LoopConfig(
+        **{sub: cls(**values[sub]) for sub, cls in _SUB_CONFIGS.items()}, **values[None]
     )
-    return cfg
 
 
 @dataclass
@@ -187,8 +170,11 @@ def run_closed_loop(
 
     Returns (final prediction LabelMap, final SeedState, LoopTrace).
     """
-    if (initial_seeds.labels != IGNORE).sum() == 0:
+    seed_labels = initial_seeds.labels[initial_seeds.labels != IGNORE]
+    if seed_labels.size == 0:
         raise EmptySeeds("initial seeds label no pixel")
+    if seed_labels.max() >= cfg.n_categories:
+        raise DimensionMismatch("seed label >= n_categories")
     spmap = build_superpixels(image, cfg.seg)
     feats = superpixel_features(image, spmap)
     rel = build_relationship(feats, spmap, m=cfg.topk)

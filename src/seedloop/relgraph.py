@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .features import FeatureMatrix
-from .superpixel import SuperpixelMap
+from .superpixel import SuperpixelMap, region_edges
 
 
 @dataclass(frozen=True)
@@ -38,25 +38,18 @@ def similarity_matrix(dist: np.ndarray, m: int = 10) -> np.ndarray:
     always selected. Rows are independent; the result may be asymmetric.
     """
     n = dist.shape[0]
-    keep = min(m, n)
+    order = np.argsort(dist, axis=1, kind="stable")
     out = np.zeros((n, n), dtype=np.uint8)
-    cols = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((cols, dist[i]))
-        out[i, order[:keep]] = 1
+    np.put_along_axis(out, order[:, : min(m, n)], 1, axis=1)
     return out
 
 
 def adjacency_matrix(spmap: SuperpixelMap) -> np.ndarray:
     """A[i, j] = 1 iff regions i, j share a 4-connected border or i == j."""
-    n = spmap.n_regions
-    r = spmap.region_of
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for a, b in ((r[:, :-1], r[:, 1:]), (r[:-1, :], r[1:, :])):
-        diff = a != b
-        adj[a[diff], b[diff]] = 1
-        adj[b[diff], a[diff]] = 1
-    np.fill_diagonal(adj, 1)
+    i, j = region_edges(spmap.region_of).T
+    adj = np.eye(spmap.n_regions, dtype=np.uint8)
+    adj[i, j] = 1
+    adj[j, i] = 1
     return adj
 
 

@@ -61,7 +61,7 @@ class ConvergenceParams:
     rho: float = 0.95  # unchanged fraction that stops the update
 
     def __post_init__(self):
-        if self.delta <= 0 or not 0 < self.rho <= 1:
+        if not self.delta > 0 or not 0 < self.rho <= 1:  # NaN fails both
             raise WOutOfRange("bad convergence parameters")
 
 

@@ -70,49 +70,39 @@ def _grid_edges(smoothed):
     h, w, _ = smoothed.shape
     idx = np.arange(h * w).reshape(h, w)
     pieces = []
-    for dy, dx in ((0, 1), (1, 0), (1, 1), (1, -1)):
+    for order, (dy, dx) in enumerate(((0, 1), (1, 0), (1, 1), (1, -1))):
         y0, y1 = max(0, -dy), h - max(0, dy)
         x0, x1 = max(0, -dx), w - max(0, dx)
-        a = idx[y0:y1, x0:x1]
-        b = idx[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+        a = idx[y0:y1, x0:x1].ravel()
+        b = idx[y0 + dy : y1 + dy, x0 + dx : x1 + dx].ravel()
         diff = smoothed[y0:y1, x0:x1] - smoothed[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-        wgt = np.sqrt((diff * diff).sum(axis=2))
-        order = np.full(a.shape, {(0, 1): 0, (1, 0): 1, (1, 1): 2, (1, -1): 3}[(dy, dx)])
-        pieces.append((a.ravel(), b.ravel(), wgt.ravel(), (a.ravel() * 4 + order.ravel())))
-    a = np.concatenate([p[0] for p in pieces])
-    b = np.concatenate([p[1] for p in pieces])
-    wgt = np.concatenate([p[2] for p in pieces])
-    gen = np.concatenate([p[3] for p in pieces])
-    # restore per-pixel generation order, then stable-sort by weight
-    by_gen = np.argsort(gen, kind="stable")
-    a, b, wgt = a[by_gen], b[by_gen], wgt[by_gen]
-    by_weight = np.argsort(wgt, kind="stable")
+        wgt = np.sqrt((diff * diff).sum(axis=2)).ravel()
+        pieces.append((a, b, wgt, a * 4 + order))
+    a, b, wgt, gen = (np.concatenate(p) for p in zip(*pieces))
+    by_weight = np.lexsort((gen, wgt))
     return a[by_weight], b[by_weight], wgt[by_weight]
 
 
 def _relabel_scan_order(assignment, h, w):
     """Map arbitrary component ids to contiguous ids by first-pixel scan order."""
-    flat = assignment.reshape(-1)
-    remap = {}
-    out = np.empty(h * w, dtype=np.int32)
-    for i, comp in enumerate(flat):
-        rid = remap.get(comp)
-        if rid is None:
-            rid = len(remap)
-            remap[comp] = rid
-        out[i] = rid
-    return out.reshape(h, w), len(remap)
+    _, first, inverse = np.unique(
+        assignment.reshape(-1), return_index=True, return_inverse=True
+    )
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    return rank[inverse].reshape(h, w), len(first)
 
 
 def _split_disconnected(region_of, h, w):
     """Split every label into its 4-connected components and relabel."""
-    n = region_of.max() + 1
-    out = np.full((h, w), -1, dtype=np.int64)
+    out = np.empty((h, w), dtype=np.int64)
     offset = 0
-    for rid in range(n):
-        mask = region_of == rid
+    for rid, box in enumerate(ndimage.find_objects(region_of + 1)):
+        if box is None:  # id absent from the map
+            continue
+        mask = region_of[box] == rid
         comps, n_comps = ndimage.label(mask, structure=_FOUR_CONN)
-        out[mask] = comps[mask] + offset - 1
+        out[box][mask] = comps[mask] + offset
         offset += n_comps
     return _relabel_scan_order(out, h, w)
 
@@ -157,17 +147,17 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     return SuperpixelMap(w, h, region_of, n_regions)
 
 
-def _region_adjacency(region_of):
-    """Set of unordered region-id pairs sharing a 4-connected border."""
-    pairs = set()
-    for a, b in (
-        (region_of[:, :-1], region_of[:, 1:]),
-        (region_of[:-1, :], region_of[1:, :]),
-    ):
-        diff = a != b
-        for i, j in zip(a[diff].tolist(), b[diff].tolist()):
-            pairs.add((min(i, j), max(i, j)))
-    return pairs
+def region_edges(region_of):
+    """Unique (i, j), i < j, region pairs sharing a 4-connected border, as an
+    (E, 2) int array in lexicographic order."""
+    pairs = [
+        np.stack([np.minimum(a, b)[a != b], np.maximum(a, b)[a != b]], axis=1)
+        for a, b in (
+            (region_of[:, :-1], region_of[:, 1:]),
+            (region_of[:-1, :], region_of[1:, :]),
+        )
+    ]
+    return np.unique(np.concatenate(pairs), axis=0)
 
 
 def rag_merge(
@@ -179,67 +169,39 @@ def rag_merge(
     """Greedily merge the closest adjacent region pair by mean RGB distance.
 
     Repeats while the smallest distance is below merge_thresh (or until
-    max_regions is reached, when given); mean colors are pixel-count-weighted;
-    ties go to the smaller (min id, max id) pair.
+    max_regions is reached, when given); mean colors are pixel-count-weighted.
+    The pair merged is the first (i, j) in lexicographic order whose distance
+    lies within 1e-12 of the minimum, so near-ties go to the smaller pair.
     """
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("superpixel map and image dimensions differ")
     n = spmap.n_regions
-    region_of = spmap.region_of
-    flat = region_of.ravel()
+    flat = spmap.region_of.ravel()
     counts = np.bincount(flat, minlength=n).astype(np.float64)
-    sums = np.zeros((n, 3))
     pix = image.data.reshape(-1, 3).astype(np.float64)
-    for c in range(3):
-        sums[:, c] = np.bincount(flat, weights=pix[:, c], minlength=n)
-
-    adj = {i: set() for i in range(n)}
-    for i, j in _region_adjacency(region_of):
-        adj[i].add(j)
-        adj[j].add(i)
-
-    alive = set(range(n))
-    merged_into = np.arange(n)
-
-    def mean(i):
-        return sums[i] / counts[i]
-
-    while len(alive) > 1:
-        best = None
-        for i in sorted(alive):
-            mi = mean(i)
-            for j in sorted(adj[i]):
-                if j <= i:
-                    continue
-                d = float(np.linalg.norm(mi - mean(j)))
-                if best is None or d < best[0] - 1e-12:
-                    best = (d, i, j)
-        if best is None:
+    sums = np.stack(
+        [np.bincount(flat, weights=pix[:, c], minlength=n) for c in range(3)], axis=1
+    )
+    edges = region_edges(spmap.region_of)
+    final = np.arange(n)  # original region -> the region it was merged into
+    n_alive = n
+    while len(edges):
+        means = sums / counts[:, None]
+        diff = means[edges[:, 0]] - means[edges[:, 1]]
+        # sqrt of a batched matmul rounds as np.linalg.norm of one 3-vector
+        # does; norm(axis=1) and a plain sum of squares round differently and
+        # can flip a merge whose distance equals merge_thresh
+        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+        best = int(np.argmax(dist <= dist.min() + 1e-12))
+        force = max_regions is not None and n_alive > max_regions
+        if dist[best] >= merge_thresh and not force:
             break
-        d, i, j = best
-        force = max_regions is not None and len(alive) > max_regions
-        if d >= merge_thresh and not force:
-            break
-        # merge j into i (i < j)
+        i, j = edges[best]
         sums[i] += sums[j]
         counts[i] += counts[j]
-        alive.discard(j)
-        merged_into[j] = i
-        for nb in adj[j]:
-            if nb != i:
-                adj[nb].discard(j)
-                adj[nb].add(i)
-                adj[i].add(nb)
-        adj[i].discard(j)
-        adj[i].discard(i)
-        del adj[j]
-
-    # resolve merge chains, then relabel contiguously by scan order
-    final = np.arange(n)
-    for r in range(n):
-        root = r
-        while merged_into[root] != root:
-            root = merged_into[root]
-        final[r] = root
-    region_of2, n2 = _relabel_scan_order(final[region_of], spmap.height, spmap.width)
-    return SuperpixelMap(spmap.width, spmap.height, region_of2, n2)
+        final[final == j] = i
+        n_alive -= 1
+        edges[edges == j] = i
+        edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+    region_of, n_regions = _relabel_scan_order(final[spmap.region_of], spmap.height, spmap.width)
+    return SuperpixelMap(spmap.width, spmap.height, region_of, n_regions)

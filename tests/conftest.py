@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from seedloop import LabelMap, RasterImage
-from seedloop.superpixel import SuperpixelMap
-
-_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+from seedloop.superpixel import SuperpixelMap, _split_disconnected
 
 
 def make_image(arr):
@@ -22,21 +19,8 @@ def random_spmap(rng, h=6, w=6, n_values=4):
     """Valid SuperpixelMap from random pixel values split into 4-connected
     components with scan-order contiguous ids."""
     raw = rng.integers(0, n_values, size=(h, w))
-    out = np.full((h, w), -1, dtype=np.int64)
-    offset = 0
-    for v in range(n_values):
-        comps, n = ndimage.label(raw == v, structure=_FOUR)
-        mask = raw == v
-        out[mask] = comps[mask] + offset - 1
-        offset += n
-    remap = {}
-    flat = out.ravel()
-    final = np.empty_like(flat, dtype=np.int32)
-    for i, c in enumerate(flat):
-        if c not in remap:
-            remap[c] = len(remap)
-        final[i] = remap[c]
-    return SuperpixelMap(w, h, final.reshape(h, w), len(remap))
+    region_of, n = _split_disconnected(raw, h, w)
+    return SuperpixelMap(w, h, region_of, n)
 
 
 @pytest.fixture

@@ -5,7 +5,10 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 
 import dataclasses
 import functools
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,9 @@ from tests.test_superpixel import assert_valid_spmap
 # regression bound frozen from the first full run of this implementation:
 # seed-only mIoU 0.3057, closed-loop mIoU 0.9890 on 20 scenes, rng_seed=7
 PINNED_MIN_IMPROVEMENT = 0.60
+
+# SHA-256 of every pinned64 prediction and trace, shared with the benchmark
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def criterion(num, desc):
@@ -326,7 +332,7 @@ def test_criterion_8_ablation_ranking(synthetic_scenes):
     assert time.time() - start < 180.0
 
 
-@criterion(9, "two full runs produce byte-identical predictions and traces")
+@criterion(9, "two full runs give byte-identical predictions and traces, as in golden.json")
 def test_criterion_9_determinism(tmp_path, synthetic_scenes):
     from seedloop.pipeline import run_dataset
     from seedloop.tensorio import save_label_pgm, save_ppm
@@ -343,3 +349,9 @@ def test_criterion_9_determinism(tmp_path, synthetic_scenes):
     assert res_a == res_b
     for f in sorted(out_a.iterdir()):
         assert f.read_bytes() == (out_b / f.name).read_bytes()
+    # outputs stay those of the recorded reference commit, not only between runs
+    golden = json.loads(GOLDEN_PATH.read_text())["pinned64"]
+    for i in range(len(synthetic_scenes)):
+        for suffix, digests in ((".pred.pgm", golden["pred"]), (".trace.txt", golden["trace"])):
+            data = (out_a / f"{i:04d}{suffix}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digests[i], f"{i:04d}{suffix}"

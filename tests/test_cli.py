@@ -141,3 +141,36 @@ def test_cli_reports_errors(tmp_path, capsys):
     rc = main(["superpix", "--image", str(tmp_path / "nope.ppm"), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_superpix_rejects_more_regions_than_u16_ids(tmp_path, capsys):
+    from seedloop.tensorio import RasterImage, save_ppm
+
+    # a checkerboard splits into one 4-connected region per pixel: 65792 > 2**16
+    arr = np.zeros((256, 257, 3), dtype=np.uint8)
+    arr[np.add.outer(np.arange(256), np.arange(257)) % 2 == 1] = 255
+    save_ppm(RasterImage(257, 256, arr), tmp_path / "cb.ppm")
+    out = tmp_path / "sp.dfnt"
+    args = ["--k", "1", "--sigma", "0", "--min-size", "1", "--merge-thresh", "0"]
+    assert main(["superpix", "--image", str(tmp_path / "cb.ppm"), *args, "--out", str(out)]) == 1
+    assert "DimOverflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_GAP_IDS = np.zeros((64, 64), dtype=np.uint16)
+_GAP_IDS[:, 32:] = 2  # id 1 is missing
+
+
+@pytest.mark.parametrize(
+    "sp", [_GAP_IDS, np.zeros((0, 64), dtype=np.uint16)], ids=["gap", "empty"]
+)
+def test_superpixel_ids_not_contiguous_rejected(synth_dir, tmp_path, capsys, sp):
+    from seedloop.tensorio import save_tensor
+
+    save_tensor(sp, tmp_path / "sp.dfnt")
+    img = str(synth_dir / "0000.ppm")
+    out = tmp_path / "f.dfnt"
+    rc = main(["features", "--image", img, "--sp", str(tmp_path / "sp.dfnt"), "--out", str(out)])
+    assert rc == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not out.exists()

@@ -15,8 +15,9 @@ from seedloop import (
     run_dataset,
     scores,
 )
-from seedloop.errors import EmptySeeds, InvalidParams, MissingFile
+from seedloop.errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile, WOutOfRange
 from seedloop.pipeline import build_superpixels, pixel_state_to_superpixels
+from seedloop.seeds import ConvergenceParams
 from seedloop.tensorio import save_label_pgm, save_ppm
 from tests.conftest import make_labels, random_spmap
 
@@ -64,6 +65,50 @@ def test_empty_seeds_rejected():
     empty = make_labels(np.full((img.height, img.width), IGNORE))
     with pytest.raises(EmptySeeds):
         run_closed_loop(img, empty, LoopConfig())
+
+
+@pytest.mark.parametrize(
+    "make_cfg, seed_label, error",
+    [
+        (lambda: LoopConfig(topk=0), None, InvalidParams),
+        (lambda: LoopConfig(n_categories=1), None, InvalidParams),
+        (lambda: LoopConfig(walk_steps=0), None, InvalidParams),
+        (lambda: LoopConfig(epochs_per_phase=0), None, InvalidParams),
+        (lambda: LoopConfig(learning_rate=-1.0), None, InvalidParams),
+        (lambda: LoopConfig(learning_rate=float("inf")), None, InvalidParams),
+        (lambda: LoopConfig(l2=float("nan")), None, InvalidParams),
+        (lambda: LoopConfig(l2=-1e-3), None, InvalidParams),
+        (lambda: LoopConfig(conv=ConvergenceParams(delta=float("nan"))), None, WOutOfRange),
+        (lambda: LoopConfig(conv=ConvergenceParams(rho=float("nan"))), None, WOutOfRange),
+        (LoopConfig, 9, DimensionMismatch),
+    ],
+    ids=[
+        "topk=0",
+        "n_categories=1",
+        "walk_steps=0",
+        "epochs_per_phase=0",
+        "learning_rate=-1",
+        "learning_rate=inf",
+        "l2=nan",
+        "l2<0",
+        "delta=nan",
+        "rho=nan",
+        "seed_label=9",
+    ],
+)
+def test_bad_input_rejected_before_superpixels(make_cfg, seed_label, error, monkeypatch):
+    img, _gt, seeds = gen_synthetic(7, 1)[0]
+    if seed_label is not None:
+        labels = seeds.labels.copy()
+        labels[0, 0] = seed_label
+        seeds = make_labels(labels)
+
+    def no_work(*args):
+        raise AssertionError("superpixels built before the input was checked")
+
+    monkeypatch.setattr(pipeline, "build_superpixels", no_work)
+    with pytest.raises(error):
+        run_closed_loop(img, seeds, make_cfg())
 
 
 def test_w_zero_keeps_initial_seeds():
@@ -130,6 +175,8 @@ def test_parse_config(tmp_path):
         "walk_steps = 1\n"
         "alpha_fg = 0.8  # gate\n"
         "min_size = 10\n"
+        "delta = 0.2\n"
+        "merge_thresh = 10\n"
     )
     cfg = parse_config(p)
     assert cfg.w == 0.3
@@ -137,6 +184,8 @@ def test_parse_config(tmp_path):
     assert cfg.gates.alpha_fg == 0.8
     assert cfg.gates.alpha_bg == 0.9  # default retained
     assert cfg.seg.min_size == 10
+    assert cfg.conv.delta == 0.2
+    assert cfg.seg.merge_thresh == 10.0 and isinstance(cfg.seg.merge_thresh, float)
 
 
 def test_parse_config_unknown_key(tmp_path):

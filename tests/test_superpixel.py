@@ -4,6 +4,12 @@ from scipy import ndimage
 
 from seedloop import SegParams, felzenszwalb, rag_merge
 from seedloop.errors import DimensionMismatch, InvalidParams
+from seedloop.superpixel import (
+    SuperpixelMap,
+    _relabel_scan_order,
+    _split_disconnected,
+    region_edges,
+)
 from tests.conftest import make_image
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -111,3 +117,159 @@ def test_rag_merge_max_regions_cap(rng):
     if spmap.n_regions > 2:
         merged = rag_merge(spmap, img, 0.0, max_regions=2)
         assert merged.n_regions == 2
+
+
+def _reference_rag_merge(spmap, image, merge_thresh, max_regions=None):
+    """Pairwise-scan greedy merge over a dict-of-sets RAG: every step scans
+    all alive pairs in (i, j) order and replaces the best only when a
+    distance is smaller by more than 1e-12."""
+    n = spmap.n_regions
+    region_of = spmap.region_of
+    flat = region_of.ravel()
+    counts = np.bincount(flat, minlength=n).astype(np.float64)
+    sums = np.zeros((n, 3))
+    pix = image.data.reshape(-1, 3).astype(np.float64)
+    for c in range(3):
+        sums[:, c] = np.bincount(flat, weights=pix[:, c], minlength=n)
+    adj = {i: set() for i in range(n)}
+    for a, b in ((region_of[:, :-1], region_of[:, 1:]), (region_of[:-1, :], region_of[1:, :])):
+        diff = a != b
+        for i, j in zip(a[diff].tolist(), b[diff].tolist()):
+            adj[i].add(j)
+            adj[j].add(i)
+    alive = set(range(n))
+    merged_into = np.arange(n)
+
+    def mean(i):
+        return sums[i] / counts[i]
+
+    while len(alive) > 1:
+        best = None
+        for i in sorted(alive):
+            mi = mean(i)
+            for j in sorted(adj[i]):
+                if j <= i:
+                    continue
+                d = float(np.linalg.norm(mi - mean(j)))
+                if best is None or d < best[0] - 1e-12:
+                    best = (d, i, j)
+        if best is None:
+            break
+        d, i, j = best
+        force = max_regions is not None and len(alive) > max_regions
+        if d >= merge_thresh and not force:
+            break
+        sums[i] += sums[j]
+        counts[i] += counts[j]
+        alive.discard(j)
+        merged_into[j] = i
+        for nb in adj[j]:
+            if nb != i:
+                adj[nb].discard(j)
+                adj[nb].add(i)
+                adj[i].add(nb)
+        adj[i].discard(j)
+        adj[i].discard(i)
+        del adj[j]
+    final = np.arange(n)
+    for r in range(n):
+        root = r
+        while merged_into[root] != root:
+            root = merged_into[root]
+        final[r] = root
+    region_of2, n2 = _relabel_scan_order(final[region_of], spmap.height, spmap.width)
+    return SuperpixelMap(spmap.width, spmap.height, region_of2, n2)
+
+
+def _tie_heavy_case(seed):
+    """3-13 px per side, colors in steps of 20, one superpixel per flat patch:
+    many mean-color distances are exactly or nearly equal."""
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(3, 14, size=2)
+    img = make_image(rng.integers(0, 13, size=(h, w, 3)) * 20)
+    return img, felzenszwalb(img, SegParams(k=5, sigma=0, min_size=1))
+
+
+# seed 1655 is a map on which a plain argmin of the distances merges a
+# different pair than the reference does
+@pytest.mark.parametrize("seed", [*range(12), 1655])
+def test_rag_merge_matches_pairwise_scan_oracle(seed):
+    img, spmap = _tie_heavy_case(seed)
+    for thresh, max_regions in ((30, None), (1e9, None), (0, 2), (0, 3), (25, 2), (25, 3)):
+        got = rag_merge(spmap, img, thresh, max_regions)
+        want = _reference_rag_merge(spmap, img, thresh, max_regions)
+        assert got.n_regions == want.n_regions
+        assert np.array_equal(got.region_of, want.region_of), (thresh, max_regions)
+
+
+# One row of pixels: single-pixel regions around a three-pixel region whose
+# mean is at distance exactly 25 from each of them. np.linalg.norm of the
+# 3-vector rounds each 25 as noted; a per-row norm(axis=1) rounds some of
+# them the other way.
+@pytest.mark.parametrize(
+    "pixels, region_of, thresh, max_regions, expected",
+    [
+        # d(0, 1) = 25.000000000000004 and d(1, 2) = 25.0: the forced merge
+        # takes the first pair, not the smaller second one
+        (
+            [(3, 4, 25), (1, 1, 1), (1, 1, 0), (0, 0, 0), (4, 8, 24)],
+            [0, 1, 1, 1, 2],
+            0,
+            2,
+            [0, 0, 0, 0, 1],
+        ),
+        # d = 25.0: not below the threshold, no merge
+        ([(4, 9, 24), (1, 1, 1), (1, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 1, 1, 1]),
+        # d = 24.999999999999996: below the threshold, merged
+        ([(5, 25, 4), (1, 1, 1), (0, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 0, 0, 0]),
+    ],
+    ids=["near_tie", "at_thresh", "below_thresh"],
+)
+def test_rag_merge_exact_distance_rounding(pixels, region_of, thresh, max_regions, expected):
+    img = make_image(np.array([pixels]))
+    region_of = np.array([region_of], dtype=np.int32)
+    spmap = SuperpixelMap(len(pixels), 1, region_of, int(region_of.max()) + 1)
+    got = rag_merge(spmap, img, thresh, max_regions)
+    assert got.region_of.ravel().tolist() == expected
+    want = _reference_rag_merge(spmap, img, thresh, max_regions)
+    assert np.array_equal(got.region_of, want.region_of)
+
+
+def test_region_edges_sorted_unique_pairs(rng):
+    region_of = rng.integers(0, 5, size=(7, 9))
+    edges = region_edges(region_of)
+    want = set()
+    for y in range(7):
+        for x in range(9):
+            for dy, dx in ((0, 1), (1, 0)):
+                if y + dy < 7 and x + dx < 9:
+                    a, b = region_of[y, x], region_of[y + dy, x + dx]
+                    if a != b:
+                        want.add((min(a, b), max(a, b)))
+    assert edges.shape == (len(want), 2)
+    assert [tuple(e) for e in edges.tolist()] == sorted(want)
+    assert region_edges(np.zeros((3, 4), dtype=np.int32)).shape == (0, 2)
+
+
+def _reference_split(raw):
+    """Whole-image mask per label, then a per-pixel first-seen relabel."""
+    out = np.full(raw.shape, -1, dtype=np.int64)
+    offset = 0
+    for v in range(raw.max() + 1):
+        comps, n = ndimage.label(raw == v, structure=_FOUR)
+        out[raw == v] = comps[raw == v] + offset - 1
+        offset += n
+    remap = {}
+    for c in out.ravel().tolist():
+        remap.setdefault(c, len(remap))
+    return np.array([remap[c] for c in out.ravel().tolist()]).reshape(raw.shape), len(remap)
+
+
+def test_split_disconnected_matches_reference(rng):
+    for _ in range(20):
+        h, w = rng.integers(1, 10, size=2)
+        raw = rng.choice([0, 2, 3, 7], size=(h, w))  # ids 1, 4-6 absent
+        got, n = _split_disconnected(raw, h, w)
+        want, n_want = _reference_split(raw)
+        assert got.dtype == np.int32 and n == n_want
+        assert np.array_equal(got, want)
