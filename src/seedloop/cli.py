@@ -5,14 +5,23 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .errors import DimOverflow, MissingFile, SeedloopError, ShapeMismatch
+from .errors import DimOverflow, EmptyConfusion, MissingFile, SeedloopError, ShapeMismatch
 from .features import FeatureMatrix, load_external_features, standardize, superpixel_features
 from .metrics import confusion, scores
-from .pipeline import LoopConfig, parse_config, run_closed_loop, run_dataset
+from .pipeline import (
+    LoopConfig,
+    format_scores,
+    parse_config,
+    run_closed_loop,
+    run_dataset,
+    score_pairs,
+    write_outputs,
+)
 from .relgraph import RelationshipMatrix, build_relationship
 from .seeds import GateParams, custom_walk, make_state
 from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge
@@ -37,6 +46,17 @@ def _spmap_from_tensor(arr: np.ndarray) -> SuperpixelMap:
     return SuperpixelMap(arr.shape[1], arr.shape[0], region_of, int(arr.max()) + 1)
 
 
+def _add_fields(p, cls):
+    """One `--field-name` flag per field of `cls`, typed and defaulted by the
+    field's default value."""
+    for f in fields(cls):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+
+
+def _from_args(cls, args):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def _cmd_synth(args):
     os.makedirs(args.out_dir, exist_ok=True)
     scenes = gen_synthetic(args.seed, args.count, SynthParams(args.width, args.height))
@@ -50,7 +70,7 @@ def _cmd_synth(args):
 
 def _cmd_superpix(args):
     image = load_ppm(args.image)
-    params = SegParams(args.k, args.sigma, args.min_size, args.merge_thresh)
+    params = _from_args(SegParams, args)
     spmap = rag_merge(
         felzenszwalb(image, params), image, params.merge_thresh, args.max_regions
     )
@@ -89,7 +109,7 @@ def _cmd_walk(args):
     if stack.ndim != 3 or stack.shape[0] != 3:
         raise ShapeMismatch("relationship tensor must be u8 [3, N, N]")
     rel = RelationshipMatrix(stack[0], stack[1], stack[2])
-    gates = GateParams(args.alpha_fg, args.alpha_bg, args.beta_fg, args.beta_bg)
+    gates = _from_args(GateParams, args)
     mixed = custom_walk(seeds, rel, n_out, gates, args.steps, strict=args.strict_eq3)
     save_tensor(mixed.probs.astype(np.float32), args.out)
     print(f"mixed seed [{mixed.n_categories}, {mixed.n_regions}] -> {args.out}")
@@ -106,13 +126,13 @@ def _dataset_ids(pred_dir):
 
 
 def _cmd_eval(args):
-    total = np.zeros((args.classes, args.classes), dtype=np.int64)
     if args.pred and args.gt:
-        total += confusion(load_label_pgm(args.pred), load_label_pgm(args.gt), args.classes)
+        paths = [(args.pred, args.gt)]
     elif args.pred_dir and args.gt_dir:
         ids = _dataset_ids(args.pred_dir)
         if not ids:
             raise MissingFile(f"no predictions in {args.pred_dir}")
+        paths = []
         for scene_id in ids:
             pred_path = os.path.join(args.pred_dir, scene_id + ".pred.pgm")
             if not os.path.exists(pred_path):
@@ -122,11 +142,14 @@ def _cmd_eval(args):
                 gt_path = os.path.join(args.gt_dir, scene_id + ".pgm")
             if not os.path.exists(gt_path):
                 raise MissingFile(f"no ground truth for {scene_id}")
-            total += confusion(load_label_pgm(pred_path), load_label_pgm(gt_path), args.classes)
+            paths.append((pred_path, gt_path))
     else:
         raise MissingFile("need --pred/--gt or --pred-dir/--gt-dir")
-    accu, miou, fiou = scores(total)
-    print(f"accu={accu:.4f} mIoU={miou:.4f} fIoU={fiou:.4f}")
+    pairs = ((load_label_pgm(pred), load_label_pgm(gt)) for pred, gt in paths)
+    result = score_pairs(pairs, args.classes)
+    if result is None:
+        raise EmptyConfusion("confusion matrix has no counts")
+    print(format_scores(result))
 
 
 def _cmd_loop(args):
@@ -136,42 +159,35 @@ def _cmd_loop(args):
     gt = load_label_pgm(args.gt) if args.gt else None
     os.makedirs(args.out_dir, exist_ok=True)
     pred, _, trace = run_closed_loop(image, seeds, cfg, gt)
-    stem = os.path.splitext(os.path.basename(args.image))[0]
-    save_label_pgm(pred, os.path.join(args.out_dir, stem + ".pred.pgm"))
-    with open(os.path.join(args.out_dir, stem + ".trace.txt"), "w") as f:
-        f.write("\n".join(trace.lines()) + "\n")
+    write_outputs(args.out_dir, os.path.splitext(os.path.basename(args.image))[0], pred, trace)
     if gt is not None:
-        accu, miou, fiou = scores(confusion(pred, gt, cfg.n_categories))
-        print(f"accu={accu:.4f} mIoU={miou:.4f} fIoU={fiou:.4f}")
+        print(format_scores(scores(confusion(pred, gt, cfg.n_categories))))
 
 
 def _cmd_run(args):
     cfg = parse_config(args.config) if args.config else LoopConfig()
     result = run_dataset(args.data_dir, cfg, args.out_dir)
     if result is not None:
-        accu, miou, fiou = result
-        print(f"accu={accu:.4f} mIoU={miou:.4f} fIoU={fiou:.4f}")
+        print(format_scores(result))
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="seedloop")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    loop_defaults, synth_defaults = LoopConfig(), SynthParams()
 
     p = sub.add_parser("synth", help="generate synthetic scenes")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--height", type=int, default=64)
+    p.add_argument("--width", type=int, default=synth_defaults.width)
+    p.add_argument("--height", type=int, default=synth_defaults.height)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("superpix", help="compute superpixels")
     p.add_argument("--image", required=True)
-    p.add_argument("--k", type=float, default=100.0)
-    p.add_argument("--sigma", type=float, default=0.8)
-    p.add_argument("--min-size", type=int, default=20)
-    p.add_argument("--merge-thresh", type=float, default=25.0)
+    _add_fields(p, SegParams)
     p.add_argument("--max-regions", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_superpix)
@@ -186,7 +202,7 @@ def build_parser():
     p = sub.add_parser("relmat", help="build the relationship matrix")
     p.add_argument("--features", required=True)
     p.add_argument("--sp", required=True)
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--topk", type=int, default=loop_defaults.topk)
     p.add_argument("--symmetrize", choices=["none", "or", "and"], default="none")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_relmat)
@@ -195,11 +211,8 @@ def build_parser():
     p.add_argument("--seeds", required=True)
     p.add_argument("--netout", required=True)
     p.add_argument("--rel", required=True)
-    p.add_argument("--steps", type=int, default=2)
-    p.add_argument("--alpha-fg", type=float, default=0.90)
-    p.add_argument("--alpha-bg", type=float, default=0.90)
-    p.add_argument("--beta-fg", type=float, default=0.75)
-    p.add_argument("--beta-bg", type=float, default=0.90)
+    p.add_argument("--steps", type=int, default=loop_defaults.walk_steps)
+    _add_fields(p, GateParams)
     p.add_argument("--strict-eq3", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_walk)

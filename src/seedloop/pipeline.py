@@ -6,7 +6,7 @@ monitor."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .seeds import (
     make_state,
     seed_update,
 )
-from .segmenter import LinearSegmenter, loss_and_grad, predict, train_epochs
+from .segmenter import LinearSegmenter, predict, train_epochs
 from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge
 from .tensorio import IGNORE, LabelMap, RasterImage, load_label_pgm, load_ppm, save_label_pgm
 
@@ -140,22 +140,6 @@ def pixel_state_to_superpixels(
     return make_state(probs)
 
 
-def probs_to_superpixels(probs_pix: np.ndarray, spmap: SuperpixelMap) -> SeedState:
-    """Mean-pool a (C, H, W) per-pixel probability tensor over regions."""
-    if probs_pix.shape[1:] != (spmap.height, spmap.width):
-        raise DimensionMismatch("probability tensor and superpixel map differ")
-    flat_reg = spmap.region_of.ravel()
-    counts = np.bincount(flat_reg, minlength=spmap.n_regions).astype(np.float64)
-    probs = np.stack(
-        [
-            np.bincount(flat_reg, weights=probs_pix[c].ravel(), minlength=spmap.n_regions)
-            / counts
-            for c in range(probs_pix.shape[0])
-        ]
-    )
-    return make_state(np.clip(probs, 0.0, 1.0))
-
-
 def build_superpixels(image: RasterImage, seg: SegParams) -> SuperpixelMap:
     return rag_merge(felzenszwalb(image, seg), image, seg.merge_thresh)
 
@@ -175,6 +159,8 @@ def run_closed_loop(
         raise EmptySeeds("initial seeds label no pixel")
     if seed_labels.max() >= cfg.n_categories:
         raise DimensionMismatch("seed label >= n_categories")
+    if gt is not None and (gt.labels[gt.labels != IGNORE] >= cfg.n_categories).any():
+        raise DimensionMismatch("ground-truth label >= n_categories")
     spmap = build_superpixels(image, cfg.seg)
     feats = superpixel_features(image, spmap)
     rel = build_relationship(feats, spmap, m=cfg.topk)
@@ -188,8 +174,7 @@ def run_closed_loop(
     for epoch in range(1, cfg.total_epochs + 1):
         n_out = predict(model, feats)
         mixed = custom_walk(state, rel, n_out, cfg.gates, cfg.walk_steps)
-        loss, _, _ = loss_and_grad(model, feats, mixed)
-        train_epochs(model, feats, mixed, cfg.epochs_per_phase)
+        loss = train_epochs(model, feats, mixed, cfg.epochs_per_phase)
 
         stopped = False
         if (
@@ -203,18 +188,12 @@ def run_closed_loop(
 
         miou = None
         if gt is not None:
-            seed_pred = labels_from_state(state, spmap)
             # score only pixels labeled by the seed rendering
-            mask = seed_pred.labels != IGNORE
-            if mask.any():
-                masked_gt = LabelMap(
-                    gt.width,
-                    gt.height,
-                    np.where(mask, gt.labels, np.uint8(IGNORE)).astype(np.uint8),
-                )
-                cm = confusion(seed_pred_masked(seed_pred, mask), masked_gt, cfg.n_categories)
-                if cm.sum() > 0:
-                    _, miou, _ = scores(cm)
+            seed_pred = labels_from_state(state, spmap)
+            masked = np.where(seed_pred.labels != IGNORE, gt.labels, np.uint8(IGNORE))
+            masked_gt = LabelMap(gt.width, gt.height, masked)
+            seed_scores = score_pairs([(seed_pred, masked_gt)], cfg.n_categories)
+            miou = seed_scores[1] if seed_scores is not None else None
         trace.epochs.append(epoch)
         trace.losses.append(loss)
         trace.unchanged_fractions.append(last_unchanged)
@@ -227,40 +206,79 @@ def run_closed_loop(
     return final_pred, state, trace
 
 
-def seed_pred_masked(pred: LabelMap, mask: np.ndarray) -> LabelMap:
-    """Replace out-of-mask pixels by background so scoring stays well-formed."""
-    labels = np.where(mask, pred.labels, np.uint8(0)).astype(np.uint8)
-    return LabelMap(pred.width, pred.height, labels)
+def seeds_as_prediction(seeds: LabelMap) -> LabelMap:
+    """The initial seeds read as a prediction, unlabeled pixels as background."""
+    labels = np.where(seeds.labels == IGNORE, np.uint8(0), seeds.labels)
+    return LabelMap(seeds.width, seeds.height, labels)
+
+
+def ablation_configs(cfg: LoopConfig) -> dict:
+    """The four arms of the chain ablation built on `cfg`: chain F1 (dynamic
+    seed updates) is switched off by w = 0, chain F2 (the random walk) by
+    beta gates of 1, which no network-output column passes."""
+    inert_walk = replace(cfg.gates, beta_fg=1.0, beta_bg=1.0)
+    return {
+        "baseline": replace(cfg, w=0.0, gates=inert_walk),
+        "baseline+F1": replace(cfg, gates=inert_walk),
+        "baseline+F2": replace(cfg, w=0.0),
+        "baseline+F1+F2": cfg,
+    }
+
+
+def score_pairs(pairs, n_categories: int):
+    """(accu, mIoU, fIoU) of the confusion summed over `(pred, gt)` pairs,
+    or None when no pixel is scored."""
+    total = np.zeros((n_categories, n_categories), dtype=np.int64)
+    for pred, gt in pairs:
+        total += confusion(pred, gt, n_categories)
+    return scores(total) if total.sum() > 0 else None
+
+
+def format_scores(result) -> str:
+    """The `accu=... mIoU=... fIoU=...` line every scoring command prints."""
+    accu, miou, fiou = result
+    return f"accu={accu:.4f} mIoU={miou:.4f} fIoU={fiou:.4f}"
+
+
+def score_scenes(scenes, cfg: LoopConfig):
+    """Run the closed loop on in-memory `(image, gt, seeds)` scenes and score
+    the predictions as `score_pairs` does."""
+    return score_pairs(
+        ((run_closed_loop(img, seeds, cfg, gt)[0], gt) for img, gt, seeds in scenes),
+        cfg.n_categories,
+    )
+
+
+def write_outputs(out_dir, stem, pred: LabelMap, trace: LoopTrace) -> None:
+    """Write `<stem>.pred.pgm` and `<stem>.trace.txt` into `out_dir`."""
+    save_label_pgm(pred, os.path.join(out_dir, stem + ".pred.pgm"))
+    with open(os.path.join(out_dir, stem + ".trace.txt"), "w") as f:
+        f.write("\n".join(trace.lines()) + "\n")
 
 
 def run_dataset(dir_in, cfg: LoopConfig, dir_out):
     """Run the loop over `<id>.ppm` / `<id>.seeds.pgm` / `<id>.gt.pgm` triples.
 
     Writes `<id>.pred.pgm` and `<id>.trace.txt` per image and returns
-    (accu, mIoU, fIoU) of the confusion matrix summed across images.
+    (accu, mIoU, fIoU) of the confusion matrix summed across images, or None
+    when no image has ground truth.
     """
-    ids = sorted(
-        name[:-4] for name in os.listdir(dir_in) if name.endswith(".ppm")
-    )
+    ids = sorted(name[:-4] for name in os.listdir(dir_in) if name.endswith(".ppm"))
     if not ids:
         raise MissingFile(f"no .ppm images in {dir_in}")
     os.makedirs(dir_out, exist_ok=True)
-    total_cm = np.zeros((cfg.n_categories, cfg.n_categories), dtype=np.int64)
-    for scene_id in ids:
-        img_path = os.path.join(dir_in, scene_id + ".ppm")
-        seed_path = os.path.join(dir_in, scene_id + ".seeds.pgm")
-        gt_path = os.path.join(dir_in, scene_id + ".gt.pgm")
-        if not os.path.exists(seed_path):
-            raise MissingFile(seed_path)
-        image = load_ppm(img_path)
-        seeds = load_label_pgm(seed_path)
-        gt = load_label_pgm(gt_path) if os.path.exists(gt_path) else None
-        pred, _, trace = run_closed_loop(image, seeds, cfg, gt)
-        save_label_pgm(pred, os.path.join(dir_out, scene_id + ".pred.pgm"))
-        with open(os.path.join(dir_out, scene_id + ".trace.txt"), "w") as f:
-            f.write("\n".join(trace.lines()) + "\n")
-        if gt is not None:
-            total_cm += confusion(pred, gt, cfg.n_categories)
-    if total_cm.sum() == 0:
-        return None
-    return scores(total_cm)
+
+    def scored():
+        for scene_id in ids:
+            stem = os.path.join(dir_in, scene_id)
+            if not os.path.exists(stem + ".seeds.pgm"):
+                raise MissingFile(stem + ".seeds.pgm")
+            image = load_ppm(stem + ".ppm")
+            seeds = load_label_pgm(stem + ".seeds.pgm")
+            gt = load_label_pgm(stem + ".gt.pgm") if os.path.exists(stem + ".gt.pgm") else None
+            pred, _, trace = run_closed_loop(image, seeds, cfg, gt)
+            write_outputs(dir_out, scene_id, pred, trace)
+            if gt is not None:
+                yield pred, gt
+
+    return score_pairs(scored(), cfg.n_categories)

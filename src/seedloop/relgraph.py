@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidParams, ShapeMismatch
 from .features import FeatureMatrix
 from .superpixel import SuperpixelMap, region_edges
 
@@ -37,6 +37,8 @@ def similarity_matrix(dist: np.ndarray, m: int = 10) -> np.ndarray:
     Ties go to the smaller column index, so the zero-distance diagonal is
     always selected. Rows are independent; the result may be asymmetric.
     """
+    if m < 1:
+        raise InvalidParams(f"top-m needs m >= 1, got {m}")
     n = dist.shape[0]
     order = np.argsort(dist, axis=1, kind="stable")
     out = np.zeros((n, n), dtype=np.uint8)

@@ -85,8 +85,9 @@ def walk_step(
     clamp01(s x m_rel) entrywise-times the gated network-output row."""
     if s_gated.probs.shape != nout_gated.probs.shape:
         raise ShapeMismatch("seed and network-output shapes differ")
-    if rel.m_rel.shape[0] != s_gated.n_regions:
-        raise ShapeMismatch("relationship matrix size differs from seed state")
+    n = s_gated.n_regions
+    if rel.m_rel.shape != (n, n):
+        raise ShapeMismatch(f"relationship matrix must be [{n}, {n}], got {list(rel.m_rel.shape)}")
     spread = s_gated.probs @ rel.m_rel.astype(np.float64)
     out = np.clip(spread, 0.0, 1.0) * nout_gated.probs
     return SeedState(s_gated.n_categories, s_gated.n_regions, out)

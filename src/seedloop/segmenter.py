@@ -74,16 +74,18 @@ def loss_and_grad(model: LinearSegmenter, feats: FeatureMatrix, mixed: SeedState
 
 def train_epochs(
     model: LinearSegmenter, feats: FeatureMatrix, mixed: SeedState, epochs: int
-) -> LinearSegmenter:
-    """Full-batch gradient descent for `epochs` steps; mutates and returns
-    the model."""
+) -> float:
+    """Full-batch gradient descent for `epochs` steps; mutates the model and
+    returns the loss before the first step."""
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
+    losses = []
     for _ in range(epochs):
-        _, grad_w, grad_b = loss_and_grad(model, feats, mixed)
+        loss, grad_w, grad_b = loss_and_grad(model, feats, mixed)
+        losses.append(loss)
         model.weights = model.weights - model.learning_rate * grad_w
         model.bias = model.bias - model.learning_rate * grad_b
-    return model
+    return losses[0]
 
 
 def save_model(model: LinearSegmenter, path) -> None:

@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -26,12 +25,12 @@ from seedloop import (
     gate,
     gen_synthetic,
     relationship_matrix,
-    run_closed_loop,
     scores,
     seed_update,
     similarity_matrix,
 )
 from seedloop.features import FeatureMatrix
+from seedloop.pipeline import ablation_configs, score_pairs, score_scenes, seeds_as_prediction
 from seedloop.relgraph import RelationshipMatrix
 from seedloop.seeds import ConvergenceParams, convergence_check, make_state
 from seedloop.segmenter import LinearSegmenter, loss_and_grad
@@ -283,22 +282,6 @@ def test_criterion_6_segmentation_invariants():
     assert time.time() - start < 10.0
 
 
-def _aggregate_miou(scenes, cfg):
-    total = np.zeros((4, 4), dtype=np.int64)
-    for img, gt, seeds in scenes:
-        pred, _, _ = run_closed_loop(img, seeds, cfg, gt)
-        total += confusion(pred, gt, 4)
-    return scores(total)[1]
-
-
-def _seed_only_miou(scenes):
-    total = np.zeros((4, 4), dtype=np.int64)
-    for _img, gt, seeds in scenes:
-        labels = np.where(seeds.labels == IGNORE, np.uint8(0), seeds.labels).astype(np.uint8)
-        total += confusion(LabelMap(seeds.width, seeds.height, labels), gt, 4)
-    return scores(total)[1]
-
-
 @pytest.fixture(scope="module")
 def synthetic_scenes():
     return gen_synthetic(7, 20)
@@ -307,8 +290,9 @@ def synthetic_scenes():
 @criterion(7, "closed loop beats the initial seeds on 20 synthetic scenes")
 def test_criterion_7_end_to_end(synthetic_scenes):
     start = time.time()
-    seed_miou = _seed_only_miou(synthetic_scenes)
-    loop_miou = _aggregate_miou(synthetic_scenes, LoopConfig())
+    seed_pairs = ((seeds_as_prediction(seeds), gt) for _img, gt, seeds in synthetic_scenes)
+    seed_miou = score_pairs(seed_pairs, 4)[1]
+    loop_miou = score_scenes(synthetic_scenes, LoopConfig())[1]
     print(f"  seed-only mIoU={seed_miou:.4f} loop mIoU={loop_miou:.4f}", end=" ")
     assert loop_miou > seed_miou
     assert loop_miou - seed_miou >= PINNED_MIN_IMPROVEMENT
@@ -318,14 +302,11 @@ def test_criterion_7_end_to_end(synthetic_scenes):
 @criterion(8, "both chains rank at least as high as each single chain")
 def test_criterion_8_ablation_ranking(synthetic_scenes):
     start = time.time()
-    full = LoopConfig()
-    chain2_only = dataclasses.replace(full, w=0.0)
-    chain1_only = dataclasses.replace(
-        full, gates=GateParams(full.gates.alpha_fg, full.gates.alpha_bg, 1.0, 1.0)
+    arms = ablation_configs(LoopConfig())
+    miou_full, miou_c1, miou_c2 = (
+        score_scenes(synthetic_scenes, arms[name])[1]
+        for name in ("baseline+F1+F2", "baseline+F1", "baseline+F2")
     )
-    miou_full = _aggregate_miou(synthetic_scenes, full)
-    miou_c1 = _aggregate_miou(synthetic_scenes, chain1_only)
-    miou_c2 = _aggregate_miou(synthetic_scenes, chain2_only)
     print(f"  full={miou_full:.4f} chain1={miou_c1:.4f} chain2={miou_c2:.4f}", end=" ")
     assert miou_full >= miou_c1
     assert miou_full >= miou_c2

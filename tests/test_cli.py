@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from seedloop.cli import main
-from seedloop.tensorio import load_label_pgm, load_tensor
+from seedloop import GateParams, LoopConfig, SegParams, SynthParams
+from seedloop.cli import build_parser, main
+from seedloop.tensorio import load_label_pgm, load_tensor, save_tensor
 
 
 @pytest.fixture
@@ -19,120 +20,91 @@ def test_synth_writes_triples(synth_dir):
         assert (synth_dir / f"{i:04d}.seeds.pgm").exists()
 
 
-def test_stagewise_pipeline(synth_dir, tmp_path, capsys):
+@pytest.fixture
+def stages(synth_dir, tmp_path):
+    """Superpixel, feature and relationship tensor paths of scene 0000."""
     img = str(synth_dir / "0000.ppm")
-    sp = str(tmp_path / "sp.dfnt")
-    feats = str(tmp_path / "f.dfnt")
-    rel = str(tmp_path / "rel.dfnt")
+    sp, feats, rel = (str(tmp_path / name) for name in ("sp.dfnt", "f.dfnt", "rel.dfnt"))
     assert main(["superpix", "--image", img, "--out", sp]) == 0
+    assert main(["features", "--image", img, "--sp", sp, "--out", feats]) == 0
+    assert main(["relmat", "--features", feats, "--sp", sp, "--topk", "10", "--out", rel]) == 0
+    return sp, feats, rel
+
+
+def test_stagewise_pipeline(stages, tmp_path, capsys):
+    sp, feats, rel = stages
     sp_arr = load_tensor(sp)
     assert sp_arr.dtype == np.uint16 and sp_arr.ndim == 2
     n = int(sp_arr.max()) + 1
-
-    assert main(["features", "--image", img, "--sp", sp, "--out", feats]) == 0
     f_arr = load_tensor(feats)
     assert f_arr.shape == (n, 15) and f_arr.dtype == np.float32
-
-    assert main(["relmat", "--features", feats, "--sp", sp, "--topk", "10", "--out", rel]) == 0
     rel_arr = load_tensor(rel)
     assert rel_arr.shape == (3, n, n) and rel_arr.dtype == np.uint8
     # entrywise product relation between the three planes
     assert np.array_equal(rel_arr[2], rel_arr[0] & rel_arr[1])
 
+    for topk in ("0", "-1"):
+        bad = tmp_path / f"rel{topk}.dfnt"
+        assert main(["relmat", "--features", feats, "--sp", sp, "--topk", topk, "--out", str(bad)]) == 1
+        assert "InvalidParams" in capsys.readouterr().err
+        assert not bad.exists()
 
-def test_walk_subcommand(synth_dir, tmp_path):
-    from seedloop.tensorio import save_tensor
 
-    img = str(synth_dir / "0000.ppm")
-    sp = str(tmp_path / "sp.dfnt")
-    feats = str(tmp_path / "f.dfnt")
-    rel = str(tmp_path / "rel.dfnt")
-    main(["superpix", "--image", img, "--out", sp])
-    main(["features", "--image", img, "--sp", sp, "--out", feats])
-    main(["relmat", "--features", feats, "--sp", sp, "--out", rel])
+def test_stage_defaults_are_the_dataclass_defaults():
+    parse = build_parser().parse_args
+    args = parse(["superpix", "--image", "i.ppm", "--out", "o"])
+    assert SegParams(args.k, args.sigma, args.min_size, args.merge_thresh) == SegParams()
+    assert parse(["relmat", "--features", "f", "--sp", "s", "--out", "o"]).topk == LoopConfig().topk
+    args = parse(["walk", "--seeds", "s", "--netout", "n", "--rel", "r", "--out", "o"])
+    assert args.steps == LoopConfig().walk_steps
+    assert GateParams(args.alpha_fg, args.alpha_bg, args.beta_fg, args.beta_bg) == GateParams()
+    args = parse(["synth", "--seed", "1", "--count", "1", "--out-dir", "d"])
+    assert (args.width, args.height) == (SynthParams().width, SynthParams().height)
+
+
+def test_walk_subcommand(stages, tmp_path, capsys):
+    sp, _feats, rel = stages
     n = int(load_tensor(sp).max()) + 1
     seeds = np.zeros((4, n), dtype=np.float32)
     seeds[1, 0] = 1.0
     nout = np.full((4, n), 0.25, dtype=np.float32)
     save_tensor(seeds, tmp_path / "s.dfnt")
     save_tensor(nout, tmp_path / "no.dfnt")
-    out = str(tmp_path / "mixed.dfnt")
-    assert (
-        main(
-            [
-                "walk",
-                "--seeds",
-                str(tmp_path / "s.dfnt"),
-                "--netout",
-                str(tmp_path / "no.dfnt"),
-                "--rel",
-                rel,
-                "--steps",
-                "2",
-                "--out",
-                out,
-            ]
-        )
-        == 0
-    )
+    out = tmp_path / "mixed.dfnt"
+    args = ["walk", "--seeds", str(tmp_path / "s.dfnt"), "--netout", str(tmp_path / "no.dfnt")]
+    args += ["--steps", "2", "--out", str(out)]
+    assert main([*args, "--rel", rel]) == 0
     mixed = load_tensor(out)
     assert mixed.shape == (4, n)
     # uniform 0.25 output fails both beta gates, so only the seed survives
     assert mixed[1, 0] == pytest.approx(1.0)
 
+    # a relationship tensor must be [3, N, N] for N seed columns
+    save_tensor(np.zeros((3, n, n + 1), dtype=np.uint8), tmp_path / "bad.dfnt")
+    assert main([*args, "--rel", str(tmp_path / "bad.dfnt")]) == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+
 
 def test_loop_and_eval(synth_dir, tmp_path, capsys):
-    out_dir = str(tmp_path / "out")
-    rc = main(
-        [
-            "loop",
-            "--image",
-            str(synth_dir / "0000.ppm"),
-            "--seeds",
-            str(synth_dir / "0000.seeds.pgm"),
-            "--gt",
-            str(synth_dir / "0000.gt.pgm"),
-            "--out-dir",
-            out_dir,
-        ]
-    )
-    assert rc == 0
-    printed = capsys.readouterr().out
-    assert "mIoU=" in printed
-    pred = load_label_pgm(tmp_path / "out" / "0000.pred.pgm")
-    assert pred.width == 64
+    gt = str(synth_dir / "0000.gt.pgm")
+    args = ["--image", str(synth_dir / "0000.ppm"), "--seeds", str(synth_dir / "0000.seeds.pgm")]
+    assert main(["loop", *args, "--gt", gt, "--out-dir", str(tmp_path / "out")]) == 0
+    loop_line = capsys.readouterr().out.strip()
+    pred = tmp_path / "out" / "0000.pred.pgm"
+    assert load_label_pgm(pred).width == 64
+    assert (tmp_path / "out" / "0000.trace.txt").exists()
 
-    rc = main(
-        [
-            "eval",
-            "--pred",
-            str(tmp_path / "out" / "0000.pred.pgm"),
-            "--gt",
-            str(synth_dir / "0000.gt.pgm"),
-            "--classes",
-            "4",
-        ]
-    )
-    assert rc == 0
+    assert main(["eval", "--pred", str(pred), "--gt", gt, "--classes", "4"]) == 0
     line = capsys.readouterr().out.strip()
     assert line.startswith("accu=") and "mIoU=" in line and "fIoU=" in line
+    assert line == loop_line
 
 
 def test_run_and_dir_eval(synth_dir, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     assert main(["run", "--data-dir", str(synth_dir), "--out-dir", out_dir]) == 0
     run_line = capsys.readouterr().out.strip().splitlines()[-1]
-    assert main(
-        [
-            "eval",
-            "--pred-dir",
-            out_dir,
-            "--gt-dir",
-            str(synth_dir),
-            "--classes",
-            "4",
-        ]
-    ) == 0
+    assert main(["eval", "--pred-dir", out_dir, "--gt-dir", str(synth_dir), "--classes", "4"]) == 0
     eval_line = capsys.readouterr().out.strip()
     assert eval_line == run_line
 
@@ -165,8 +137,6 @@ _GAP_IDS[:, 32:] = 2  # id 1 is missing
     "sp", [_GAP_IDS, np.zeros((0, 64), dtype=np.uint16)], ids=["gap", "empty"]
 )
 def test_superpixel_ids_not_contiguous_rejected(synth_dir, tmp_path, capsys, sp):
-    from seedloop.tensorio import save_tensor
-
     save_tensor(sp, tmp_path / "sp.dfnt")
     img = str(synth_dir / "0000.ppm")
     out = tmp_path / "f.dfnt"

@@ -6,7 +6,6 @@ import pytest
 import seedloop.pipeline as pipeline
 from seedloop import (
     IGNORE,
-    LabelMap,
     LoopConfig,
     confusion,
     gen_synthetic,
@@ -16,16 +15,10 @@ from seedloop import (
     scores,
 )
 from seedloop.errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile, WOutOfRange
-from seedloop.pipeline import build_superpixels, pixel_state_to_superpixels
+from seedloop.pipeline import build_superpixels, pixel_state_to_superpixels, seeds_as_prediction
 from seedloop.seeds import ConvergenceParams
 from seedloop.tensorio import save_label_pgm, save_ppm
 from tests.conftest import make_labels, random_spmap
-
-
-def seed_only_prediction(seeds):
-    """Initial seeds read as a prediction with unlabeled pixels as background."""
-    labels = np.where(seeds.labels == IGNORE, np.uint8(0), seeds.labels)
-    return LabelMap(seeds.width, seeds.height, labels.astype(np.uint8))
 
 
 def test_pixel_state_one_hot_region():
@@ -68,7 +61,7 @@ def test_empty_seeds_rejected():
 
 
 @pytest.mark.parametrize(
-    "make_cfg, seed_label, error",
+    "make_cfg, bad_label, error",
     [
         (lambda: LoopConfig(topk=0), None, InvalidParams),
         (lambda: LoopConfig(n_categories=1), None, InvalidParams),
@@ -80,7 +73,8 @@ def test_empty_seeds_rejected():
         (lambda: LoopConfig(l2=-1e-3), None, InvalidParams),
         (lambda: LoopConfig(conv=ConvergenceParams(delta=float("nan"))), None, WOutOfRange),
         (lambda: LoopConfig(conv=ConvergenceParams(rho=float("nan"))), None, WOutOfRange),
-        (LoopConfig, 9, DimensionMismatch),
+        (LoopConfig, ("seeds", 9), DimensionMismatch),
+        (LoopConfig, ("gt", 9), DimensionMismatch),
     ],
     ids=[
         "topk=0",
@@ -94,21 +88,24 @@ def test_empty_seeds_rejected():
         "delta=nan",
         "rho=nan",
         "seed_label=9",
+        "gt_label=9",
     ],
 )
-def test_bad_input_rejected_before_superpixels(make_cfg, seed_label, error, monkeypatch):
-    img, _gt, seeds = gen_synthetic(7, 1)[0]
-    if seed_label is not None:
-        labels = seeds.labels.copy()
-        labels[0, 0] = seed_label
-        seeds = make_labels(labels)
+def test_bad_input_rejected_before_superpixels(make_cfg, bad_label, error, monkeypatch):
+    img, gt, seeds = gen_synthetic(7, 1)[0]
+    maps = {"seeds": seeds, "gt": gt}
+    if bad_label is not None:
+        which, label = bad_label
+        labels = maps[which].labels.copy()
+        labels[0, 0] = label
+        maps[which] = make_labels(labels)
 
     def no_work(*args):
         raise AssertionError("superpixels built before the input was checked")
 
     monkeypatch.setattr(pipeline, "build_superpixels", no_work)
     with pytest.raises(error):
-        run_closed_loop(img, seeds, make_cfg())
+        run_closed_loop(img, maps["seeds"], make_cfg(), maps["gt"])
 
 
 def test_w_zero_keeps_initial_seeds():
@@ -144,7 +141,7 @@ def test_loop_improves_over_initial_seeds():
     img, gt, seeds = gen_synthetic(7, 1)[0]
     pred, _state, _trace = run_closed_loop(img, seeds, LoopConfig(), gt)
     _, pred_miou, _ = scores(confusion(pred, gt, 4))
-    _, seed_miou, _ = scores(confusion(seed_only_prediction(seeds), gt, 4))
+    _, seed_miou, _ = scores(confusion(seeds_as_prediction(seeds), gt, 4))
     assert pred_miou > seed_miou
 
 

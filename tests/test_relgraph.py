@@ -9,7 +9,7 @@ from seedloop import (
     relationship_matrix,
     similarity_matrix,
 )
-from seedloop.errors import ShapeMismatch
+from seedloop.errors import InvalidParams, ShapeMismatch
 from seedloop.features import FeatureMatrix
 from seedloop.relgraph import symmetrize
 from seedloop.superpixel import SuperpixelMap
@@ -44,6 +44,13 @@ def test_distance_matches_brute_force(rng):
 def test_similarity_m_ge_n_all_ones(rng):
     d = distance_matrix(feat(rng.standard_normal((3, 4))))
     assert (similarity_matrix(d, 10) == 1).all()
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_similarity_rejects_m_below_one(m):
+    # m = 0 marked no column and m = -1 all but the farthest one of each row
+    with pytest.raises(InvalidParams):
+        similarity_matrix(np.zeros((3, 3)), m)
 
 
 def test_similarity_row_definition():

@@ -216,3 +216,5 @@ def test_shape_mismatch_errors(rng):
         convergence_check(a, b)
     with pytest.raises(ShapeMismatch):
         walk_step(a, rel_from(np.eye(4)), b)
+    with pytest.raises(ShapeMismatch):  # rows match the state, columns do not
+        walk_step(a, rel_from(np.ones((4, 5))), a)

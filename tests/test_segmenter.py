@@ -105,7 +105,8 @@ def test_training_decreases_loss_on_separable_toy(rng):
     losses = []
     for _ in range(50):
         losses.append(loss_and_grad(model, f, mixed)[0])
-        train_epochs(model, f, mixed, 1)
+        # the returned loss is the one before the step
+        assert train_epochs(model, f, mixed, 1) == losses[-1]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 
