@@ -40,10 +40,8 @@ from .tensorio import (
 def _spmap_from_tensor(arr: np.ndarray) -> SuperpixelMap:
     if arr.ndim != 2 or arr.dtype != np.uint16:
         raise ShapeMismatch("superpixel tensor must be u16 [H, W]")
-    if arr.size == 0 or not np.bincount(arr.ravel()).all():
-        raise ShapeMismatch("superpixel ids must be contiguous 0..N-1, N >= 1")
-    region_of = arr.astype(np.int32)
-    return SuperpixelMap(arr.shape[1], arr.shape[0], region_of, int(arr.max()) + 1)
+    n_regions = int(arr.max()) + 1 if arr.size else 0
+    return SuperpixelMap(arr.shape[1], arr.shape[0], arr.astype(np.int32), n_regions)
 
 
 def _add_fields(p, cls):
@@ -116,13 +114,14 @@ def _cmd_walk(args):
 
 
 def _dataset_ids(pred_dir):
+    """Scene ids of the `<id>.pred.pgm` and `<id>.pgm` files, each id once."""
     ids = []
     for name in sorted(os.listdir(pred_dir)):
         if name.endswith(".pred.pgm"):
             ids.append(name[: -len(".pred.pgm")])
         elif name.endswith(".pgm"):
             ids.append(name[: -len(".pgm")])
-    return ids
+    return list(dict.fromkeys(ids))
 
 
 def _cmd_eval(args):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionMismatch, InvalidParams
+from .errors import DimensionMismatch, InvalidParams, ShapeMismatch
 from .tensorio import RasterImage
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -22,6 +22,16 @@ class SuperpixelMap:
     region_of: np.ndarray  # (height, width) int32
     n_regions: int
 
+    def __post_init__(self):
+        r, n = self.region_of, self.n_regions
+        if r.shape != (self.height, self.width):
+            raise ShapeMismatch(f"region map must be [{self.height}, {self.width}]")
+        if (
+            n < 1 or r.size == 0 or r.min() < 0 or r.max() >= n
+            or not np.bincount(r.ravel(), minlength=n).all()
+        ):
+            raise ShapeMismatch(f"region ids must be exactly 0..{n - 1}, at least one region")
+
 
 @dataclass(frozen=True)
 class SegParams:
@@ -33,32 +43,6 @@ class SegParams:
     def __post_init__(self):
         if self.k <= 0 or self.sigma < 0 or self.min_size < 1 or self.merge_thresh < 0:
             raise InvalidParams("bad segmentation parameters")
-
-
-class _UnionFind:
-    __slots__ = ("parent", "size", "internal")
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.internal = [0.0] * n  # largest merging weight inside the component
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b, weight):
-        a, b = self.find(a), self.find(b)
-        if self.size[a] < self.size[b]:
-            a, b = b, a
-        self.parent[b] = a
-        self.size[a] += self.size[b]
-        self.internal[a] = weight
-        return a
 
 
 def _grid_edges(smoothed):
@@ -107,8 +91,18 @@ def _split_disconnected(region_of, h, w):
     return _relabel_scan_order(out, h, w)
 
 
+def _resolve_roots(parent):
+    """Root of every node of a union-find parent list, by pointer jumping."""
+    roots = np.array(parent)
+    while True:
+        up = roots[roots]
+        if np.array_equal(up, roots):
+            return roots
+        roots = up
+
+
 def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> SuperpixelMap:
-    """Graph-based segmentation with union-find merging.
+    """Graph-based segmentation (Felzenszwalb & Huttenlocher, IJCV 2004).
 
     Deterministic: edges sorted by (weight, generation index), merge predicate
     w <= min(Int(Ci) + k/|Ci|, Int(Cj) + k/|Cj|), then components smaller than
@@ -123,23 +117,43 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
             axis=2,
         )
     ea, eb, ew = _grid_edges(img)
-    uf = _UnionFind(h * w)
     k = params.k
+    n = h * w
+    parent = list(range(n))
+    size = [1] * n
+    thresh = [float(k)] * n  # Int(C) + k/|C|, Int(C) = largest merging weight in C
     for a, b, wgt in zip(ea.tolist(), eb.tolist(), ew.tolist()):
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
+        while parent[a] != a:  # find with path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b or wgt > thresh[a] or wgt > thresh[b]:
             continue
-        if wgt <= min(
-            uf.internal[ra] + k / uf.size[ra], uf.internal[rb] + k / uf.size[rb]
-        ):
-            uf.union(ra, rb, wgt)
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        thresh[a] = wgt + k / size[a]
     # absorb small components; ascending edge order hits the lowest-weight
-    # neighbor of each small component first
-    for a, b, wgt in zip(ea.tolist(), eb.tolist(), ew.tolist()):
-        ra, rb = uf.find(a), uf.find(b)
-        if ra != rb and (uf.size[ra] < params.min_size or uf.size[rb] < params.min_size):
-            uf.union(ra, rb, wgt)
-    roots = np.fromiter((uf.find(i) for i in range(h * w)), dtype=np.int64, count=h * w)
+    # neighbor of each small component first. Components only grow, so an
+    # edge inside one pass-1 component is skipped here and can be dropped.
+    roots = _resolve_roots(parent)
+    cross = roots[ea] != roots[eb]
+    min_size = params.min_size
+    for a, b in zip(roots[ea[cross]].tolist(), roots[eb[cross]].tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b or (size[a] >= min_size and size[b] >= min_size):
+            continue
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+    # which root names a component does not matter: ids are renumbered by
+    # first pixel in scan order
+    roots = _resolve_roots(parent)
     region_of, _ = _relabel_scan_order(roots, h, w)
     # 8-connected merging can produce diagonal-only links; enforce the
     # 4-connectivity invariant by splitting

@@ -109,6 +109,19 @@ def test_run_and_dir_eval(synth_dir, tmp_path, capsys):
     assert eval_line == run_line
 
 
+def test_dir_eval_counts_each_scene_once(synth_dir, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--data-dir", str(synth_dir), "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    args = ["eval", "--pred-dir", str(out_dir), "--gt-dir", str(synth_dir), "--classes", "4"]
+    assert main(args) == 0
+    once = capsys.readouterr().out
+    # <id>.pgm is also read as a prediction of scene <id>
+    (out_dir / "0001.pgm").write_bytes((out_dir / "0001.pred.pgm").read_bytes())
+    assert main(args) == 0
+    assert capsys.readouterr().out == once
+
+
 def test_cli_reports_errors(tmp_path, capsys):
     rc = main(["superpix", "--image", str(tmp_path / "nope.ppm"), "--out", str(tmp_path / "o")])
     assert rc == 1

@@ -133,6 +133,33 @@ def test_custom_walk_strict_drops_unsupported_seeds(rng):
     assert (strict.probs == 0).all()
 
 
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=12),
+    st.tuples(_unit, _unit, _unit, _unit),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
+def test_custom_walk_mass_and_seed_support(seed, c, n, thresholds, steps, strict):
+    rng = np.random.default_rng(seed)
+    s = random_state(rng, c, n)
+    s = make_state(s.probs * (rng.random(n) < 0.7))  # some ignored regions
+    n_out = random_state(rng, c, n)
+    rel = rel_from(rng.random((n, n)) < rng.random())
+    gates = GateParams(*thresholds)
+    mixed = custom_walk(s, rel, n_out, gates, steps, strict=strict).probs
+    assert ((mixed >= 0) & (mixed <= 1)).all()
+    assert (mixed.sum(axis=0) <= 1 + 1e-6).all()
+    if not strict:
+        seeded = gate(s, gates.alpha_fg, gates.alpha_bg).probs.any(axis=0)
+        assert mixed.any(axis=0)[seeded].all()
+
+
 def test_seed_update_identities(rng):
     a = random_state(rng, 3, 8)
     b = random_state(rng, 3, 8)

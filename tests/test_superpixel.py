@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from seedloop import SegParams, felzenszwalb, rag_merge
-from seedloop.errors import DimensionMismatch, InvalidParams
+from seedloop import SegParams, SynthParams, felzenszwalb, gen_synthetic, rag_merge
+from seedloop.errors import DimensionMismatch, InvalidParams, ShapeMismatch
 from seedloop.superpixel import (
     SuperpixelMap,
+    _grid_edges,
     _relabel_scan_order,
     _split_disconnected,
     region_edges,
@@ -55,6 +56,24 @@ def test_felzenszwalb_invariants_random(rng):
 def test_bad_params_rejected():
     with pytest.raises(InvalidParams):
         SegParams(k=0)
+
+
+@pytest.mark.parametrize(
+    "width, height, region_of, n_regions",
+    [
+        (3, 2, [[0, 1], [0, 1]], 2),  # map is [2, 2], not [2, 3]
+        (2, 2, [[0, 2], [0, 2]], 3),  # id 1 missing
+        (2, 2, [[0, 1], [0, 1]], 3),  # id 2 missing
+        (2, 2, [[0, 1], [0, 1]], 1),  # id 1 out of range
+        (2, 2, [[0, -1], [0, 0]], 2),  # negative id
+        (2, 0, np.zeros((0, 2), dtype=np.int32), 0),  # empty
+        (2, 0, np.zeros((0, 2), dtype=np.int32), 1),
+    ],
+    ids=["bad_shape", "gap", "gap_at_top", "out_of_range", "negative", "empty", "empty_n1"],
+)
+def test_spmap_rejects_bad_region_map(width, height, region_of, n_regions):
+    with pytest.raises(ShapeMismatch):
+        SuperpixelMap(width, height, np.asarray(region_of, dtype=np.int32), n_regions)
 
 
 def test_rag_merge_thresh_zero_identity(rng):
@@ -273,3 +292,87 @@ def test_split_disconnected_matches_reference(rng):
         want, n_want = _reference_split(raw)
         assert got.dtype == np.int32 and n == n_want
         assert np.array_equal(got, want)
+
+
+class _UnionFind:
+    __slots__ = ("parent", "size", "internal")
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.internal = [0.0] * n  # largest merging weight inside the component
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b, weight):
+        a, b = self.find(a), self.find(b)
+        if self.size[a] < self.size[b]:
+            a, b = b, a
+        self.parent[b] = a
+        self.size[a] += self.size[b]
+        self.internal[a] = weight
+        return a
+
+
+def _reference_felzenszwalb(image, params):
+    """Union-find object with full path compression; the min-size pass
+    rescans every grid edge."""
+    h, w = image.height, image.width
+    img = image.data.astype(np.float64)
+    if params.sigma > 0:
+        img = np.stack(
+            [ndimage.gaussian_filter(img[:, :, c], params.sigma) for c in range(3)],
+            axis=2,
+        )
+    ea, eb, ew = _grid_edges(img)
+    uf = _UnionFind(h * w)
+    k = params.k
+    for a, b, wgt in zip(ea.tolist(), eb.tolist(), ew.tolist()):
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb:
+            continue
+        if wgt <= min(
+            uf.internal[ra] + k / uf.size[ra], uf.internal[rb] + k / uf.size[rb]
+        ):
+            uf.union(ra, rb, wgt)
+    for a, b, wgt in zip(ea.tolist(), eb.tolist(), ew.tolist()):
+        ra, rb = uf.find(a), uf.find(b)
+        if ra != rb and (uf.size[ra] < params.min_size or uf.size[rb] < params.min_size):
+            uf.union(ra, rb, wgt)
+    roots = np.fromiter((uf.find(i) for i in range(h * w)), dtype=np.int64, count=h * w)
+    region_of, _ = _relabel_scan_order(roots, h, w)
+    region_of, n_regions = _split_disconnected(region_of, h, w)
+    return SuperpixelMap(w, h, region_of, n_regions)
+
+
+def _assert_same_segmentation(img, params):
+    got = felzenszwalb(img, params)
+    want = _reference_felzenszwalb(img, params)
+    assert got.n_regions == want.n_regions
+    assert np.array_equal(got.region_of, want.region_of)
+
+
+# colors in steps of 20 make equal edge weights, and so sort-order ties, common;
+# without blur a weight of 20 or 100 (a step of (3, 4, 0)) equals the threshold
+# k/1 of a single pixel. min_size 1 leaves the absorption pass nothing to do,
+# 200 absorbs nearly all
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+@pytest.mark.parametrize("k", [5.0, 20.0, 100.0])
+@pytest.mark.parametrize("min_size", [1, 5, 20, 200])
+def test_felzenszwalb_matches_union_find_oracle(sigma, k, min_size):
+    rng = np.random.default_rng(1000 * min_size + int(k) + int(10 * sigma))
+    for _ in range(3):
+        h, w = rng.integers(8, 33, size=2)
+        img = make_image(rng.integers(0, 13, size=(h, w, 3)) * 20)
+        _assert_same_segmentation(img, SegParams(k=k, sigma=sigma, min_size=min_size))
+
+
+def test_felzenszwalb_matches_union_find_oracle_many_regions():
+    (img, _, _), = gen_synthetic(7, 1, SynthParams(128, 128))
+    _assert_same_segmentation(img, SegParams(k=20, min_size=5, merge_thresh=10))
