@@ -1,6 +1,6 @@
 """Closed-loop weakly-supervised segmentation toolkit."""
 
-from .features import FeatureMatrix, load_external_features, superpixel_features
+from .features import load_external_features, superpixel_features
 from .metrics import confusion, scores
 from .pipeline import LoopConfig, parse_config, run_closed_loop, run_dataset
 from .relgraph import (

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DimOverflow, EmptyConfusion, MissingFile, SeedloopError, ShapeMismatch
-from .features import FeatureMatrix, load_external_features, standardize, superpixel_features
+from .features import load_external_features, superpixel_features
 from .metrics import confusion, scores
 from .pipeline import (
     LoopConfig,
@@ -23,7 +23,7 @@ from .pipeline import (
     write_outputs,
 )
 from .relgraph import RelationshipMatrix, build_relationship
-from .seeds import GateParams, custom_walk, make_state
+from .seeds import GateParams, SeedState, custom_walk
 from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge
 from .tensorio import (
     SynthParams,
@@ -40,8 +40,7 @@ from .tensorio import (
 def _spmap_from_tensor(arr: np.ndarray) -> SuperpixelMap:
     if arr.ndim != 2 or arr.dtype != np.uint16:
         raise ShapeMismatch("superpixel tensor must be u16 [H, W]")
-    n_regions = int(arr.max()) + 1 if arr.size else 0
-    return SuperpixelMap(arr.shape[1], arr.shape[0], arr.astype(np.int32), n_regions)
+    return SuperpixelMap(arr.astype(np.int32))
 
 
 def _add_fields(p, cls):
@@ -85,24 +84,21 @@ def _cmd_features(args):
     else:
         image = load_ppm(args.image)
         feats = superpixel_features(image, spmap)
-    save_tensor(feats.values.astype(np.float32), args.out)
-    print(f"features [{feats.n_regions}, {feats.dims}] -> {args.out}")
+    save_tensor(feats.astype(np.float32), args.out)
+    print(f"features {list(feats.shape)} -> {args.out}")
 
 
 def _cmd_relmat(args):
     spmap = _spmap_from_tensor(load_tensor(args.sp))
-    arr = load_tensor(args.features)
-    if arr.ndim != 2 or arr.shape[0] != spmap.n_regions:
-        raise ShapeMismatch("feature tensor does not match superpixel count")
-    feats = FeatureMatrix(arr.shape[0], arr.shape[1], standardize(arr.astype(np.float64)))
+    feats = load_external_features(args.features, spmap.n_regions)
     rel = build_relationship(feats, spmap, m=args.topk, symmetrize_mode=args.symmetrize)
     save_tensor(np.stack([rel.m_siml, rel.m_adj, rel.m_rel]).astype(np.uint8), args.out)
     print(f"relationship [3, {spmap.n_regions}, {spmap.n_regions}] -> {args.out}")
 
 
 def _cmd_walk(args):
-    seeds = make_state(load_tensor(args.seeds).astype(np.float64))
-    n_out = make_state(load_tensor(args.netout).astype(np.float64))
+    seeds = SeedState(load_tensor(args.seeds).astype(np.float64))
+    n_out = SeedState(load_tensor(args.netout).astype(np.float64))
     stack = load_tensor(args.rel)
     if stack.ndim != 3 or stack.shape[0] != 3:
         raise ShapeMismatch("relationship tensor must be u8 [3, N, N]")
@@ -192,9 +188,10 @@ def build_parser():
     p.set_defaults(func=_cmd_superpix)
 
     p = sub.add_parser("features", help="compute per-superpixel descriptors")
-    p.add_argument("--image")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--image")
+    source.add_argument("--external")
     p.add_argument("--sp", required=True)
-    p.add_argument("--external")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_features)
 

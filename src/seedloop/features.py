@@ -1,12 +1,11 @@
 """Per-superpixel descriptors: a 15-dim handcrafted bank over color and gradients.
 
 Stands in for CNN features; an external-tensor loader lets callers plug in
-their own descriptors as long as row i matches region i.
+their own descriptors as long as row i matches region i. Features are a
+(n_regions, dims) float64 array, z-scored per dimension.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,15 +14,6 @@ from .superpixel import SuperpixelMap
 from .tensorio import RasterImage, load_tensor
 
 N_ORIENT_BINS = 8
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """(n_regions, dims) descriptors, z-scored per dimension."""
-
-    n_regions: int
-    dims: int
-    values: np.ndarray
 
 
 def standardize(values: np.ndarray) -> np.ndarray:
@@ -51,7 +41,7 @@ def _gradients(image: RasterImage):
     return gx, gy
 
 
-def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> FeatureMatrix:
+def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> np.ndarray:
     """Mean/std per RGB channel (6), mean gradient magnitude (1), and an
     8-bin gradient-orientation histogram (8), z-scored across regions."""
     if (spmap.height, spmap.width) != (image.height, image.width):
@@ -84,16 +74,16 @@ def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> FeatureMatr
         raw[:, 7 + b] = np.bincount(flat, weights=(bins == b).astype(np.float64), minlength=n)
     raw[:, 7:] /= counts[:, None]
 
-    return FeatureMatrix(n, 15, standardize(raw))
+    return standardize(raw)
 
 
-def load_external_features(path, n_regions: int) -> FeatureMatrix:
+def load_external_features(path, n_regions: int) -> np.ndarray:
     """Load a DFNT f32 [N, D] tensor and standardize it."""
     arr = load_tensor(path)
     if arr.dtype != np.float32 or arr.ndim != 2:
-        raise ShapeMismatch("external features must be an f32 [N, D] tensor")
+        raise ShapeMismatch("features must be an f32 [N, D] tensor")
     if arr.shape[0] != n_regions:
         raise ShapeMismatch(
             f"feature rows {arr.shape[0]} != n_regions {n_regions}"
         )
-    return FeatureMatrix(n_regions, arr.shape[1], standardize(arr.astype(np.float64)))
+    return standardize(arr.astype(np.float64))

@@ -21,7 +21,6 @@ from .seeds import (
     convergence_check,
     custom_walk,
     labels_from_state,
-    make_state,
     seed_update,
 )
 from .segmenter import LinearSegmenter, predict, train_epochs
@@ -137,7 +136,7 @@ def pixel_state_to_superpixels(
         sel = valid & (flat_lab == c)
         num = np.bincount(flat_reg[sel], minlength=spmap.n_regions)
         probs[c, denom > 0] = num[denom > 0] / denom[denom > 0]
-    return make_state(probs)
+    return SeedState(probs)
 
 
 def build_superpixels(image: RasterImage, seg: SegParams) -> SuperpixelMap:
@@ -167,7 +166,7 @@ def run_closed_loop(
 
     state = pixel_state_to_superpixels(initial_seeds, spmap, cfg.n_categories)
     model = LinearSegmenter(
-        feats.dims, cfg.n_categories, learning_rate=cfg.learning_rate, l2=cfg.l2
+        feats.shape[1], cfg.n_categories, learning_rate=cfg.learning_rate, l2=cfg.l2
     )
     trace = LoopTrace()
     last_unchanged = 0.0
@@ -191,8 +190,7 @@ def run_closed_loop(
             # score only pixels labeled by the seed rendering
             seed_pred = labels_from_state(state, spmap)
             masked = np.where(seed_pred.labels != IGNORE, gt.labels, np.uint8(IGNORE))
-            masked_gt = LabelMap(gt.width, gt.height, masked)
-            seed_scores = score_pairs([(seed_pred, masked_gt)], cfg.n_categories)
+            seed_scores = score_pairs([(seed_pred, LabelMap(masked))], cfg.n_categories)
             miou = seed_scores[1] if seed_scores is not None else None
         trace.epochs.append(epoch)
         trace.losses.append(loss)
@@ -209,7 +207,7 @@ def run_closed_loop(
 def seeds_as_prediction(seeds: LabelMap) -> LabelMap:
     """The initial seeds read as a prediction, unlabeled pixels as background."""
     labels = np.where(seeds.labels == IGNORE, np.uint8(0), seeds.labels)
-    return LabelMap(seeds.width, seeds.height, labels)
+    return LabelMap(labels)
 
 
 def ablation_configs(cfg: LoopConfig) -> dict:

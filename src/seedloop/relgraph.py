@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
-from .features import FeatureMatrix
 from .superpixel import SuperpixelMap, region_edges
 
 
@@ -21,11 +20,10 @@ class RelationshipMatrix:
     m_rel: np.ndarray  # (N, N) uint8
 
 
-def distance_matrix(feats: FeatureMatrix) -> np.ndarray:
-    """Pairwise Euclidean distances between feature rows."""
-    v = feats.values
-    sq = (v * v).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (v @ v.T)
+def distance_matrix(feats: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances between the rows of an (N, D) array."""
+    sq = (feats * feats).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T)
     d = np.sqrt(np.maximum(d2, 0.0))
     np.fill_diagonal(d, 0.0)
     return (d + d.T) / 2.0  # exact symmetry
@@ -77,7 +75,7 @@ def relationship_matrix(siml: np.ndarray, adj: np.ndarray) -> RelationshipMatrix
 
 
 def build_relationship(
-    feats: FeatureMatrix, spmap: SuperpixelMap, m: int = 10, symmetrize_mode: str = "none"
+    feats: np.ndarray, spmap: SuperpixelMap, m: int = 10, symmetrize_mode: str = "none"
 ) -> RelationshipMatrix:
     """Convenience wrapper: features -> distances -> top-m -> AND adjacency."""
     siml = symmetrize(similarity_matrix(distance_matrix(feats), m), symmetrize_mode)

@@ -23,23 +23,24 @@ class SeedState:
     An all-zero column marks an ignored superpixel. Column sums stay <= 1.
     """
 
-    n_categories: int
-    n_regions: int
     probs: np.ndarray
 
     def __post_init__(self):
         p = self.probs
-        if p.shape != (self.n_categories, self.n_regions):
-            raise ShapeMismatch("probs shape does not match declared sizes")
-        if (p < 0).any() or (p > 1).any():
+        if p.ndim != 2:
+            raise ShapeMismatch(f"probs must be [categories, regions], got {list(p.shape)}")
+        if not ((p >= 0) & (p <= 1)).all():  # NaN fails too
             raise ShapeMismatch("probabilities must lie in [0, 1]")
         if (p.sum(axis=0) > 1 + _TOL).any():
             raise ShapeMismatch("column sums must not exceed 1")
 
+    @property
+    def n_categories(self) -> int:
+        return self.probs.shape[0]
 
-def make_state(probs: np.ndarray) -> SeedState:
-    probs = np.asarray(probs, dtype=np.float64)
-    return SeedState(probs.shape[0], probs.shape[1], probs)
+    @property
+    def n_regions(self) -> int:
+        return self.probs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,7 @@ def gate(state: SeedState, t_fg: float, t_bg: float) -> SeedState:
     top_val = p[top, np.arange(state.n_regions)]
     thresh = np.where(top == 0, t_bg, t_fg)
     keep = top_val >= thresh
-    out = p * keep[None, :]
-    return SeedState(state.n_categories, state.n_regions, out)
+    return SeedState(p * keep[None, :])
 
 
 def walk_step(
@@ -89,8 +89,7 @@ def walk_step(
     if rel.m_rel.shape != (n, n):
         raise ShapeMismatch(f"relationship matrix must be [{n}, {n}], got {list(rel.m_rel.shape)}")
     spread = s_gated.probs @ rel.m_rel.astype(np.float64)
-    out = np.clip(spread, 0.0, 1.0) * nout_gated.probs
-    return SeedState(s_gated.n_categories, s_gated.n_regions, out)
+    return SeedState(np.clip(spread, 0.0, 1.0) * nout_gated.probs)
 
 
 def _renormalize_columns(probs: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def custom_walk(
     for _ in range(steps):
         cur = walk_step(cur, rel, guided)
     mixed = cur.probs if strict else np.maximum(start.probs, cur.probs)
-    return SeedState(state.n_categories, state.n_regions, _renormalize_columns(mixed))
+    return SeedState(_renormalize_columns(mixed))
 
 
 def seed_update(s_old: SeedState, n_out: SeedState, w: float) -> SeedState:
@@ -133,11 +132,7 @@ def seed_update(s_old: SeedState, n_out: SeedState, w: float) -> SeedState:
         raise WOutOfRange(f"w={w} outside [0, 1]")
     if s_old.probs.shape != n_out.probs.shape:
         raise ShapeMismatch("seed and network-output shapes differ")
-    return SeedState(
-        s_old.n_categories,
-        s_old.n_regions,
-        (1.0 - w) * s_old.probs + w * n_out.probs,
-    )
+    return SeedState((1.0 - w) * s_old.probs + w * n_out.probs)
 
 
 def convergence_check(
@@ -160,5 +155,4 @@ def labels_from_state(state: SeedState, spmap: SuperpixelMap) -> LabelMap:
     per_region = np.argmax(state.probs, axis=0).astype(np.uint8)
     empty = state.probs.sum(axis=0) <= 0.0
     per_region = np.where(empty, np.uint8(IGNORE), per_region)
-    labels = per_region[spmap.region_of]
-    return LabelMap(spmap.width, spmap.height, labels.astype(np.uint8))
+    return LabelMap(per_region[spmap.region_of])

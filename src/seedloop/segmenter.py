@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NoLabeledRegions, ShapeMismatch
-from .features import FeatureMatrix
-from .seeds import SeedState, make_state
+from .seeds import SeedState
 
 
 @dataclass
@@ -38,20 +37,20 @@ def _softmax_columns(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def predict(model: LinearSegmenter, feats: FeatureMatrix) -> SeedState:
-    """Column j = softmax(W^T f_j + b); every column sums to 1."""
-    if feats.dims != model.n_features:
+def predict(model: LinearSegmenter, feats: np.ndarray) -> SeedState:
+    """Column j = softmax(W^T f_j + b) for feature row j; every column sums to 1."""
+    if feats.shape[1] != model.n_features:
         raise ShapeMismatch(
-            f"feature dims {feats.dims} != model dims {model.n_features}"
+            f"feature dims {feats.shape[1]} != model dims {model.n_features}"
         )
-    logits = model.weights.T @ feats.values.T + model.bias[:, None]
-    return make_state(_softmax_columns(logits))
+    logits = model.weights.T @ feats.T + model.bias[:, None]
+    return SeedState(_softmax_columns(logits))
 
 
-def loss_and_grad(model: LinearSegmenter, feats: FeatureMatrix, mixed: SeedState):
+def loss_and_grad(model: LinearSegmenter, feats: np.ndarray, mixed: SeedState):
     """Cross-entropy over labeled columns (nonzero sum, renormalized) plus an
     l2 penalty on the weights; returns (loss, grad_w, grad_b)."""
-    if mixed.n_regions != feats.n_regions:
+    if mixed.n_regions != feats.shape[0]:
         raise ShapeMismatch("seed state and features disagree on region count")
     col_mass = mixed.probs.sum(axis=0)
     labeled = col_mass > 0
@@ -59,7 +58,7 @@ def loss_and_grad(model: LinearSegmenter, feats: FeatureMatrix, mixed: SeedState
     if n_lab == 0:
         raise NoLabeledRegions("mixed seed labels no superpixel")
     y = mixed.probs[:, labeled] / col_mass[labeled][None, :]
-    f = feats.values[labeled, :]  # (L, D)
+    f = feats[labeled, :]  # (L, D)
     logits = model.weights.T @ f.T + model.bias[:, None]
     p = _softmax_columns(logits)
     loss = float(
@@ -73,7 +72,7 @@ def loss_and_grad(model: LinearSegmenter, feats: FeatureMatrix, mixed: SeedState
 
 
 def train_epochs(
-    model: LinearSegmenter, feats: FeatureMatrix, mixed: SeedState, epochs: int
+    model: LinearSegmenter, feats: np.ndarray, mixed: SeedState, epochs: int
 ) -> float:
     """Full-batch gradient descent for `epochs` steps; mutates the model and
     returns the loss before the first step."""
@@ -87,26 +86,3 @@ def train_epochs(
         model.bias = model.bias - model.learning_rate * grad_b
     return losses[0]
 
-
-def save_model(model: LinearSegmenter, path) -> None:
-    """f32 DFNT tensor dims [D+1, C]: weights stacked over bias."""
-    from .tensorio import save_tensor
-
-    stacked = np.vstack([model.weights, model.bias[None, :]]).astype(np.float32)
-    save_tensor(stacked, path)
-
-
-def load_model(path, learning_rate: float = 1e-2, l2: float = 1e-3) -> LinearSegmenter:
-    from .tensorio import load_tensor
-
-    arr = load_tensor(path).astype(np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise ShapeMismatch("model tensor must be [D+1, C]")
-    return LinearSegmenter(
-        arr.shape[0] - 1,
-        arr.shape[1],
-        learning_rate=learning_rate,
-        l2=l2,
-        weights=arr[:-1, :],
-        bias=arr[-1, :],
-    )

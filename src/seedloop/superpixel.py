@@ -17,20 +17,27 @@ _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 class SuperpixelMap:
     """Per-pixel region ids, contiguous 0..n_regions-1, each region 4-connected."""
 
-    width: int
-    height: int
     region_of: np.ndarray  # (height, width) int32
-    n_regions: int
 
     def __post_init__(self):
-        r, n = self.region_of, self.n_regions
-        if r.shape != (self.height, self.width):
-            raise ShapeMismatch(f"region map must be [{self.height}, {self.width}]")
-        if (
-            n < 1 or r.size == 0 or r.min() < 0 or r.max() >= n
-            or not np.bincount(r.ravel(), minlength=n).all()
-        ):
-            raise ShapeMismatch(f"region ids must be exactly 0..{n - 1}, at least one region")
+        r = self.region_of
+        if r.ndim != 2 or r.size == 0:
+            raise ShapeMismatch("region map must be a non-empty [height, width] array")
+        # max < size first: it keeps bincount from allocating for a stray huge id
+        if r.min() < 0 or r.max() >= r.size or not np.bincount(r.ravel()).all():
+            raise ShapeMismatch(f"region ids must be exactly 0..{r.max()}")
+
+    @property
+    def height(self) -> int:
+        return self.region_of.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.region_of.shape[1]
+
+    @property
+    def n_regions(self) -> int:
+        return int(self.region_of.max()) + 1
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,12 @@ class SegParams:
     merge_thresh: float = 25.0
 
     def __post_init__(self):
-        if self.k <= 0 or self.sigma < 0 or self.min_size < 1 or self.merge_thresh < 0:
+        if not (  # NaN fails every comparison
+            0 < self.k < np.inf
+            and 0 <= self.sigma < np.inf
+            and self.min_size >= 1
+            and 0 <= self.merge_thresh < np.inf
+        ):
             raise InvalidParams("bad segmentation parameters")
 
 
@@ -67,19 +79,18 @@ def _grid_edges(smoothed):
     return a[by_weight], b[by_weight], wgt[by_weight]
 
 
-def _relabel_scan_order(assignment, h, w):
-    """Map arbitrary component ids to contiguous ids by first-pixel scan order."""
-    _, first, inverse = np.unique(
-        assignment.reshape(-1), return_index=True, return_inverse=True
-    )
+def _relabel_scan_order(assignment):
+    """Map the arbitrary component ids of a 2-D map to contiguous ids by
+    first-pixel scan order."""
+    _, first, inverse = np.unique(assignment.ravel(), return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int32)
     rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
-    return rank[inverse].reshape(h, w), len(first)
+    return rank[inverse].reshape(assignment.shape)
 
 
-def _split_disconnected(region_of, h, w):
+def _split_disconnected(region_of):
     """Split every label into its 4-connected components and relabel."""
-    out = np.empty((h, w), dtype=np.int64)
+    out = np.empty(region_of.shape, dtype=np.int64)
     offset = 0
     for rid, box in enumerate(ndimage.find_objects(region_of + 1)):
         if box is None:  # id absent from the map
@@ -88,7 +99,7 @@ def _split_disconnected(region_of, h, w):
         comps, n_comps = ndimage.label(mask, structure=_FOUR_CONN)
         out[box][mask] = comps[mask] + offset
         offset += n_comps
-    return _relabel_scan_order(out, h, w)
+    return _relabel_scan_order(out)
 
 
 def _resolve_roots(parent):
@@ -153,12 +164,10 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
         size[a] += size[b]
     # which root names a component does not matter: ids are renumbered by
     # first pixel in scan order
-    roots = _resolve_roots(parent)
-    region_of, _ = _relabel_scan_order(roots, h, w)
+    region_of = _relabel_scan_order(_resolve_roots(parent).reshape(h, w))
     # 8-connected merging can produce diagonal-only links; enforce the
     # 4-connectivity invariant by splitting
-    region_of, n_regions = _split_disconnected(region_of, h, w)
-    return SuperpixelMap(w, h, region_of, n_regions)
+    return SuperpixelMap(_split_disconnected(region_of))
 
 
 def region_edges(region_of):
@@ -217,5 +226,4 @@ def rag_merge(
         n_alive -= 1
         edges[edges == j] = i
         edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
-    region_of, n_regions = _relabel_scan_order(final[spmap.region_of], spmap.height, spmap.width)
-    return SuperpixelMap(spmap.width, spmap.height, region_of, n_regions)
+    return SuperpixelMap(_relabel_scan_order(final[spmap.region_of]))

@@ -7,8 +7,9 @@ tensors exchanged between CLI stages.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,34 +31,44 @@ IGNORE = 255  # label value excluded from supervision and evaluation
 class RasterImage:
     """8-bit RGB image; `data` has shape (height, width, 3)."""
 
-    width: int
-    height: int
     data: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidParams("image dimensions must be >= 1")
-        if self.data.shape != (self.height, self.width, 3):
-            raise InvalidParams("data shape does not match width/height")
-        if self.data.dtype != np.uint8:
+        d = self.data
+        if d.ndim != 3 or d.shape[2] != 3 or d.size == 0:
+            raise InvalidParams("image data must be a non-empty (height, width, 3) array")
+        if d.dtype != np.uint8:
             raise InvalidParams("image data must be uint8")
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Per-pixel category ids in 0..C-1 with 255 reserved as ignore."""
+    """Per-pixel category ids in 0..C-1 with 255 reserved as ignore;
+    `labels` has shape (height, width)."""
 
-    width: int
-    height: int
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidParams("label map dimensions must be >= 1")
-        if self.labels.shape != (self.height, self.width):
-            raise InvalidParams("labels shape does not match width/height")
+        if self.labels.ndim != 2 or self.labels.size == 0:
+            raise InvalidParams("labels must be a non-empty (height, width) array")
         if self.labels.dtype != np.uint8:
             raise InvalidParams("labels must be uint8")
+
+    @property
+    def height(self) -> int:
+        return self.labels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.labels.shape[1]
 
 
 def _read_pnm_header(raw: bytes, magic: bytes):
@@ -105,7 +116,7 @@ def load_ppm(path) -> RasterImage:
     if len(payload) < need:
         raise TruncatedPayload(f"expected {need} payload bytes, got {len(payload)}")
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return RasterImage(width, height, data.copy())
+    return RasterImage(data.copy())
 
 
 def save_ppm(image: RasterImage, path) -> None:
@@ -134,7 +145,7 @@ def load_label_pgm(path) -> LabelMap:
     if len(payload) < need:
         raise TruncatedPayload(f"expected {need} payload bytes, got {len(payload)}")
     labels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return LabelMap(width, height, labels.copy())
+    return LabelMap(labels.copy())
 
 
 def save_label_pgm(lmap: LabelMap, path) -> None:
@@ -203,11 +214,32 @@ def load_tensor(path) -> np.ndarray:
         raise TruncatedPayload("dims truncated")
     dims = struct.unpack(f"<{ndim}I", raw[7 : 7 + 4 * ndim])
     dtype = _CODE_DTYPES[code]
-    need = int(np.prod(dims)) * dtype.itemsize
+    need = math.prod(dims) * dtype.itemsize  # exact: a numpy product can wrap to 0
     payload = raw[7 + 4 * ndim :]
     if len(payload) < need:
         raise TruncatedPayload(f"expected {need} payload bytes, got {len(payload)}")
-    return np.frombuffer(payload[:need], dtype=dtype).reshape(dims).copy()
+    arr = np.frombuffer(payload[:need], dtype=dtype).reshape(dims).copy()
+    if code == 1 and not np.isfinite(arr).all():
+        raise InvalidParams("f32 tensor payload must be finite")
+    return arr
+
+
+# size range per shape kind, [side // lo, side // hi) along each side: the box
+# side of a rectangle (kind 0) or a triangle (kind 2), the radius of an ellipse
+# (kind 1)
+_SIZE_DIVISORS = ((6, 3), (10, 6), (5, 3))
+
+
+def _side_fits(side, margin):
+    """Whether `_shape_mask` can draw every shape kind along a side of `side`
+    pixels: each size range is non-empty and above 0, and its largest size
+    (twice that for a radius) leaves a position between the two margins."""
+    for kind, (lo, hi) in enumerate(_SIZE_DIVISORS):
+        largest = side // hi - 1
+        extent = 2 * largest if kind == 1 else largest
+        if not 1 <= side // lo <= largest or extent >= side - 2 * margin:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -222,12 +254,19 @@ class SynthParams:
     margin: int = 6  # keeps shapes clear of the background seed ring
 
     def __post_init__(self):
-        if self.width < 16 or self.height < 16:
-            raise InvalidParams("scene must be at least 16x16")
+        if self.margin < 0:
+            raise InvalidParams("margin must be >= 0")
+        if not (_side_fits(self.width, self.margin) and _side_fits(self.height, self.margin)):
+            raise InvalidParams(
+                f"a {self.width}x{self.height} scene cannot hold every shape kind "
+                f"inside margin {self.margin}"
+            )
         if not 1 <= self.max_shapes <= 3:
             raise InvalidParams("max_shapes must be in 1..3")
         if not 0 < self.seed_area_fraction < 1:
             raise InvalidParams("seed_area_fraction must be in (0,1)")
+        if not 0 <= self.noise_sigma < np.inf:  # NaN fails too
+            raise InvalidParams("noise_sigma must be finite and >= 0")
 
 
 # base colors per category: background plus three foreground classes
@@ -237,27 +276,22 @@ _BASE_COLORS = np.array(
 
 
 def _shape_mask(kind, rng, h, w, margin):
-    """Return a boolean mask for one random filled shape, or None if degenerate."""
+    """Return a boolean mask for one random filled shape of `kind`."""
     yy, xx = np.mgrid[0:h, 0:w]
-    if kind == 0:  # rectangle
-        sw = int(rng.integers(w // 6, w // 3))
-        sh = int(rng.integers(h // 6, h // 3))
-        x0 = int(rng.integers(margin, w - margin - sw))
-        y0 = int(rng.integers(margin, h - margin - sh))
-        return (xx >= x0) & (xx < x0 + sw) & (yy >= y0) & (yy < y0 + sh)
-    if kind == 1:  # ellipse
-        rx = int(rng.integers(w // 10, w // 6))
-        ry = int(rng.integers(h // 10, h // 6))
-        cx = int(rng.integers(margin + rx, w - margin - rx))
-        cy = int(rng.integers(margin + ry, h - margin - ry))
-        return ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
-    # triangle: axis-aligned right triangle inside a random box
-    sw = int(rng.integers(w // 5, w // 3))
-    sh = int(rng.integers(h // 5, h // 3))
+    lo, hi = _SIZE_DIVISORS[kind]
+    sw = int(rng.integers(w // lo, w // hi))
+    sh = int(rng.integers(h // lo, h // hi))
+    if kind == 1:  # ellipse with radii sw, sh
+        cx = int(rng.integers(margin + sw, w - margin - sw))
+        cy = int(rng.integers(margin + sh, h - margin - sh))
+        return ((xx - cx) / sw) ** 2 + ((yy - cy) / sh) ** 2 <= 1.0
     x0 = int(rng.integers(margin, w - margin - sw))
     y0 = int(rng.integers(margin, h - margin - sh))
-    inside_box = (xx >= x0) & (xx < x0 + sw) & (yy >= y0) & (yy < y0 + sh)
-    return inside_box & ((xx - x0) * sh + (yy - y0) * sw <= sw * sh)
+    box = (xx >= x0) & (xx < x0 + sw) & (yy >= y0) & (yy < y0 + sh)
+    if kind == 0:  # rectangle
+        return box
+    # triangle: axis-aligned right triangle inside the box
+    return box & ((xx - x0) * sh + (yy - y0) * sw <= sw * sh)
 
 
 def _central_seed_blob(mask, frac):
@@ -329,9 +363,9 @@ def gen_synthetic(rng_seed: int, count: int, params: SynthParams = SynthParams()
 
         scenes.append(
             (
-                RasterImage(w, h, img),
-                LabelMap(w, h, gt),
-                LabelMap(w, h, seeds),
+                RasterImage(img),
+                LabelMap(gt),
+                LabelMap(seeds),
             )
         )
     return scenes

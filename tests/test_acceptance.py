@@ -29,10 +29,9 @@ from seedloop import (
     seed_update,
     similarity_matrix,
 )
-from seedloop.features import FeatureMatrix
 from seedloop.pipeline import ablation_configs, score_pairs, score_scenes, seeds_as_prediction
 from seedloop.relgraph import RelationshipMatrix
-from seedloop.seeds import ConvergenceParams, convergence_check, make_state
+from seedloop.seeds import ConvergenceParams, SeedState, convergence_check
 from seedloop.segmenter import LinearSegmenter, loss_and_grad
 from seedloop.superpixel import SegParams
 from tests.conftest import make_image, random_spmap
@@ -63,11 +62,6 @@ def criterion(num, desc):
     return deco
 
 
-def feat(values):
-    values = np.asarray(values, dtype=np.float64)
-    return FeatureMatrix(values.shape[0], values.shape[1], values)
-
-
 @criterion(1, "relationship matrix oracle equivalence, 200 instances")
 def test_criterion_1_relmat_oracle():
     rng = np.random.default_rng(1)
@@ -79,7 +73,7 @@ def test_criterion_1_relmat_oracle():
         n = spmap.n_regions
         m = int(rng.integers(1, 11))
         v = rng.standard_normal((n, 4))
-        d = distance_matrix(feat(v))
+        d = distance_matrix(v)
         siml = similarity_matrix(d, m)
         adj = adjacency_matrix(spmap)
         rel = relationship_matrix(siml, adj)
@@ -117,8 +111,8 @@ def test_criterion_2_metrics_oracle():
         gt_arr = rng.integers(0, 4, size=(16, 16)).astype(np.uint8)
         gt_arr[rng.random((16, 16)) < 0.15] = IGNORE
         pred_arr = rng.integers(0, 4, size=(16, 16)).astype(np.uint8)
-        gt = LabelMap(16, 16, gt_arr)
-        pred = LabelMap(16, 16, pred_arr)
+        gt = LabelMap(gt_arr)
+        pred = LabelMap(pred_arr)
 
         cm_bf = np.zeros((4, 4), dtype=np.int64)
         for y in range(16):
@@ -173,9 +167,9 @@ def test_criterion_3_walk_support():
         np.fill_diagonal(m_rel, 1)
         rel = RelationshipMatrix(m_rel, m_rel, m_rel)
         p = rng.random((c, n)) * (rng.random((c, n)) < 0.7)
-        s = make_state(p / np.maximum(p.sum(axis=0, keepdims=True), 1.0))
+        s = SeedState(p / np.maximum(p.sum(axis=0, keepdims=True), 1.0))
         q = rng.random((c, n))
-        n_out = make_state(q / q.sum(axis=0, keepdims=True))
+        n_out = SeedState(q / q.sum(axis=0, keepdims=True))
         gates = GateParams(*rng.uniform(0.1, 0.8, size=4))
         steps = int(rng.integers(1, 4))
 
@@ -194,9 +188,9 @@ def test_criterion_3_walk_support():
 def test_criterion_4_update_algebra():
     rng = np.random.default_rng(4)
     p = rng.random((3, 40))
-    s0 = make_state(p / np.maximum(p.sum(axis=0, keepdims=True), 1.0))
+    s0 = SeedState(p / np.maximum(p.sum(axis=0, keepdims=True), 1.0))
     q = rng.random((3, 40))
-    n_out = make_state(q / q.sum(axis=0, keepdims=True))
+    n_out = SeedState(q / q.sum(axis=0, keepdims=True))
 
     assert np.array_equal(seed_update(s0, n_out, 0.0).probs, s0.probs)
     assert np.array_equal(seed_update(s0, n_out, 1.0).probs, n_out.probs)
@@ -234,9 +228,9 @@ def test_criterion_5_gradient_check():
         model = LinearSegmenter(d, c, l2=1e-3)
         model.weights = rng.standard_normal((d, c))
         model.bias = rng.standard_normal(c)
-        f = feat(rng.standard_normal((n, d)))
+        f = rng.standard_normal((n, d))
         p = rng.random((c, n))
-        mixed = make_state(p / p.sum(axis=0, keepdims=True))
+        mixed = SeedState(p / p.sum(axis=0, keepdims=True))
         _, grad_w, grad_b = loss_and_grad(model, f, mixed)
 
         def loss_at(wts, bias, model=model, f=f, mixed=mixed, d=d, c=c):

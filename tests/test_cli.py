@@ -4,6 +4,7 @@ import pytest
 from seedloop import GateParams, LoopConfig, SegParams, SynthParams
 from seedloop.cli import build_parser, main
 from seedloop.tensorio import load_label_pgm, load_tensor, save_tensor
+from tests.test_tensorio import dfnt_bytes
 
 
 @pytest.fixture
@@ -62,6 +63,21 @@ def test_stage_defaults_are_the_dataclass_defaults():
     assert (args.width, args.height) == (SynthParams().width, SynthParams().height)
 
 
+@pytest.mark.parametrize(
+    "source", [[], ["--image", "i.ppm", "--external", "e.dfnt"]], ids=["none", "both"]
+)
+def test_features_needs_one_source(source):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["features", "--sp", "sp.dfnt", *source, "--out", "f.dfnt"])
+
+
+def test_features_rejects_wrapping_tensor_dims(synth_dir, tmp_path, capsys):
+    (tmp_path / "sp.dfnt").write_bytes(dfnt_bytes(2, (65536,) * 4))  # no payload
+    args = ["--image", str(synth_dir / "0000.ppm"), "--sp", str(tmp_path / "sp.dfnt")]
+    assert main(["features", *args, "--out", str(tmp_path / "f.dfnt")]) == 1
+    assert "error: TruncatedPayload" in capsys.readouterr().err
+
+
 def test_walk_subcommand(stages, tmp_path, capsys):
     sp, _feats, rel = stages
     n = int(load_tensor(sp).max()) + 1
@@ -82,6 +98,11 @@ def test_walk_subcommand(stages, tmp_path, capsys):
     # a relationship tensor must be [3, N, N] for N seed columns
     save_tensor(np.zeros((3, n, n + 1), dtype=np.uint8), tmp_path / "bad.dfnt")
     assert main([*args, "--rel", str(tmp_path / "bad.dfnt")]) == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+
+    # seeds must be [C, N], not one flat vector
+    save_tensor(seeds[1], tmp_path / "s.dfnt")
+    assert main([*args, "--rel", rel]) == 1
     assert "ShapeMismatch" in capsys.readouterr().err
 
 
@@ -134,7 +155,7 @@ def test_superpix_rejects_more_regions_than_u16_ids(tmp_path, capsys):
     # a checkerboard splits into one 4-connected region per pixel: 65792 > 2**16
     arr = np.zeros((256, 257, 3), dtype=np.uint8)
     arr[np.add.outer(np.arange(256), np.arange(257)) % 2 == 1] = 255
-    save_ppm(RasterImage(257, 256, arr), tmp_path / "cb.ppm")
+    save_ppm(RasterImage(arr), tmp_path / "cb.ppm")
     out = tmp_path / "sp.dfnt"
     args = ["--k", "1", "--sigma", "0", "--min-size", "1", "--merge-thresh", "0"]
     assert main(["superpix", "--image", str(tmp_path / "cb.ppm"), *args, "--out", str(out)]) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +18,13 @@ from seedloop import (
 from seedloop.errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile, WOutOfRange
 from seedloop.pipeline import build_superpixels, pixel_state_to_superpixels, seeds_as_prediction
 from seedloop.seeds import ConvergenceParams
+from seedloop.superpixel import SegParams, SuperpixelMap
 from seedloop.tensorio import save_label_pgm, save_ppm
 from tests.conftest import make_labels, random_spmap
 
 
 def test_pixel_state_one_hot_region():
-    from seedloop.superpixel import SuperpixelMap
-
-    spmap = SuperpixelMap(2, 2, np.array([[0, 1], [0, 1]], dtype=np.int32), 2)
+    spmap = SuperpixelMap(np.array([[0, 1], [0, 1]], dtype=np.int32))
     labels = make_labels([[2, 1], [2, 1]])
     state = pixel_state_to_superpixels(labels, spmap, 3)
     assert np.allclose(state.probs[:, 0], [0, 0, 1])
@@ -32,9 +32,7 @@ def test_pixel_state_one_hot_region():
 
 
 def test_pixel_state_ignores_excluded_from_denominator():
-    from seedloop.superpixel import SuperpixelMap
-
-    spmap = SuperpixelMap(2, 1, np.array([[0, 0]], dtype=np.int32), 1)
+    spmap = SuperpixelMap(np.array([[0, 0]], dtype=np.int32))
     labels = make_labels([[1, IGNORE]])
     state = pixel_state_to_superpixels(labels, spmap, 2)
     assert state.probs[1, 0] == 1.0
@@ -73,6 +71,10 @@ def test_empty_seeds_rejected():
         (lambda: LoopConfig(l2=-1e-3), None, InvalidParams),
         (lambda: LoopConfig(conv=ConvergenceParams(delta=float("nan"))), None, WOutOfRange),
         (lambda: LoopConfig(conv=ConvergenceParams(rho=float("nan"))), None, WOutOfRange),
+        (lambda: LoopConfig(seg=SegParams(k=float("nan"))), None, InvalidParams),
+        (lambda: LoopConfig(seg=SegParams(k=float("inf"))), None, InvalidParams),
+        (lambda: LoopConfig(seg=SegParams(sigma=float("inf"))), None, InvalidParams),
+        (lambda: LoopConfig(seg=SegParams(merge_thresh=float("nan"))), None, InvalidParams),
         (LoopConfig, ("seeds", 9), DimensionMismatch),
         (LoopConfig, ("gt", 9), DimensionMismatch),
     ],
@@ -87,6 +89,10 @@ def test_empty_seeds_rejected():
         "l2<0",
         "delta=nan",
         "rho=nan",
+        "k=nan",
+        "k=inf",
+        "sigma=inf",
+        "merge_thresh=nan",
         "seed_label=9",
         "gt_label=9",
     ],
@@ -183,6 +189,17 @@ def test_parse_config(tmp_path):
     assert cfg.seg.min_size == 10
     assert cfg.conv.delta == 0.2
     assert cfg.seg.merge_thresh == 10.0 and isinstance(cfg.seg.merge_thresh, float)
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Recognized keys and defaults:", 1)[1]
+    block = after.split("```", 2)[1]
+    p = tmp_path / "cfg.txt"
+    p.write_text(block)
+    assert parse_config(p) == LoopConfig()
+    named = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+    assert named == set(pipeline._CONFIG_KEYS)
 
 
 def test_parse_config_unknown_key(tmp_path):

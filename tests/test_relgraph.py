@@ -10,24 +10,18 @@ from seedloop import (
     similarity_matrix,
 )
 from seedloop.errors import InvalidParams, ShapeMismatch
-from seedloop.features import FeatureMatrix
 from seedloop.relgraph import symmetrize
 from seedloop.superpixel import SuperpixelMap
 from tests.conftest import random_spmap
 
 
-def feat(values):
-    values = np.asarray(values, dtype=np.float64)
-    return FeatureMatrix(values.shape[0], values.shape[1], values)
-
-
 def test_distance_identical_rows_zero():
-    d = distance_matrix(feat(np.ones((4, 3))))
+    d = distance_matrix(np.ones((4, 3)))
     assert np.allclose(d, 0.0)
 
 
 def test_distance_345():
-    d = distance_matrix(feat([[0.0, 0.0], [3.0, 4.0]]))
+    d = distance_matrix(np.array([[0.0, 0.0], [3.0, 4.0]]))
     assert d[0, 1] == pytest.approx(5.0)
     assert d[1, 0] == pytest.approx(5.0)
     assert d[0, 0] == 0.0
@@ -35,14 +29,14 @@ def test_distance_345():
 
 def test_distance_matches_brute_force(rng):
     v = rng.standard_normal((8, 5))
-    d = distance_matrix(feat(v))
+    d = distance_matrix(v)
     for i in range(8):
         for j in range(8):
             assert d[i, j] == pytest.approx(np.linalg.norm(v[i] - v[j]), abs=1e-12)
 
 
 def test_similarity_m_ge_n_all_ones(rng):
-    d = distance_matrix(feat(rng.standard_normal((3, 4))))
+    d = distance_matrix(rng.standard_normal((3, 4)))
     assert (similarity_matrix(d, 10) == 1).all()
 
 
@@ -67,7 +61,7 @@ def test_similarity_row_definition():
 
 
 def test_similarity_matches_sort_oracle(rng):
-    d = distance_matrix(feat(rng.standard_normal((12, 6))))
+    d = distance_matrix(rng.standard_normal((12, 6)))
     s = similarity_matrix(d, 10)
     for i in range(12):
         order = sorted(range(12), key=lambda j: (d[i, j], j))
@@ -79,18 +73,18 @@ def test_similarity_matches_sort_oracle(rng):
 
 
 def test_adjacency_single_region():
-    spmap = SuperpixelMap(1, 1, np.zeros((1, 1), dtype=np.int32), 1)
+    spmap = SuperpixelMap(np.zeros((1, 1), dtype=np.int32))
     assert np.array_equal(adjacency_matrix(spmap), [[1]])
 
 
 def test_adjacency_two_cells():
-    spmap = SuperpixelMap(2, 1, np.array([[0, 1]], dtype=np.int32), 2)
+    spmap = SuperpixelMap(np.array([[0, 1]], dtype=np.int32))
     assert np.array_equal(adjacency_matrix(spmap), [[1, 1], [1, 1]])
 
 
 def test_adjacency_three_stripes():
     region_of = np.repeat(np.array([[0, 1, 2]], dtype=np.int32), 3, axis=0)
-    spmap = SuperpixelMap(3, 3, region_of, 3)
+    spmap = SuperpixelMap(region_of)
     a = adjacency_matrix(spmap)
     assert a[0, 2] == 0 and a[2, 0] == 0
     assert a[0, 1] == 1 and a[1, 2] == 1
@@ -135,7 +129,7 @@ def test_symmetrize_modes(rng):
 def test_rel_implies_both_factors(seed, m):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 12))
-    d = distance_matrix(feat(rng.standard_normal((n, 4))))
+    d = distance_matrix(rng.standard_normal((n, 4)))
     siml = similarity_matrix(d, m)
     adj = (rng.random((n, n)) < 0.5).astype(np.uint8)
     np.fill_diagonal(adj, 1)
@@ -148,9 +142,7 @@ def test_rel_implies_both_factors(seed, m):
 def test_adjacency_relabel_invariance(rng):
     spmap = random_spmap(rng)
     perm = rng.permutation(spmap.n_regions)
-    permuted = SuperpixelMap(
-        spmap.width, spmap.height, perm[spmap.region_of].astype(np.int32), spmap.n_regions
-    )
+    permuted = SuperpixelMap(perm[spmap.region_of].astype(np.int32))
     a = adjacency_matrix(spmap)
     b = adjacency_matrix(permuted)
     assert np.array_equal(a, b[np.ix_(perm, perm)])

@@ -15,7 +15,7 @@ from seedloop import (
 )
 from seedloop.errors import ShapeMismatch, WOutOfRange
 from seedloop.relgraph import RelationshipMatrix
-from seedloop.seeds import make_state
+from seedloop.seeds import SeedState
 from seedloop.superpixel import SuperpixelMap
 from seedloop.tensorio import IGNORE
 
@@ -27,17 +27,27 @@ def rel_from(m):
 
 def random_state(rng, c, n):
     p = rng.random((c, n))
-    return make_state(p / np.maximum(p.sum(axis=0, keepdims=True), 1.0))
+    return SeedState(p / np.maximum(p.sum(axis=0, keepdims=True), 1.0))
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [np.full((2, 3), np.nan), np.full((2, 3), -0.1), np.full((2, 3), 0.6), np.zeros(3)],
+    ids=["nan", "negative", "column_mass", "not_2d"],
+)
+def test_state_rejects_bad_probs(probs):
+    with pytest.raises(ShapeMismatch):
+        SeedState(probs)
 
 
 def test_gate_keeps_confident_background():
-    s = make_state([[0.95], [0.05]])
+    s = SeedState(np.array([[0.95], [0.05]]))
     out = gate(s, 0.90, 0.90)
     assert np.array_equal(out.probs, s.probs)
 
 
 def test_gate_drops_unconfident_foreground():
-    s = make_state([[0.10], [0.80]])
+    s = SeedState(np.array([[0.10], [0.80]]))
     out = gate(s, 0.90, 0.90)
     assert (out.probs == 0).all()
 
@@ -63,7 +73,7 @@ def test_walk_step_identity_transition(rng):
 
 
 def test_walk_step_absorbing_zero(rng):
-    z = make_state(np.zeros((2, 5)))
+    z = SeedState(np.zeros((2, 5)))
     n_out = random_state(rng, 2, 5)
     out = walk_step(z, rel_from(np.ones((5, 5))), n_out)
     assert (out.probs == 0).all()
@@ -74,8 +84,8 @@ def test_walk_step_chain_hand_case():
     chain = np.eye(4, dtype=np.uint8)
     for i in range(3):
         chain[i, i + 1] = chain[i + 1, i] = 1
-    s = make_state([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    n_out = make_state([[0.2] * 4, [0.8] * 4])
+    s = SeedState(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+    n_out = SeedState(np.array([[0.2] * 4, [0.8] * 4]))
     out = walk_step(s, rel_from(chain), n_out)
     assert np.allclose(out.probs[1], [0.8, 0.8, 0.0, 0.0])
 
@@ -85,8 +95,8 @@ def test_custom_walk_support_grows_with_steps(rng):
     chain = np.eye(n, dtype=np.uint8)
     for i in range(n - 1):
         chain[i, i + 1] = chain[i + 1, i] = 1
-    s = make_state(np.vstack([np.zeros(n), np.eye(n)[0]]))
-    n_out = make_state(np.vstack([np.full(n, 0.1), np.full(n, 0.9)]))
+    s = SeedState(np.vstack([np.zeros(n), np.eye(n)[0]]))
+    n_out = SeedState(np.vstack([np.full(n, 0.1), np.full(n, 0.9)]))
     gates = GateParams(0.5, 0.5, 0.5, 0.5)
     sup1 = custom_walk(s, rel_from(chain), n_out, gates, 1).probs > 0
     sup2 = custom_walk(s, rel_from(chain), n_out, gates, 2).probs > 0
@@ -96,7 +106,7 @@ def test_custom_walk_support_grows_with_steps(rng):
 
 def test_custom_walk_zero_guidance_keeps_gated_seeds(rng):
     s = random_state(rng, 3, 6)
-    n_out = make_state(np.zeros((3, 6)))
+    n_out = SeedState(np.zeros((3, 6)))
     gates = GateParams(0.2, 0.2, 0.9, 0.9)
     mixed = custom_walk(s, rel_from(np.ones((6, 6))), n_out, gates, 2)
     expected = gate(s, 0.2, 0.2)
@@ -127,7 +137,7 @@ def test_custom_walk_matches_brute_force_toy():
 
 def test_custom_walk_strict_drops_unsupported_seeds(rng):
     s = random_state(rng, 2, 4)
-    n_out = make_state(np.zeros((2, 4)))
+    n_out = SeedState(np.zeros((2, 4)))
     gates = GateParams(0.0, 0.0, 0.5, 0.5)
     strict = custom_walk(s, rel_from(np.eye(4)), n_out, gates, 1, strict=True)
     assert (strict.probs == 0).all()
@@ -148,7 +158,7 @@ _unit = st.floats(min_value=0.0, max_value=1.0)
 def test_custom_walk_mass_and_seed_support(seed, c, n, thresholds, steps, strict):
     rng = np.random.default_rng(seed)
     s = random_state(rng, c, n)
-    s = make_state(s.probs * (rng.random(n) < 0.7))  # some ignored regions
+    s = SeedState(s.probs * (rng.random(n) < 0.7))  # some ignored regions
     n_out = random_state(rng, c, n)
     rel = rel_from(rng.random((n, n)) < rng.random())
     gates = GateParams(*thresholds)
@@ -168,8 +178,8 @@ def test_seed_update_identities(rng):
 
 
 def test_seed_update_arithmetic():
-    a = make_state([[0.5], [0.0]])
-    b = make_state([[0.9], [0.0]])
+    a = SeedState(np.array([[0.5], [0.0]]))
+    b = SeedState(np.array([[0.9], [0.0]]))
     assert seed_update(a, b, 0.2).probs[0, 0] == pytest.approx(0.58)
 
 
@@ -198,16 +208,16 @@ def test_convergence_identical_states(rng):
 
 
 def test_convergence_boundary_fraction():
-    prev = make_state(np.zeros((2, 20)))
+    prev = SeedState(np.zeros((2, 20)))
     nxt = np.zeros((2, 20))
     nxt[0, 0] = 0.2
-    stopped, frac = convergence_check(prev, make_state(nxt), ConvergenceParams(0.1, 0.95))
+    stopped, frac = convergence_check(prev, SeedState(nxt), ConvergenceParams(0.1, 0.95))
     assert stopped and frac == pytest.approx(0.95)
 
 
 def test_convergence_all_changed():
-    prev = make_state(np.zeros((2, 5)))
-    nxt = make_state(np.full((2, 5), 0.2))
+    prev = SeedState(np.zeros((2, 5)))
+    nxt = SeedState(np.full((2, 5), 0.2))
     stopped, frac = convergence_check(prev, nxt, ConvergenceParams(0.1, 0.95))
     assert not stopped and frac == 0.0
 
@@ -226,8 +236,8 @@ def test_geometric_convergence_closed_form(rng):
 
 
 def test_labels_from_state():
-    spmap = SuperpixelMap(3, 1, np.array([[0, 1, 2]], dtype=np.int32), 3)
-    s = make_state([[0.0, 0.1, 0.5], [0.0, 0.7, 0.5]])
+    spmap = SuperpixelMap(np.array([[0, 1, 2]], dtype=np.int32))
+    s = SeedState(np.array([[0.0, 0.1, 0.5], [0.0, 0.7, 0.5]]))
     lab = labels_from_state(s, spmap)
     assert lab.labels[0, 0] == IGNORE  # all-zero column
     assert lab.labels[0, 1] == 1

@@ -3,26 +3,19 @@ import pytest
 
 from seedloop import LinearSegmenter, loss_and_grad, predict, train_epochs
 from seedloop.errors import InvalidParams, NoLabeledRegions, ShapeMismatch
-from seedloop.features import FeatureMatrix
-from seedloop.seeds import make_state
-from seedloop.segmenter import load_model, save_model
-
-
-def feat(values):
-    values = np.asarray(values, dtype=np.float64)
-    return FeatureMatrix(values.shape[0], values.shape[1], values)
+from seedloop.seeds import SeedState
 
 
 def test_zero_model_uniform_predictions(rng):
     model = LinearSegmenter(5, 4)
-    out = predict(model, feat(rng.standard_normal((7, 5))))
+    out = predict(model, rng.standard_normal((7, 5)))
     assert np.allclose(out.probs, 0.25)
 
 
 def test_bias_saturation():
     model = LinearSegmenter(2, 3)
     model.bias = np.array([10.0, 0.0, 0.0])
-    out = predict(model, feat(np.zeros((3, 2))))
+    out = predict(model, np.zeros((3, 2)))
     assert np.allclose(out.probs[0], 1.0, atol=1e-4)
 
 
@@ -31,7 +24,7 @@ def test_predict_matches_straight_line_softmax(rng):
     model.weights = rng.standard_normal((4, 3))
     model.bias = rng.standard_normal(3)
     f = rng.standard_normal((5, 4))
-    out = predict(model, feat(f))
+    out = predict(model, f)
     for j in range(5):
         logits = model.weights.T @ f[j] + model.bias
         e = np.exp(logits)
@@ -42,20 +35,20 @@ def test_predict_matches_straight_line_softmax(rng):
 def test_predict_shape_mismatch(rng):
     model = LinearSegmenter(4, 3)
     with pytest.raises(ShapeMismatch):
-        predict(model, feat(rng.standard_normal((5, 6))))
+        predict(model, rng.standard_normal((5, 6)))
 
 
 def test_loss_no_labeled_regions(rng):
     model = LinearSegmenter(3, 2)
     with pytest.raises(NoLabeledRegions):
-        loss_and_grad(model, feat(rng.standard_normal((4, 3))), make_state(np.zeros((2, 4))))
+        loss_and_grad(model, rng.standard_normal((4, 3)), SeedState(np.zeros((2, 4))))
 
 
 def test_perfect_predictions_near_zero_loss():
     model = LinearSegmenter(2, 2, l2=0.0)
     model.bias = np.array([50.0, -50.0])
-    f = feat(np.zeros((3, 2)))
-    mixed = make_state(np.vstack([np.ones(3), np.zeros(3)]))
+    f = np.zeros((3, 2))
+    mixed = SeedState(np.vstack([np.ones(3), np.zeros(3)]))
     loss, _, _ = loss_and_grad(model, f, mixed)
     assert loss == pytest.approx(0.0, abs=1e-20)
 
@@ -66,10 +59,10 @@ def test_gradient_matches_finite_differences(rng):
         model = LinearSegmenter(4, 3, l2=1e-3)
         model.weights = rng.standard_normal((4, 3))
         model.bias = rng.standard_normal(3)
-        f = feat(rng.standard_normal((6, 4)))
+        f = rng.standard_normal((6, 4))
         probs = rng.random((3, 6))
         probs[:, rng.integers(0, 6)] = 0.0  # keep an unlabeled column
-        mixed = make_state(probs / np.maximum(probs.sum(axis=0, keepdims=True), 1.0))
+        mixed = SeedState(probs / np.maximum(probs.sum(axis=0, keepdims=True), 1.0))
         _, grad_w, grad_b = loss_and_grad(model, f, mixed)
 
         def loss_at(wts, bias):
@@ -95,12 +88,11 @@ def test_gradient_matches_finite_differences(rng):
 
 
 def test_training_decreases_loss_on_separable_toy(rng):
-    f_vals = np.vstack([rng.normal(-2, 0.2, size=(10, 3)), rng.normal(2, 0.2, size=(10, 3))])
-    f = feat(f_vals)
+    f = np.vstack([rng.normal(-2, 0.2, size=(10, 3)), rng.normal(2, 0.2, size=(10, 3))])
     labels = np.zeros((2, 20))
     labels[0, :10] = 1.0
     labels[1, 10:] = 1.0
-    mixed = make_state(labels)
+    mixed = SeedState(labels)
     model = LinearSegmenter(3, 2, learning_rate=1e-2, l2=0.0)
     losses = []
     for _ in range(50):
@@ -113,15 +105,15 @@ def test_training_decreases_loss_on_separable_toy(rng):
 
 def test_train_epochs_rejects_zero(rng):
     model = LinearSegmenter(3, 2)
-    f = feat(rng.standard_normal((4, 3)))
-    mixed = make_state(np.vstack([np.ones(4), np.zeros(4)]))
+    f = rng.standard_normal((4, 3))
+    mixed = SeedState(np.vstack([np.ones(4), np.zeros(4)]))
     with pytest.raises(InvalidParams):
         train_epochs(model, f, mixed, 0)
 
 
 def test_training_deterministic(rng):
-    f = feat(rng.standard_normal((6, 4)))
-    mixed = make_state(np.vstack([np.ones(6) * 0.5, np.ones(6) * 0.5]))
+    f = rng.standard_normal((6, 4))
+    mixed = SeedState(np.vstack([np.ones(6) * 0.5, np.ones(6) * 0.5]))
     runs = []
     for _ in range(2):
         model = LinearSegmenter(4, 2)
@@ -130,12 +122,3 @@ def test_training_deterministic(rng):
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
 
-
-def test_model_serialization_roundtrip(tmp_path, rng):
-    model = LinearSegmenter(4, 3)
-    model.weights = rng.standard_normal((4, 3))
-    model.bias = rng.standard_normal(3)
-    save_model(model, tmp_path / "m.dfnt")
-    back = load_model(tmp_path / "m.dfnt")
-    assert np.allclose(back.weights, model.weights, atol=1e-6)
-    assert np.allclose(back.bias, model.bias, atol=1e-6)

@@ -59,21 +59,18 @@ def test_bad_params_rejected():
 
 
 @pytest.mark.parametrize(
-    "width, height, region_of, n_regions",
+    "region_of",
     [
-        (3, 2, [[0, 1], [0, 1]], 2),  # map is [2, 2], not [2, 3]
-        (2, 2, [[0, 2], [0, 2]], 3),  # id 1 missing
-        (2, 2, [[0, 1], [0, 1]], 3),  # id 2 missing
-        (2, 2, [[0, 1], [0, 1]], 1),  # id 1 out of range
-        (2, 2, [[0, -1], [0, 0]], 2),  # negative id
-        (2, 0, np.zeros((0, 2), dtype=np.int32), 0),  # empty
-        (2, 0, np.zeros((0, 2), dtype=np.int32), 1),
+        [0, 1, 1],  # not [height, width]
+        [[0, 2], [0, 2]],  # id 1 missing
+        [[0, -1], [0, 0]],  # negative id
+        np.zeros((0, 2)),  # empty
     ],
-    ids=["bad_shape", "gap", "gap_at_top", "out_of_range", "negative", "empty", "empty_n1"],
+    ids=["bad_shape", "gap", "negative", "empty"],
 )
-def test_spmap_rejects_bad_region_map(width, height, region_of, n_regions):
+def test_spmap_rejects_bad_region_map(region_of):
     with pytest.raises(ShapeMismatch):
-        SuperpixelMap(width, height, np.asarray(region_of, dtype=np.int32), n_regions)
+        SuperpixelMap(np.asarray(region_of, dtype=np.int32))
 
 
 def test_rag_merge_thresh_zero_identity(rng):
@@ -87,11 +84,9 @@ def test_rag_merge_thresh_zero_identity(rng):
 def test_rag_merge_identical_means():
     arr = np.full((4, 4, 3), 100, dtype=np.uint8)
     # two hand-made regions with identical means: left/right halves
-    from seedloop.superpixel import SuperpixelMap
-
     region_of = np.zeros((4, 4), dtype=np.int32)
     region_of[:, 2:] = 1
-    spmap = SuperpixelMap(4, 4, region_of, 2)
+    spmap = SuperpixelMap(region_of)
     merged = rag_merge(spmap, make_image(arr), 1.0)
     assert merged.n_regions == 1
 
@@ -102,10 +97,8 @@ def test_rag_merge_three_region_toy():
     arr = np.zeros((2, 6, 3), dtype=np.uint8)
     arr[:, 2:4, 0] = 10
     arr[:, 4:, 0] = 200
-    from seedloop.superpixel import SuperpixelMap
-
     region_of = np.repeat(np.array([[0, 0, 1, 1, 2, 2]], dtype=np.int32), 2, axis=0)
-    spmap = SuperpixelMap(6, 2, region_of, 3)
+    spmap = SuperpixelMap(region_of)
     merged = rag_merge(spmap, make_image(arr), 15.0)
     assert merged.n_regions == 2
     # merged pair mean is (5,0,0): distance to 200 is 195, stays separate
@@ -196,8 +189,7 @@ def _reference_rag_merge(spmap, image, merge_thresh, max_regions=None):
         while merged_into[root] != root:
             root = merged_into[root]
         final[r] = root
-    region_of2, n2 = _relabel_scan_order(final[region_of], spmap.height, spmap.width)
-    return SuperpixelMap(spmap.width, spmap.height, region_of2, n2)
+    return SuperpixelMap(_relabel_scan_order(final[region_of]))
 
 
 def _tie_heavy_case(seed):
@@ -246,8 +238,7 @@ def test_rag_merge_matches_pairwise_scan_oracle(seed):
 )
 def test_rag_merge_exact_distance_rounding(pixels, region_of, thresh, max_regions, expected):
     img = make_image(np.array([pixels]))
-    region_of = np.array([region_of], dtype=np.int32)
-    spmap = SuperpixelMap(len(pixels), 1, region_of, int(region_of.max()) + 1)
+    spmap = SuperpixelMap(np.array([region_of], dtype=np.int32))
     got = rag_merge(spmap, img, thresh, max_regions)
     assert got.region_of.ravel().tolist() == expected
     want = _reference_rag_merge(spmap, img, thresh, max_regions)
@@ -288,9 +279,9 @@ def test_split_disconnected_matches_reference(rng):
     for _ in range(20):
         h, w = rng.integers(1, 10, size=2)
         raw = rng.choice([0, 2, 3, 7], size=(h, w))  # ids 1, 4-6 absent
-        got, n = _split_disconnected(raw, h, w)
+        got = _split_disconnected(raw)
         want, n_want = _reference_split(raw)
-        assert got.dtype == np.int32 and n == n_want
+        assert got.dtype == np.int32 and got.max() + 1 == n_want
         assert np.array_equal(got, want)
 
 
@@ -346,9 +337,7 @@ def _reference_felzenszwalb(image, params):
         if ra != rb and (uf.size[ra] < params.min_size or uf.size[rb] < params.min_size):
             uf.union(ra, rb, wgt)
     roots = np.fromiter((uf.find(i) for i in range(h * w)), dtype=np.int64, count=h * w)
-    region_of, _ = _relabel_scan_order(roots, h, w)
-    region_of, n_regions = _split_disconnected(region_of, h, w)
-    return SuperpixelMap(w, h, region_of, n_regions)
+    return SuperpixelMap(_split_disconnected(_relabel_scan_order(roots.reshape(h, w))))
 
 
 def _assert_same_segmentation(img, params):

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from seedloop import (
     IGNORE,
     LabelMap,
+    RasterImage,
     SynthParams,
     gen_synthetic,
     load_label_pgm,
@@ -75,7 +78,24 @@ def test_pgm_all_ignore_roundtrip(tmp_path):
 
 def test_zero_width_map_rejected():
     with pytest.raises(InvalidParams):
-        LabelMap(0, 4, np.zeros((4, 0), dtype=np.uint8))
+        LabelMap(np.zeros((4, 0), dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LabelMap(np.zeros(4, dtype=np.uint8)),
+        lambda: LabelMap(np.zeros((2, 2), dtype=np.int32)),
+        lambda: RasterImage(np.zeros((2, 2), dtype=np.uint8)),
+        lambda: RasterImage(np.zeros((2, 2, 4), dtype=np.uint8)),
+        lambda: RasterImage(np.zeros((0, 2, 3), dtype=np.uint8)),
+        lambda: RasterImage(np.zeros((2, 2, 3), dtype=np.float64)),
+    ],
+    ids=["labels_1d", "labels_int32", "image_2d", "image_4_channels", "image_empty", "image_float"],
+)
+def test_raster_types_check_their_array(make):
+    with pytest.raises(InvalidParams):
+        make()
 
 
 def test_tensor_format_arithmetic(tmp_path):
@@ -113,6 +133,28 @@ def test_tensor_rejects_nan(tmp_path):
         save_tensor(arr, tmp_path / "t.dfnt")
 
 
+def dfnt_bytes(code, dims, payload=b""):
+    """A DFNT file written field by field, bypassing save_tensor's checks."""
+    return b"DFNT" + struct.pack(f"<BBB{len(dims)}I", 1, code, len(dims), *dims) + payload
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_tensor_load_rejects_non_finite_f32(tmp_path, value):
+    p = tmp_path / "t.dfnt"
+    p.write_bytes(dfnt_bytes(1, (2,), struct.pack("<2f", 0.5, value)))
+    with pytest.raises(InvalidParams):
+        load_tensor(p)
+
+
+def test_tensor_load_dims_product_does_not_wrap(tmp_path):
+    # 65536**4 elements wrap to 0 in a 64-bit product, which would make an
+    # empty payload look complete
+    p = tmp_path / "t.dfnt"
+    p.write_bytes(dfnt_bytes(3, (65536,) * 4))
+    with pytest.raises(TruncatedPayload):
+        load_tensor(p)
+
+
 def test_gen_synthetic_deterministic():
     a = gen_synthetic(7, 1)
     b = gen_synthetic(7, 1)
@@ -140,3 +182,36 @@ def test_gen_synthetic_rejects_bad_count():
 def test_synth_params_validation():
     with pytest.raises(InvalidParams):
         SynthParams(width=4, height=4)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"width": 16, "height": 16},
+        {"height": 16},
+        {"margin": 40},
+        {"margin": -1},
+        {"noise_sigma": -1.0},
+        {"noise_sigma": float("nan")},
+        {"noise_sigma": float("inf")},
+    ],
+    ids=["16x16", "height=16", "margin=40", "margin=-1", "noise=-1", "noise=nan", "noise=inf"],
+)
+def test_synth_params_rejects_what_cannot_be_generated(kwargs):
+    with pytest.raises(InvalidParams):
+        SynthParams(**kwargs)
+
+
+def test_synth_params_accepted_sizes_generate():
+    # every side from 16 to 40 is either refused up front or generates scenes;
+    # 12 scenes draw each shape kind many times
+    for side in range(16, 41):
+        for width, height in ((side, 64), (64, side)):
+            try:
+                params = SynthParams(width, height)
+            except InvalidParams:
+                continue
+            for image, gt, seeds in gen_synthetic(side, 12, params):
+                assert (image.width, image.height) == (width, height)
+                seeded = seeds.labels != IGNORE
+                assert (seeds.labels[seeded] == gt.labels[seeded]).all()
