@@ -38,6 +38,11 @@ class InvalidParams(SeedloopError):
     pass
 
 
+# native code
+class NativeBuildError(SeedloopError):
+    pass
+
+
 # shape / dimension contracts
 class DimensionMismatch(SeedloopError):
     pass

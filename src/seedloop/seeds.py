@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, WOutOfRange
+from .errors import InvalidParams, ShapeMismatch, WOutOfRange
 from .relgraph import RelationshipMatrix
 from .superpixel import SuperpixelMap
 from .tensorio import IGNORE, LabelMap
@@ -116,7 +116,7 @@ def custom_walk(
     walk result instead. Columns exceeding unit mass are scaled down.
     """
     if steps < 1:
-        raise ShapeMismatch("steps must be >= 1")
+        raise InvalidParams(f"steps must be >= 1, got {steps}")
     start = gate(state, gates.alpha_fg, gates.alpha_bg)
     guided = gate(n_out, gates.beta_fg, gates.beta_bg)
     cur = start

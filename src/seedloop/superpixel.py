@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionMismatch, InvalidParams, ShapeMismatch
+from .errors import DimensionMismatch, InvalidParams, NativeBuildError, ShapeMismatch
 from .tensorio import RasterImage
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+_FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
+# -ffp-contract=off: no fused multiply-add, so thresholds round as in Python
+_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -102,14 +113,42 @@ def _split_disconnected(region_of):
     return _relabel_scan_order(out)
 
 
-def _resolve_roots(parent):
-    """Root of every node of a union-find parent list, by pointer jumping."""
-    roots = np.array(parent)
-    while True:
-        up = roots[roots]
-        if np.array_equal(up, roots):
-            return roots
-        roots = up
+def _build_felz(lib):
+    """Compile _felzenszwalb.c into lib. gcc writes a temp file in the same
+    directory, renamed into place, so a concurrent loader sees all or none."""
+    try:
+        lib.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+        os.close(fd)
+        try:
+            cmd = ["gcc", *_FELZ_FLAGS, "-o", tmp, str(_FELZ_SOURCE)]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode == 0:
+                os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    except OSError as e:  # gcc not on PATH, or the cache not writable
+        raise NativeBuildError(f"gcc could not build {lib}: {e}") from e
+    if proc.returncode != 0:
+        raise NativeBuildError(f"gcc failed on {_FELZ_SOURCE}:\n{proc.stderr}")
+
+
+@functools.cache
+def _load_felz_segment():
+    """felz_segment of _felzenszwalb.c, built on first use into
+    ~/.cache/seedloop under the SHA-256 of the source and the gcc flags."""
+    key = hashlib.sha256(_FELZ_SOURCE.read_bytes() + " ".join(_FELZ_FLAGS).encode())
+    lib = Path.home() / ".cache" / "seedloop" / f"felz-{key.hexdigest()}.so"
+    if not lib.exists():
+        _build_felz(lib)
+    fn = ctypes.CDLL(str(lib)).felz_segment
+    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    # n_pixels, n_edges, ea, eb, ew, k, min_size, root (out), size, thresh
+    fn.argtypes = [ctypes.c_int64] * 2 + [i64, i64, f64] + [ctypes.c_double] * 2 + [i64, i64, f64]
+    fn.restype = None
+    return fn
 
 
 def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> SuperpixelMap:
@@ -118,7 +157,8 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     Deterministic: edges sorted by (weight, generation index), merge predicate
     w <= min(Int(Ci) + k/|Ci|, Int(Cj) + k/|Cj|), then components smaller than
     min_size are absorbed along their lowest-weight edges. Output regions are
-    split to 4-connected components and relabeled by scan order.
+    split to 4-connected components and relabeled by scan order. The two
+    union-find passes run in _felzenszwalb.c, compiled by gcc on first call.
     """
     h, w = image.height, image.width
     img = image.data.astype(np.float64)
@@ -128,43 +168,10 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
             axis=2,
         )
     ea, eb, ew = _grid_edges(img)
-    k = params.k
     n = h * w
-    parent = list(range(n))
-    size = [1] * n
-    thresh = [float(k)] * n  # Int(C) + k/|C|, Int(C) = largest merging weight in C
-    for a, b, wgt in zip(ea.tolist(), eb.tolist(), ew.tolist()):
-        while parent[a] != a:  # find with path halving
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b or wgt > thresh[a] or wgt > thresh[b]:
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-        thresh[a] = wgt + k / size[a]
-    # absorb small components; ascending edge order hits the lowest-weight
-    # neighbor of each small component first. Components only grow, so an
-    # edge inside one pass-1 component is skipped here and can be dropped.
-    roots = _resolve_roots(parent)
-    cross = roots[ea] != roots[eb]
-    min_size = params.min_size
-    for a, b in zip(roots[ea[cross]].tolist(), roots[eb[cross]].tolist()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b or (size[a] >= min_size and size[b] >= min_size):
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-    # which root names a component does not matter: ids are renumbered by
-    # first pixel in scan order
-    region_of = _relabel_scan_order(_resolve_roots(parent).reshape(h, w))
+    roots, size, thresh = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
+    _load_felz_segment()(n, len(ea), ea, eb, ew, params.k, params.min_size, roots, size, thresh)
+    region_of = _relabel_scan_order(roots.reshape(h, w))
     # 8-connected merging can produce diagonal-only links; enforce the
     # 4-connectivity invariant by splitting
     return SuperpixelMap(_split_disconnected(region_of))
@@ -183,6 +190,15 @@ def region_edges(region_of):
     return np.unique(np.concatenate(pairs), axis=0)
 
 
+def _mean_dist(means, ea, eb):
+    """Mean-color distance of each (ea, eb) row pair. sqrt of a batched matmul
+    rounds as np.linalg.norm of one 3-vector does, and a row rounds the same
+    in any batch; norm(axis=1) and a plain sum of squares round differently
+    and can flip a merge whose distance equals merge_thresh."""
+    diff = means[ea] - means[eb]
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+
+
 def rag_merge(
     spmap: SuperpixelMap,
     image: RasterImage,
@@ -198,6 +214,8 @@ def rag_merge(
     """
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("superpixel map and image dimensions differ")
+    if max_regions is not None and max_regions < 1:
+        raise InvalidParams(f"max_regions must be >= 1, got {max_regions}")
     n = spmap.n_regions
     flat = spmap.region_of.ravel()
     counts = np.bincount(flat, minlength=n).astype(np.float64)
@@ -205,25 +223,30 @@ def rag_merge(
     sums = np.stack(
         [np.bincount(flat, weights=pix[:, c], minlength=n) for c in range(3)], axis=1
     )
-    edges = region_edges(spmap.region_of)
+    means = sums / counts[:, None]
+    # one row per adjacent pair, ea < eb; a merge can leave duplicate rows,
+    # which share one distance and so change neither the minimum nor the
+    # first near-tie
+    ea, eb = region_edges(spmap.region_of).T.copy()
+    dist = _mean_dist(means, ea, eb)
     final = np.arange(n)  # original region -> the region it was merged into
     n_alive = n
-    while len(edges):
-        means = sums / counts[:, None]
-        diff = means[edges[:, 0]] - means[edges[:, 1]]
-        # sqrt of a batched matmul rounds as np.linalg.norm of one 3-vector
-        # does; norm(axis=1) and a plain sum of squares round differently and
-        # can flip a merge whose distance equals merge_thresh
-        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-        best = int(np.argmax(dist <= dist.min() + 1e-12))
+    while len(dist):
+        near = np.flatnonzero(dist <= dist.min() + 1e-12)
+        best = near[np.argmin(ea[near] * n + eb[near])]
         force = max_regions is not None and n_alive > max_regions
         if dist[best] >= merge_thresh and not force:
             break
-        i, j = edges[best]
+        i, j = ea[best], eb[best]
         sums[i] += sums[j]
         counts[i] += counts[j]
+        means[i] = sums[i] / counts[i]
         final[final == j] = i
         n_alive -= 1
-        edges[edges == j] = i
-        edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+        ea[ea == j] = i
+        eb[eb == j] = i
+        keep = ea != eb
+        ea, eb, dist = np.minimum(ea[keep], eb[keep]), np.maximum(ea[keep], eb[keep]), dist[keep]
+        touch = np.flatnonzero((ea == i) | (eb == i))
+        dist[touch] = _mean_dist(means, ea[touch], eb[touch])
     return SuperpixelMap(_relabel_scan_order(final[spmap.region_of]))

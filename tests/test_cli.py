@@ -106,6 +106,17 @@ def test_walk_subcommand(stages, tmp_path, capsys):
     assert "ShapeMismatch" in capsys.readouterr().err
 
 
+def test_walk_rejects_steps_below_one(stages, tmp_path, capsys):
+    sp, _feats, rel = stages
+    n = int(load_tensor(sp).max()) + 1
+    save_tensor(np.full((4, n), 0.25, dtype=np.float32), tmp_path / "s.dfnt")
+    args = ["walk", "--seeds", str(tmp_path / "s.dfnt"), "--netout", str(tmp_path / "s.dfnt")]
+    out = tmp_path / "mixed.dfnt"
+    assert main([*args, "--rel", rel, "--steps", "0", "--out", str(out)]) == 1
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_loop_and_eval(synth_dir, tmp_path, capsys):
     gt = str(synth_dir / "0000.gt.pgm")
     args = ["--image", str(synth_dir / "0000.ppm"), "--seeds", str(synth_dir / "0000.seeds.pgm")]
@@ -160,6 +171,15 @@ def test_superpix_rejects_more_regions_than_u16_ids(tmp_path, capsys):
     args = ["--k", "1", "--sigma", "0", "--min-size", "1", "--merge-thresh", "0"]
     assert main(["superpix", "--image", str(tmp_path / "cb.ppm"), *args, "--out", str(out)]) == 1
     assert "DimOverflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_regions", ["0", "-1"])
+def test_superpix_rejects_max_regions_below_one(synth_dir, tmp_path, capsys, max_regions):
+    out = tmp_path / "sp.dfnt"
+    args = ["superpix", "--image", str(synth_dir / "0000.ppm"), "--out", str(out)]
+    assert main([*args, "--max-regions", max_regions]) == 1
+    assert "InvalidParams" in capsys.readouterr().err
     assert not out.exists()
 
 

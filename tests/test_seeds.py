@@ -170,6 +170,31 @@ def test_custom_walk_mass_and_seed_support(seed, c, n, thresholds, steps, strict
         assert mixed.any(axis=0)[seeded].all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=12),
+    _unit,
+    _unit,
+)
+def test_gate_keeps_or_zeroes_each_column(seed, c, n, t_fg, t_bg):
+    rng = np.random.default_rng(seed)
+    p = random_state(rng, c, n).probs
+    p[:, rng.random(n) < 0.2] = 0.0  # ignored regions
+    p[:, rng.random(n) < 0.2] = 1.0 / c  # argmax ties
+    at = rng.random(n) < 0.2  # dominant probability exactly at the threshold
+    p[:, at] = 0.0
+    p[0, at & (rng.random(n) < 0.5)] = t_bg
+    p[1, at & (p[0] == 0)] = t_fg
+    out = gate(SeedState(p), t_fg, t_bg).probs
+    # the dominant category is the first one at the column maximum
+    top = (p == p.max(axis=0)).argmax(axis=0)
+    below = p.max(axis=0) < np.where(top == 0, t_bg, t_fg)
+    assert np.array_equal(out[:, ~below], p[:, ~below])  # kept columns unchanged
+    assert not out[:, below].any()  # every column below its threshold zeroed
+
+
 def test_seed_update_identities(rng):
     a = random_state(rng, 3, 8)
     b = random_state(rng, 3, 8)

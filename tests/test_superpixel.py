@@ -1,9 +1,12 @@
+import functools
+import subprocess
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from seedloop import SegParams, SynthParams, felzenszwalb, gen_synthetic, rag_merge
-from seedloop.errors import DimensionMismatch, InvalidParams, ShapeMismatch
+from seedloop import SegParams, SynthParams, felzenszwalb, gen_synthetic, rag_merge, superpixel
+from seedloop.errors import DimensionMismatch, InvalidParams, NativeBuildError, ShapeMismatch
 from seedloop.superpixel import (
     SuperpixelMap,
     _grid_edges,
@@ -129,6 +132,14 @@ def test_rag_merge_max_regions_cap(rng):
     if spmap.n_regions > 2:
         merged = rag_merge(spmap, img, 0.0, max_regions=2)
         assert merged.n_regions == 2
+
+
+@pytest.mark.parametrize("max_regions", [0, -1])
+def test_rag_merge_rejects_max_regions_below_one(rng, max_regions):
+    img = make_image(rng.integers(0, 256, size=(16, 16, 3)))
+    spmap = felzenszwalb(img, SegParams(k=50, min_size=2))
+    with pytest.raises(InvalidParams):
+        rag_merge(spmap, img, 0.0, max_regions=max_regions)
 
 
 def _reference_rag_merge(spmap, image, merge_thresh, max_regions=None):
@@ -365,3 +376,41 @@ def test_felzenszwalb_matches_union_find_oracle(sigma, k, min_size):
 def test_felzenszwalb_matches_union_find_oracle_many_regions():
     (img, _, _), = gen_synthetic(7, 1, SynthParams(128, 128))
     _assert_same_segmentation(img, SegParams(k=20, min_size=5, merge_thresh=10))
+
+
+def test_native_build_without_gcc_raises(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", "")
+    monkeypatch.chdir(tmp_path)  # an empty PATH entry searches the working directory
+    # a fresh process: nothing loaded yet, nothing in the cache
+    monkeypatch.setattr(
+        superpixel, "_load_felz_segment", functools.cache(superpixel._load_felz_segment.__wrapped__)
+    )
+    with pytest.raises(NativeBuildError, match="gcc"):
+        felzenszwalb(make_image(np.zeros((4, 4, 3))), SegParams())
+    assert not any((tmp_path / ".cache" / "seedloop").iterdir())  # no temp file left
+
+
+def test_native_build_reused_from_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    load = superpixel._load_felz_segment.__wrapped__
+    load()
+    cache = tmp_path / ".cache" / "seedloop"
+    (lib,) = cache.iterdir()
+    assert lib.name.startswith("felz-") and lib.suffix == ".so"
+    stamp = lib.stat().st_mtime_ns
+    monkeypatch.setenv("PATH", "")  # gcc can no longer run
+    monkeypatch.setattr(superpixel, "_load_felz_segment", functools.cache(load))
+    rng = np.random.default_rng(3)
+    img = make_image(rng.integers(0, 13, size=(20, 24, 3)) * 20)
+    _assert_same_segmentation(img, SegParams(k=20, sigma=0, min_size=5))
+    assert list(cache.iterdir()) == [lib] and lib.stat().st_mtime_ns == stamp
+
+
+def test_native_source_compiles_without_warnings(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    flags = ["-Wall", "-Wextra", "-Werror", *superpixel._FELZ_FLAGS]
+    cmd = ["gcc", *flags, "-o", str(tmp_path / "lint.so"), str(superpixel._FELZ_SOURCE)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
