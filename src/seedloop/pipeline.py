@@ -21,6 +21,7 @@ from .seeds import (
     convergence_check,
     custom_walk,
     labels_from_state,
+    region_labels,
     seed_update,
 )
 from .segmenter import LinearSegmenter, predict, train_epochs
@@ -51,8 +52,8 @@ class LoopConfig:
             raise InvalidParams("w must lie in [0, 1]")
         if min(self.walk_steps, self.epochs_per_phase, self.topk) < 1:
             raise InvalidParams("walk_steps, epochs_per_phase and topk must be >= 1")
-        if self.n_categories < 2:
-            raise InvalidParams("n_categories must be >= 2")
+        if not 2 <= self.n_categories <= IGNORE:  # uint8 ids 0..C-1 below IGNORE
+            raise InvalidParams(f"n_categories must lie in [2, {IGNORE}]")
         if not (0.0 <= self.learning_rate < np.inf and 0.0 <= self.l2 < np.inf):
             raise InvalidParams("learning_rate and l2 must be finite and >= 0")
 
@@ -143,6 +144,27 @@ def build_superpixels(image: RasterImage, seg: SegParams) -> SuperpixelMap:
     return rag_merge(felzenszwalb(image, seg), image, seg.merge_thresh)
 
 
+def region_gt_counts(spmap: SuperpixelMap, gt: LabelMap, n_categories: int) -> np.ndarray:
+    """(n_regions, n_categories) counts of each region's pixels per
+    ground-truth category; ignore pixels are not counted."""
+    g = gt.labels.ravel()
+    valid = g != IGNORE
+    idx = spmap.region_of.ravel()[valid].astype(np.int64) * n_categories + g[valid]
+    counts = np.bincount(idx, minlength=spmap.n_regions * n_categories)
+    return counts.reshape(spmap.n_regions, n_categories)
+
+
+def seed_miou(state: SeedState, gt_counts: np.ndarray):
+    """mIoU of labels_from_state(state) against the ground truth on the pixels
+    it labels, or None when it labels no scored pixel. The confusion is summed
+    per region from region_gt_counts, with no pixel rendered."""
+    labels = region_labels(state)
+    seeded = labels != IGNORE
+    cm = np.zeros((state.n_categories,) * 2, dtype=np.int64)
+    np.add.at(cm.T, labels[seeded], gt_counts[seeded])  # cm[g, l] += count
+    return scores(cm)[1] if cm.sum() > 0 else None
+
+
 def run_closed_loop(
     image: RasterImage,
     initial_seeds: LabelMap,
@@ -158,14 +180,21 @@ def run_closed_loop(
         raise EmptySeeds("initial seeds label no pixel")
     if seed_labels.max() >= cfg.n_categories:
         raise DimensionMismatch("seed label >= n_categories")
-    if gt is not None and (gt.labels[gt.labels != IGNORE] >= cfg.n_categories).any():
-        raise DimensionMismatch("ground-truth label >= n_categories")
+    shape = (image.height, image.width)
+    if (initial_seeds.height, initial_seeds.width) != shape:
+        raise DimensionMismatch("seed and image dimensions differ")
+    if gt is not None:
+        if (gt.height, gt.width) != shape:
+            raise DimensionMismatch("ground-truth and image dimensions differ")
+        if (gt.labels[gt.labels != IGNORE] >= cfg.n_categories).any():
+            raise DimensionMismatch("ground-truth label >= n_categories")
     spmap = build_superpixels(image, cfg.seg)
     feats = superpixel_features(image, spmap)
     rel = build_relationship(feats, spmap, m=cfg.topk)
+    gt_counts = None if gt is None else region_gt_counts(spmap, gt, cfg.n_categories)
 
     state = pixel_state_to_superpixels(initial_seeds, spmap, cfg.n_categories)
-    model = LinearSegmenter(
+    model = LinearSegmenter.zeros(
         feats.shape[1], cfg.n_categories, learning_rate=cfg.learning_rate, l2=cfg.l2
     )
     trace = LoopTrace()
@@ -185,13 +214,7 @@ def run_closed_loop(
             stopped, last_unchanged = convergence_check(state, new_state, cfg.conv)
             state = new_state
 
-        miou = None
-        if gt is not None:
-            # score only pixels labeled by the seed rendering
-            seed_pred = labels_from_state(state, spmap)
-            masked = np.where(seed_pred.labels != IGNORE, gt.labels, np.uint8(IGNORE))
-            seed_scores = score_pairs([(seed_pred, LabelMap(masked))], cfg.n_categories)
-            miou = seed_scores[1] if seed_scores is not None else None
+        miou = None if gt_counts is None else seed_miou(state, gt_counts)
         trace.epochs.append(epoch)
         trace.losses.append(loss)
         trace.unchanged_fractions.append(last_unchanged)

@@ -147,12 +147,20 @@ def convergence_check(
     return unchanged >= params.rho, unchanged
 
 
-def labels_from_state(state: SeedState, spmap: SuperpixelMap) -> LabelMap:
-    """Render per-superpixel argmax categories to a pixel label map;
-    all-zero columns become ignore."""
-    if spmap.n_regions != state.n_regions:
-        raise ShapeMismatch("superpixel count differs from seed state")
+def region_labels(state: SeedState) -> np.ndarray:
+    """Per-superpixel argmax category as uint8; all-zero columns become
+    ignore. Categories must lie below the ignore label."""
+    if state.n_categories > IGNORE:
+        raise ShapeMismatch(
+            f"{state.n_categories} categories do not fit below the ignore label {IGNORE}"
+        )
     per_region = np.argmax(state.probs, axis=0).astype(np.uint8)
     empty = state.probs.sum(axis=0) <= 0.0
-    per_region = np.where(empty, np.uint8(IGNORE), per_region)
-    return LabelMap(per_region[spmap.region_of])
+    return np.where(empty, np.uint8(IGNORE), per_region)
+
+
+def labels_from_state(state: SeedState, spmap: SuperpixelMap) -> LabelMap:
+    """Render region_labels(state) to a pixel label map."""
+    if spmap.n_regions != state.n_regions:
+        raise ShapeMismatch("superpixel count differs from seed state")
+    return LabelMap(region_labels(state)[spmap.region_of])

@@ -3,7 +3,7 @@ trained with full-batch gradient descent on mixed seeds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,22 +13,39 @@ from .seeds import SeedState
 
 @dataclass
 class LinearSegmenter:
-    """weights (D, C), bias (C,); zero-initialized for bit-stable runs."""
+    """weights (D, C), bias (C,), zeros when not given; sizes are read from
+    the weights. `zeros(D, C)` gives the bit-stable starting model."""
 
-    n_features: int
-    n_categories: int
+    weights: np.ndarray
+    bias: np.ndarray | None = None
     learning_rate: float = 1e-2
     l2: float = 1e-3
-    weights: np.ndarray = field(default=None)
-    bias: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.weights is None:
-            self.weights = np.zeros((self.n_features, self.n_categories))
+        if self.weights.ndim != 2:
+            raise ShapeMismatch(
+                f"weights must be [features, categories], got {list(self.weights.shape)}"
+            )
         if self.bias is None:
             self.bias = np.zeros(self.n_categories)
+        if self.bias.shape != (self.n_categories,):
+            raise ShapeMismatch(
+                f"bias must be [{self.n_categories}], got {list(self.bias.shape)}"
+            )
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise InvalidParams("model parameters must be finite")
+
+    @classmethod
+    def zeros(cls, n_features: int, n_categories: int, **kwargs) -> LinearSegmenter:
+        return cls(np.zeros((n_features, n_categories)), **kwargs)
+
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def n_categories(self) -> int:
+        return self.weights.shape[1]
 
 
 def _softmax_columns(logits: np.ndarray) -> np.ndarray:

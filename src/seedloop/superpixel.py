@@ -20,8 +20,10 @@ from .tensorio import RasterImage
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
-# -ffp-contract=off: no fused multiply-add, so thresholds round as in Python
-_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# -ffp-contract=off: no fused multiply-add, so edge weights and thresholds
+# round as numpy's and Python's do
+# -fno-math-errno: sqrt is the bare instruction, with no libm call to link
+_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
 @dataclass(frozen=True)
@@ -66,28 +68,6 @@ class SegParams:
             and 0 <= self.merge_thresh < np.inf
         ):
             raise InvalidParams("bad segmentation parameters")
-
-
-def _grid_edges(smoothed):
-    """8-connected grid edges as (a, b, weight), in fixed generation order.
-
-    Per pixel in row-major order the neighbor offsets are right, down,
-    down-right, down-left; the generation index is the sort tie-break.
-    """
-    h, w, _ = smoothed.shape
-    idx = np.arange(h * w).reshape(h, w)
-    pieces = []
-    for order, (dy, dx) in enumerate(((0, 1), (1, 0), (1, 1), (1, -1))):
-        y0, y1 = max(0, -dy), h - max(0, dy)
-        x0, x1 = max(0, -dx), w - max(0, dx)
-        a = idx[y0:y1, x0:x1].ravel()
-        b = idx[y0 + dy : y1 + dy, x0 + dx : x1 + dx].ravel()
-        diff = smoothed[y0:y1, x0:x1] - smoothed[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-        wgt = np.sqrt((diff * diff).sum(axis=2)).ravel()
-        pieces.append((a, b, wgt, a * 4 + order))
-    a, b, wgt, gen = (np.concatenate(p) for p in zip(*pieces))
-    by_weight = np.lexsort((gen, wgt))
-    return a[by_weight], b[by_weight], wgt[by_weight]
 
 
 def _relabel_scan_order(assignment):
@@ -135,20 +115,38 @@ def _build_felz(lib):
 
 
 @functools.cache
-def _load_felz_segment():
-    """felz_segment of _felzenszwalb.c, built on first use into
+def _load_felz():
+    """The library built from _felzenszwalb.c on first use into
     ~/.cache/seedloop under the SHA-256 of the source and the gcc flags."""
     key = hashlib.sha256(_FELZ_SOURCE.read_bytes() + " ".join(_FELZ_FLAGS).encode())
-    lib = Path.home() / ".cache" / "seedloop" / f"felz-{key.hexdigest()}.so"
-    if not lib.exists():
-        _build_felz(lib)
-    fn = ctypes.CDLL(str(lib)).felz_segment
+    path = Path.home() / ".cache" / "seedloop" / f"felz-{key.hexdigest()}.so"
+    if not path.exists():
+        _build_felz(path)
+    lib = ctypes.CDLL(str(path))
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    u64 = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
+    img = np.ctypeslib.ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS")
+    # h, w, image, ea (out), eb (out), ew (out), scratch
+    lib.felz_edges.argtypes = [ctypes.c_int64] * 2 + [img, i64, i64, f64, u64]
     # n_pixels, n_edges, ea, eb, ew, k, min_size, root (out), size, thresh
-    fn.argtypes = [ctypes.c_int64] * 2 + [i64, i64, f64] + [ctypes.c_double] * 2 + [i64, i64, f64]
-    fn.restype = None
-    return fn
+    lib.felz_segment.argtypes = (
+        [ctypes.c_int64] * 2 + [i64, i64, f64] + [ctypes.c_double] * 2 + [i64, i64, f64]
+    )
+    lib.felz_edges.restype = lib.felz_segment.restype = None
+    return lib
+
+
+def _grid_graph(smoothed):
+    """8-connected grid edges of an (h, w, 3) float64 image as (a, b, weight),
+    sorted by weight; equal weights keep generation order: per pixel in
+    row-major order the neighbors right, down, down-right, down-left."""
+    h, w, _ = smoothed.shape
+    n_edges = h * (w - 1) + (h - 1) * w + 2 * (h - 1) * (w - 1)
+    ea, eb, ew = np.empty(n_edges, np.int64), np.empty(n_edges, np.int64), np.empty(n_edges)
+    scratch = np.empty(4 * n_edges, np.uint64)  # two buffers of (key, gen) pairs
+    _load_felz().felz_edges(h, w, np.ascontiguousarray(smoothed), ea, eb, ew, scratch)
+    return ea, eb, ew
 
 
 def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> SuperpixelMap:
@@ -157,8 +155,9 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     Deterministic: edges sorted by (weight, generation index), merge predicate
     w <= min(Int(Ci) + k/|Ci|, Int(Cj) + k/|Cj|), then components smaller than
     min_size are absorbed along their lowest-weight edges. Output regions are
-    split to 4-connected components and relabeled by scan order. The two
-    union-find passes run in _felzenszwalb.c, compiled by gcc on first call.
+    split to 4-connected components and relabeled by scan order. The edge
+    build and sort and the two union-find passes run in _felzenszwalb.c,
+    compiled by gcc on first call.
     """
     h, w = image.height, image.width
     img = image.data.astype(np.float64)
@@ -167,10 +166,12 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
             [ndimage.gaussian_filter(img[:, :, c], params.sigma) for c in range(3)],
             axis=2,
         )
-    ea, eb, ew = _grid_edges(img)
+    ea, eb, ew = _grid_graph(img)
     n = h * w
     roots, size, thresh = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
-    _load_felz_segment()(n, len(ea), ea, eb, ew, params.k, params.min_size, roots, size, thresh)
+    _load_felz().felz_segment(
+        n, len(ea), ea, eb, ew, params.k, params.min_size, roots, size, thresh
+    )
     region_of = _relabel_scan_order(roots.reshape(h, w))
     # 8-connected merging can produce diagonal-only links; enforce the
     # 4-connectivity invariant by splitting

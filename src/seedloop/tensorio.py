@@ -300,7 +300,8 @@ def _central_seed_blob(mask, frac):
     cy, cx = ys.mean(), xs.mean()
     d2 = (ys - cy) ** 2 + (xs - cx) ** 2
     n_keep = max(1, int(round(frac * ys.size)))
-    order = np.lexsort((xs, ys, d2))  # deterministic under distance ties
+    # nonzero lists pixels in scan order, so distance ties go to the first
+    order = np.argsort(d2, kind="stable")
     keep = order[:n_keep]
     return ys[keep], xs[keep]
 

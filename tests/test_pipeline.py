@@ -7,16 +7,24 @@ import pytest
 import seedloop.pipeline as pipeline
 from seedloop import (
     IGNORE,
+    LabelMap,
     LoopConfig,
     confusion,
     gen_synthetic,
+    labels_from_state,
     parse_config,
     run_closed_loop,
     run_dataset,
     scores,
 )
 from seedloop.errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile, WOutOfRange
-from seedloop.pipeline import build_superpixels, pixel_state_to_superpixels, seeds_as_prediction
+from seedloop.pipeline import (
+    build_superpixels,
+    pixel_state_to_superpixels,
+    score_pairs,
+    seed_miou,
+    seeds_as_prediction,
+)
 from seedloop.seeds import ConvergenceParams
 from seedloop.superpixel import SegParams, SuperpixelMap
 from seedloop.tensorio import save_label_pgm, save_ppm
@@ -63,6 +71,8 @@ def test_empty_seeds_rejected():
     [
         (lambda: LoopConfig(topk=0), None, InvalidParams),
         (lambda: LoopConfig(n_categories=1), None, InvalidParams),
+        (lambda: LoopConfig(n_categories=256), None, InvalidParams),
+        (lambda: LoopConfig(n_categories=300), None, InvalidParams),
         (lambda: LoopConfig(walk_steps=0), None, InvalidParams),
         (lambda: LoopConfig(epochs_per_phase=0), None, InvalidParams),
         (lambda: LoopConfig(learning_rate=-1.0), None, InvalidParams),
@@ -81,6 +91,8 @@ def test_empty_seeds_rejected():
     ids=[
         "topk=0",
         "n_categories=1",
+        "n_categories=256",
+        "n_categories=300",
         "walk_steps=0",
         "epochs_per_phase=0",
         "learning_rate=-1",
@@ -112,6 +124,69 @@ def test_bad_input_rejected_before_superpixels(make_cfg, bad_label, error, monke
     monkeypatch.setattr(pipeline, "build_superpixels", no_work)
     with pytest.raises(error):
         run_closed_loop(img, maps["seeds"], make_cfg(), maps["gt"])
+
+
+def test_largest_category_count_accepted():
+    assert LoopConfig(n_categories=255).n_categories == 255
+
+
+@pytest.mark.parametrize("which", ["seeds", "gt"])
+def test_label_map_of_other_size_rejected_before_superpixels(which, monkeypatch):
+    img, gt, seeds = gen_synthetic(7, 1)[0]
+    maps = {"seeds": seeds, "gt": gt}
+    maps[which] = make_labels(maps[which].labels[:, 1:])
+
+    def no_work(*args):
+        raise AssertionError("superpixels built before the input was checked")
+
+    monkeypatch.setattr(pipeline, "build_superpixels", no_work)
+    with pytest.raises(DimensionMismatch):
+        run_closed_loop(img, maps["seeds"], LoopConfig(), maps["gt"])
+
+
+def _pixel_seed_miou(state, spmap, gt, n_categories):
+    """The seed mIoU as scored on pixels: render the state, mask the gt to
+    the rendered pixels and score the confusion."""
+    seed_pred = labels_from_state(state, spmap)
+    masked = np.where(seed_pred.labels != IGNORE, gt.labels, np.uint8(IGNORE))
+    result = score_pairs([(seed_pred, LabelMap(masked))], n_categories)
+    return result[1] if result is not None else None
+
+
+@pytest.mark.parametrize(
+    "cfg, ignore_frac",
+    [
+        (LoopConfig(), 0.0),
+        (LoopConfig(), 0.3),
+        (LoopConfig(), 1.0),  # no scored pixel: every seed mIoU is None
+        (LoopConfig(seg=SegParams(k=20, min_size=5, merge_thresh=10), w=0.5), 0.3),
+    ],
+    ids=["default", "gt_ignore", "gt_all_ignore", "many_regions"],
+)
+def test_seed_mious_match_pixel_formula(cfg, ignore_frac, monkeypatch):
+    rng = np.random.default_rng(17)
+    img, gt, seeds = gen_synthetic(7, 1)[0]
+    gt_labels = gt.labels.copy()
+    gt_labels[rng.random(gt_labels.shape) < ignore_frac] = IGNORE
+    gt = make_labels(gt_labels)
+    spmaps, states = [], []
+
+    def spy_superpixels(image, seg):
+        spmaps.append(build_superpixels(image, seg))
+        return spmaps[-1]
+
+    def spy_miou(state, gt_counts):
+        states.append(state)
+        return seed_miou(state, gt_counts)
+
+    monkeypatch.setattr(pipeline, "build_superpixels", spy_superpixels)
+    monkeypatch.setattr(pipeline, "seed_miou", spy_miou)
+    _pred, _state, trace = run_closed_loop(img, seeds, cfg, gt)
+    assert len(states) == len(trace.seed_mious) > 0
+    assert any((s.probs.sum(axis=0) == 0).any() for s in states)  # empty seed columns
+    want = [_pixel_seed_miou(s, spmaps[0], gt, cfg.n_categories) for s in states]
+    assert trace.seed_mious == want
+    assert (ignore_frac == 1.0) == (want[0] is None)
 
 
 def test_w_zero_keeps_initial_seeds():

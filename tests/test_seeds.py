@@ -226,6 +226,27 @@ def test_seed_update_convex_bounds(seed, w):
     assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=12),
+    _unit,
+)
+def test_seed_update_is_convex_combination(seed, c, n, w):
+    rng = np.random.default_rng(seed)
+    old = random_state(rng, c, n).probs
+    old[:, rng.random(n) < 0.3] = 0.0  # ignored regions
+    n_out = rng.random((c, n))
+    n_out /= n_out.sum(axis=0)  # a softmax output: unit mass per column
+    n_out[:, rng.random(n) < 0.2] = 0.0
+    out = seed_update(SeedState(old), SeedState(n_out), w)
+    assert isinstance(out, SeedState) and out.probs.shape == (c, n)
+    assert np.array_equal(out.probs, (1.0 - w) * old + w * n_out)
+    mass_bound = np.maximum(old.sum(axis=0), n_out.sum(axis=0))
+    assert (out.probs.sum(axis=0) <= mass_bound + 1e-12).all()
+
+
 def test_convergence_identical_states(rng):
     s = random_state(rng, 3, 10)
     stopped, frac = convergence_check(s, s)
@@ -267,6 +288,17 @@ def test_labels_from_state():
     assert lab.labels[0, 0] == IGNORE  # all-zero column
     assert lab.labels[0, 1] == 1
     assert lab.labels[0, 2] == 0  # tie goes to smaller category id
+
+
+def test_labels_from_state_rejects_categories_past_ignore():
+    spmap = SuperpixelMap(np.array([[0, 1]], dtype=np.int32))
+    probs = np.zeros((257, 2))
+    probs[256, 0] = probs[255, 1] = 1.0  # as uint8: category 0 and ignore
+    with pytest.raises(ShapeMismatch):
+        labels_from_state(SeedState(probs), spmap)
+    probs = np.zeros((255, 2))
+    probs[254, 0] = probs[3, 1] = 1.0
+    assert labels_from_state(SeedState(probs), spmap).labels.tolist() == [[254, 3]]
 
 
 def test_shape_mismatch_errors(rng):

@@ -7,22 +7,19 @@ from seedloop.seeds import SeedState
 
 
 def test_zero_model_uniform_predictions(rng):
-    model = LinearSegmenter(5, 4)
+    model = LinearSegmenter.zeros(5, 4)
     out = predict(model, rng.standard_normal((7, 5)))
     assert np.allclose(out.probs, 0.25)
 
 
 def test_bias_saturation():
-    model = LinearSegmenter(2, 3)
-    model.bias = np.array([10.0, 0.0, 0.0])
+    model = LinearSegmenter(np.zeros((2, 3)), np.array([10.0, 0.0, 0.0]))
     out = predict(model, np.zeros((3, 2)))
     assert np.allclose(out.probs[0], 1.0, atol=1e-4)
 
 
 def test_predict_matches_straight_line_softmax(rng):
-    model = LinearSegmenter(4, 3)
-    model.weights = rng.standard_normal((4, 3))
-    model.bias = rng.standard_normal(3)
+    model = LinearSegmenter(rng.standard_normal((4, 3)), rng.standard_normal(3))
     f = rng.standard_normal((5, 4))
     out = predict(model, f)
     for j in range(5):
@@ -33,20 +30,19 @@ def test_predict_matches_straight_line_softmax(rng):
 
 
 def test_predict_shape_mismatch(rng):
-    model = LinearSegmenter(4, 3)
+    model = LinearSegmenter.zeros(4, 3)
     with pytest.raises(ShapeMismatch):
         predict(model, rng.standard_normal((5, 6)))
 
 
 def test_loss_no_labeled_regions(rng):
-    model = LinearSegmenter(3, 2)
+    model = LinearSegmenter.zeros(3, 2)
     with pytest.raises(NoLabeledRegions):
         loss_and_grad(model, rng.standard_normal((4, 3)), SeedState(np.zeros((2, 4))))
 
 
 def test_perfect_predictions_near_zero_loss():
-    model = LinearSegmenter(2, 2, l2=0.0)
-    model.bias = np.array([50.0, -50.0])
+    model = LinearSegmenter(np.zeros((2, 2)), np.array([50.0, -50.0]), l2=0.0)
     f = np.zeros((3, 2))
     mixed = SeedState(np.vstack([np.ones(3), np.zeros(3)]))
     loss, _, _ = loss_and_grad(model, f, mixed)
@@ -56,9 +52,7 @@ def test_perfect_predictions_near_zero_loss():
 def test_gradient_matches_finite_differences(rng):
     h = 1e-5
     for _ in range(5):
-        model = LinearSegmenter(4, 3, l2=1e-3)
-        model.weights = rng.standard_normal((4, 3))
-        model.bias = rng.standard_normal(3)
+        model = LinearSegmenter(rng.standard_normal((4, 3)), rng.standard_normal(3), l2=1e-3)
         f = rng.standard_normal((6, 4))
         probs = rng.random((3, 6))
         probs[:, rng.integers(0, 6)] = 0.0  # keep an unlabeled column
@@ -66,7 +60,7 @@ def test_gradient_matches_finite_differences(rng):
         _, grad_w, grad_b = loss_and_grad(model, f, mixed)
 
         def loss_at(wts, bias):
-            m = LinearSegmenter(4, 3, l2=1e-3, weights=wts, bias=bias)
+            m = LinearSegmenter(wts, bias, l2=1e-3)
             return loss_and_grad(m, f, mixed)[0]
 
         fd_w = np.zeros_like(grad_w)
@@ -93,7 +87,7 @@ def test_training_decreases_loss_on_separable_toy(rng):
     labels[0, :10] = 1.0
     labels[1, 10:] = 1.0
     mixed = SeedState(labels)
-    model = LinearSegmenter(3, 2, learning_rate=1e-2, l2=0.0)
+    model = LinearSegmenter.zeros(3, 2, learning_rate=1e-2, l2=0.0)
     losses = []
     for _ in range(50):
         losses.append(loss_and_grad(model, f, mixed)[0])
@@ -104,7 +98,7 @@ def test_training_decreases_loss_on_separable_toy(rng):
 
 
 def test_train_epochs_rejects_zero(rng):
-    model = LinearSegmenter(3, 2)
+    model = LinearSegmenter.zeros(3, 2)
     f = rng.standard_normal((4, 3))
     mixed = SeedState(np.vstack([np.ones(4), np.zeros(4)]))
     with pytest.raises(InvalidParams):
@@ -116,9 +110,38 @@ def test_training_deterministic(rng):
     mixed = SeedState(np.vstack([np.ones(6) * 0.5, np.ones(6) * 0.5]))
     runs = []
     for _ in range(2):
-        model = LinearSegmenter(4, 2)
+        model = LinearSegmenter.zeros(4, 2)
         train_epochs(model, f, mixed, 10)
         runs.append((model.weights.copy(), model.bias.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
 
+
+
+def test_sizes_read_from_weights():
+    model = LinearSegmenter(np.zeros((3, 7)))
+    assert (model.n_features, model.n_categories) == (3, 7)
+    assert np.array_equal(model.bias, np.zeros(7))
+    zero = LinearSegmenter.zeros(3, 7, learning_rate=0.5)
+    assert zero.weights.shape == (3, 7) and zero.learning_rate == 0.5
+    with pytest.raises(AttributeError):
+        model.n_categories = 4
+
+
+@pytest.mark.parametrize(
+    "weights, bias",
+    [
+        (np.zeros((3, 7)), np.zeros(4)),  # bias length is not C
+        (np.zeros((3, 7)), np.zeros((1, 7))),  # bias not a vector
+        (np.zeros(7), None),  # weights not [D, C]
+    ],
+    ids=["bias_len", "bias_2d", "weights_1d"],
+)
+def test_mismatched_parameters_rejected(weights, bias):
+    with pytest.raises(ShapeMismatch):
+        LinearSegmenter(weights, bias)
+
+
+def test_non_finite_parameters_rejected():
+    with pytest.raises(InvalidParams):
+        LinearSegmenter(np.full((2, 3), np.nan))

@@ -9,7 +9,6 @@ from seedloop import SegParams, SynthParams, felzenszwalb, gen_synthetic, rag_me
 from seedloop.errors import DimensionMismatch, InvalidParams, NativeBuildError, ShapeMismatch
 from seedloop.superpixel import (
     SuperpixelMap,
-    _grid_edges,
     _relabel_scan_order,
     _split_disconnected,
     region_edges,
@@ -322,17 +321,39 @@ class _UnionFind:
         return a
 
 
+def _numpy_grid_edges(smoothed):
+    """8-connected grid edges as (a, b, weight): numpy builds them direction
+    by direction and lexsorts them by (weight, generation index)."""
+    h, w, _ = smoothed.shape
+    idx = np.arange(h * w).reshape(h, w)
+    pieces = []
+    for order, (dy, dx) in enumerate(((0, 1), (1, 0), (1, 1), (1, -1))):
+        y0, y1 = max(0, -dy), h - max(0, dy)
+        x0, x1 = max(0, -dx), w - max(0, dx)
+        a = idx[y0:y1, x0:x1].ravel()
+        b = idx[y0 + dy : y1 + dy, x0 + dx : x1 + dx].ravel()
+        diff = smoothed[y0:y1, x0:x1] - smoothed[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+        wgt = np.sqrt((diff * diff).sum(axis=2)).ravel()
+        pieces.append((a, b, wgt, a * 4 + order))
+    a, b, wgt, gen = (np.concatenate(p) for p in zip(*pieces))
+    by_weight = np.lexsort((gen, wgt))
+    return a[by_weight], b[by_weight], wgt[by_weight]
+
+
+def _smoothed(image, sigma):
+    img = image.data.astype(np.float64)
+    if sigma > 0:
+        img = np.stack(
+            [ndimage.gaussian_filter(img[:, :, c], sigma) for c in range(3)], axis=2
+        )
+    return img
+
+
 def _reference_felzenszwalb(image, params):
     """Union-find object with full path compression; the min-size pass
     rescans every grid edge."""
     h, w = image.height, image.width
-    img = image.data.astype(np.float64)
-    if params.sigma > 0:
-        img = np.stack(
-            [ndimage.gaussian_filter(img[:, :, c], params.sigma) for c in range(3)],
-            axis=2,
-        )
-    ea, eb, ew = _grid_edges(img)
+    ea, eb, ew = _numpy_grid_edges(_smoothed(image, params.sigma))
     uf = _UnionFind(h * w)
     k = params.k
     for a, b, wgt in zip(ea.tolist(), eb.tolist(), ew.tolist()):
@@ -378,14 +399,38 @@ def test_felzenszwalb_matches_union_find_oracle_many_regions():
     _assert_same_segmentation(img, SegParams(k=20, min_size=5, merge_thresh=10))
 
 
+# colors in steps of 20 make equal weights, and so ties for the stable sort,
+# common; the small shapes have no edge in some or all directions
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (1, 7), (7, 1), (2, 2), (3, 300), (17, 23), (40, 33)],
+    ids=lambda shape: f"{shape[0]}x{shape[1]}",
+)
+def test_native_edges_match_numpy_oracle(shape, sigma):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + int(10 * sigma))
+    for _ in range(3):
+        img = _smoothed(make_image(rng.integers(0, 13, size=(*shape, 3)) * 20), sigma)
+        got = superpixel._grid_graph(img)
+        want = _numpy_grid_edges(img)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_native_edges_match_numpy_oracle_on_scenes():
+    for img, _, _ in gen_synthetic(7, 5, SynthParams(64, 64)):
+        smoothed = _smoothed(img, SegParams().sigma)
+        got = superpixel._grid_graph(smoothed)
+        for g, w in zip(got, _numpy_grid_edges(smoothed)):
+            assert g.tobytes() == w.tobytes()
+
+
 def test_native_build_without_gcc_raises(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setenv("PATH", "")
     monkeypatch.chdir(tmp_path)  # an empty PATH entry searches the working directory
     # a fresh process: nothing loaded yet, nothing in the cache
-    monkeypatch.setattr(
-        superpixel, "_load_felz_segment", functools.cache(superpixel._load_felz_segment.__wrapped__)
-    )
+    monkeypatch.setattr(superpixel, "_load_felz", functools.cache(superpixel._load_felz.__wrapped__))
     with pytest.raises(NativeBuildError, match="gcc"):
         felzenszwalb(make_image(np.zeros((4, 4, 3))), SegParams())
     assert not any((tmp_path / ".cache" / "seedloop").iterdir())  # no temp file left
@@ -394,14 +439,14 @@ def test_native_build_without_gcc_raises(tmp_path, monkeypatch):
 def test_native_build_reused_from_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.chdir(tmp_path)
-    load = superpixel._load_felz_segment.__wrapped__
+    load = superpixel._load_felz.__wrapped__
     load()
     cache = tmp_path / ".cache" / "seedloop"
     (lib,) = cache.iterdir()
     assert lib.name.startswith("felz-") and lib.suffix == ".so"
     stamp = lib.stat().st_mtime_ns
     monkeypatch.setenv("PATH", "")  # gcc can no longer run
-    monkeypatch.setattr(superpixel, "_load_felz_segment", functools.cache(load))
+    monkeypatch.setattr(superpixel, "_load_felz", functools.cache(load))
     rng = np.random.default_rng(3)
     img = make_image(rng.integers(0, 13, size=(20, 24, 3)) * 20)
     _assert_same_segmentation(img, SegParams(k=20, sigma=0, min_size=5))
