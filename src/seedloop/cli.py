@@ -22,7 +22,13 @@ from .pipeline import (
     score_pairs,
     write_outputs,
 )
-from .relgraph import RelationshipMatrix, build_relationship
+from .relgraph import (
+    RelationshipMatrix,
+    adjacency_matrix,
+    distance_matrix,
+    relationship_matrix,
+    similarity_matrix,
+)
 from .seeds import GateParams, SeedState, custom_walk
 from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge
 from .tensorio import (
@@ -91,8 +97,10 @@ def _cmd_features(args):
 def _cmd_relmat(args):
     spmap = _spmap_from_tensor(load_tensor(args.sp))
     feats = load_external_features(args.features, spmap.n_regions)
-    rel = build_relationship(feats, spmap, m=args.topk, symmetrize_mode=args.symmetrize)
-    save_tensor(np.stack([rel.m_siml, rel.m_adj, rel.m_rel]).astype(np.uint8), args.out)
+    siml = similarity_matrix(distance_matrix(feats), args.topk)
+    adj = adjacency_matrix(spmap)
+    rel = relationship_matrix(siml, adj)
+    save_tensor(np.stack([siml, adj, rel.m_rel]).astype(np.uint8), args.out)
     print(f"relationship [3, {spmap.n_regions}, {spmap.n_regions}] -> {args.out}")
 
 
@@ -100,9 +108,9 @@ def _cmd_walk(args):
     seeds = SeedState(load_tensor(args.seeds).astype(np.float64))
     n_out = SeedState(load_tensor(args.netout).astype(np.float64))
     stack = load_tensor(args.rel)
-    if stack.ndim != 3 or stack.shape[0] != 3:
-        raise ShapeMismatch("relationship tensor must be u8 [3, N, N]")
-    rel = RelationshipMatrix(stack[0], stack[1], stack[2])
+    if stack.dtype != np.uint8 or stack.ndim != 3 or stack.shape[0] != 3 or (stack > 1).any():
+        raise ShapeMismatch("relationship tensor must be u8 [3, N, N] with 0/1 entries")
+    rel = RelationshipMatrix(stack[2].astype(np.float64))
     gates = _from_args(GateParams, args)
     mixed = custom_walk(seeds, rel, n_out, gates, args.steps, strict=args.strict_eq3)
     save_tensor(mixed.probs.astype(np.float32), args.out)
@@ -199,7 +207,6 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--sp", required=True)
     p.add_argument("--topk", type=int, default=loop_defaults.topk)
-    p.add_argument("--symmetrize", choices=["none", "or", "and"], default="none")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_relmat)
 

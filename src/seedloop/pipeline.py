@@ -121,43 +121,38 @@ class LoopTrace:
         return out
 
 
+def region_label_counts(spmap: SuperpixelMap, labels: LabelMap, n_categories: int) -> np.ndarray:
+    """(n_regions, n_categories) counts of each region's pixels per label;
+    ignore pixels are not counted."""
+    if (labels.height, labels.width) != (spmap.height, spmap.width):
+        raise DimensionMismatch("label map and superpixel map dimensions differ")
+    flat = labels.labels.ravel()
+    valid = flat != IGNORE
+    if (flat[valid] >= n_categories).any():
+        raise DimensionMismatch(f"label >= n_categories ({n_categories})")
+    idx = spmap.region_of.ravel()[valid].astype(np.int64) * n_categories + flat[valid]
+    counts = np.bincount(idx, minlength=spmap.n_regions * n_categories)
+    return counts.reshape(spmap.n_regions, n_categories)
+
+
 def pixel_state_to_superpixels(
     labels: LabelMap, spmap: SuperpixelMap, n_categories: int
 ) -> SeedState:
     """Per region, category mass = fraction of the region's non-ignored
     pixels carrying that category; all-ignored regions get a zero column."""
-    if (labels.height, labels.width) != (spmap.height, spmap.width):
-        raise DimensionMismatch("label map and superpixel map dimensions differ")
-    flat_lab = labels.labels.ravel()
-    flat_reg = spmap.region_of.ravel()
-    valid = flat_lab != IGNORE
-    probs = np.zeros((n_categories, spmap.n_regions))
-    denom = np.bincount(flat_reg[valid], minlength=spmap.n_regions).astype(np.float64)
-    for c in range(n_categories):
-        sel = valid & (flat_lab == c)
-        num = np.bincount(flat_reg[sel], minlength=spmap.n_regions)
-        probs[c, denom > 0] = num[denom > 0] / denom[denom > 0]
-    return SeedState(probs)
+    counts = region_label_counts(spmap, labels, n_categories)
+    probs = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    return SeedState(np.ascontiguousarray(probs.T))
 
 
 def build_superpixels(image: RasterImage, seg: SegParams) -> SuperpixelMap:
     return rag_merge(felzenszwalb(image, seg), image, seg.merge_thresh)
 
 
-def region_gt_counts(spmap: SuperpixelMap, gt: LabelMap, n_categories: int) -> np.ndarray:
-    """(n_regions, n_categories) counts of each region's pixels per
-    ground-truth category; ignore pixels are not counted."""
-    g = gt.labels.ravel()
-    valid = g != IGNORE
-    idx = spmap.region_of.ravel()[valid].astype(np.int64) * n_categories + g[valid]
-    counts = np.bincount(idx, minlength=spmap.n_regions * n_categories)
-    return counts.reshape(spmap.n_regions, n_categories)
-
-
 def seed_miou(state: SeedState, gt_counts: np.ndarray):
     """mIoU of labels_from_state(state) against the ground truth on the pixels
     it labels, or None when it labels no scored pixel. The confusion is summed
-    per region from region_gt_counts, with no pixel rendered."""
+    per region from region_label_counts, with no pixel rendered."""
     labels = region_labels(state)
     seeded = labels != IGNORE
     cm = np.zeros((state.n_categories,) * 2, dtype=np.int64)
@@ -191,7 +186,7 @@ def run_closed_loop(
     spmap = build_superpixels(image, cfg.seg)
     feats = superpixel_features(image, spmap)
     rel = build_relationship(feats, spmap, m=cfg.topk)
-    gt_counts = None if gt is None else region_gt_counts(spmap, gt, cfg.n_categories)
+    gt_counts = None if gt is None else region_label_counts(spmap, gt, cfg.n_categories)
 
     state = pixel_state_to_superpixels(initial_seeds, spmap, cfg.n_categories)
     model = LinearSegmenter.zeros(

@@ -13,11 +13,17 @@ from .superpixel import SuperpixelMap, region_edges
 
 @dataclass(frozen=True)
 class RelationshipMatrix:
-    """Binary transition structure of the walk plus its two factors."""
+    """The walk's (N, N) 0/1 transition structure. `relationship_matrix`
+    builds it as float64, so each walk step multiplies by it uncast."""
 
-    m_siml: np.ndarray  # (N, N) uint8
-    m_adj: np.ndarray  # (N, N) uint8
-    m_rel: np.ndarray  # (N, N) uint8
+    m_rel: np.ndarray
+
+    def __post_init__(self):
+        r = self.m_rel
+        if r.ndim != 2 or r.shape[0] != r.shape[1]:
+            raise ShapeMismatch(f"relationship matrix must be square, got {list(r.shape)}")
+        if not ((r == 0) | (r == 1)).all():
+            raise ShapeMismatch("relationship entries must be 0 or 1")
 
 
 def distance_matrix(feats: np.ndarray) -> np.ndarray:
@@ -32,8 +38,9 @@ def distance_matrix(feats: np.ndarray) -> np.ndarray:
 def similarity_matrix(dist: np.ndarray, m: int = 10) -> np.ndarray:
     """Per row, mark the min(m, N) smallest distances with 1.
 
-    Ties go to the smaller column index, so the zero-distance diagonal is
-    always selected. Rows are independent; the result may be asymmetric.
+    Ties go to the smaller column index, so a row can lose its own diagonal
+    when m smaller-index columns share its zero distance (duplicate
+    feature rows). Rows are independent, so M[i, j] and M[j, i] may differ.
     """
     if m < 1:
         raise InvalidParams(f"top-m needs m >= 1, got {m}")
@@ -53,30 +60,14 @@ def adjacency_matrix(spmap: SuperpixelMap) -> np.ndarray:
     return adj
 
 
-def symmetrize(siml: np.ndarray, mode: str) -> np.ndarray:
-    """Optional symmetrization of the top-m similarity matrix."""
-    if mode == "none":
-        return siml
-    if mode == "or":
-        return np.maximum(siml, siml.T)
-    if mode == "and":
-        return np.minimum(siml, siml.T)
-    raise ValueError(f"unknown symmetrize mode {mode!r}")
-
-
 def relationship_matrix(siml: np.ndarray, adj: np.ndarray) -> RelationshipMatrix:
-    """Entry-wise product of the similarity and adjacency factors."""
+    """Entry-wise AND of the similarity and adjacency factors."""
     if siml.shape != adj.shape:
         raise ShapeMismatch("similarity and adjacency matrices differ in shape")
-    rel = (siml.astype(np.uint8) & adj.astype(np.uint8)).astype(np.uint8)
-    return RelationshipMatrix(
-        siml.astype(np.uint8), adj.astype(np.uint8), rel
-    )
+    return RelationshipMatrix(np.logical_and(siml, adj).astype(np.float64))
 
 
-def build_relationship(
-    feats: np.ndarray, spmap: SuperpixelMap, m: int = 10, symmetrize_mode: str = "none"
-) -> RelationshipMatrix:
+def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int = 10) -> RelationshipMatrix:
     """Convenience wrapper: features -> distances -> top-m -> AND adjacency."""
-    siml = symmetrize(similarity_matrix(distance_matrix(feats), m), symmetrize_mode)
+    siml = similarity_matrix(distance_matrix(feats), m)
     return relationship_matrix(siml, adjacency_matrix(spmap))

@@ -88,7 +88,7 @@ def walk_step(
     n = s_gated.n_regions
     if rel.m_rel.shape != (n, n):
         raise ShapeMismatch(f"relationship matrix must be [{n}, {n}], got {list(rel.m_rel.shape)}")
-    spread = s_gated.probs @ rel.m_rel.astype(np.float64)
+    spread = s_gated.probs @ rel.m_rel
     return SeedState(np.clip(spread, 0.0, 1.0) * nout_gated.probs)
 
 

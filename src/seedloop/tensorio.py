@@ -101,62 +101,55 @@ def _read_pnm_header(raw: bytes, magic: bytes):
     return width, height, maxval, pos
 
 
-def load_ppm(path) -> RasterImage:
-    """Load a binary P6 PPM with maxval 255."""
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """Load a binary PNM with maxval 255 as a (height, width[, channels])
+    uint8 array; one channel gives a 2-D array."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
     except OSError as e:
         raise IoFailure(str(e)) from e
-    width, height, maxval, pos = _read_pnm_header(raw, b"P6")
+    width, height, maxval, pos = _read_pnm_header(raw, magic)
     if maxval != 255:
         raise UnsupportedMaxval(f"maxval {maxval} unsupported, need 255")
-    need = width * height * 3
+    shape = (height, width, channels) if channels > 1 else (height, width)
+    need = math.prod(shape)
     payload = raw[pos : pos + need]
     if len(payload) < need:
         raise TruncatedPayload(f"expected {need} payload bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return RasterImage(data.copy())
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
+
+
+def _write_pnm(path, magic: bytes, array: np.ndarray) -> None:
+    """Write a uint8 (height, width[, channels]) array as binary PNM with
+    maxval 255."""
+    header = magic + f"\n{array.shape[1]} {array.shape[0]}\n255\n".encode("ascii")
+    try:
+        with open(path, "wb") as f:
+            f.write(header)
+            f.write(array.tobytes())
+    except OSError as e:
+        raise IoFailure(str(e)) from e
+
+
+def load_ppm(path) -> RasterImage:
+    """Load a binary P6 PPM with maxval 255."""
+    return RasterImage(_read_pnm(path, b"P6", 3))
 
 
 def save_ppm(image: RasterImage, path) -> None:
     """Write a binary P6 PPM with maxval 255."""
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as f:
-            f.write(header)
-            f.write(image.data.tobytes())
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    _write_pnm(path, b"P6", image.data)
 
 
 def load_label_pgm(path) -> LabelMap:
     """Load a binary P5 PGM with maxval 255 as a label map."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise IoFailure(str(e)) from e
-    width, height, maxval, pos = _read_pnm_header(raw, b"P5")
-    if maxval != 255:
-        raise UnsupportedMaxval(f"maxval {maxval} unsupported, need 255")
-    need = width * height
-    payload = raw[pos : pos + need]
-    if len(payload) < need:
-        raise TruncatedPayload(f"expected {need} payload bytes, got {len(payload)}")
-    labels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return LabelMap(labels.copy())
+    return LabelMap(_read_pnm(path, b"P5", 1))
 
 
 def save_label_pgm(lmap: LabelMap, path) -> None:
     """Write a label map as binary P5 PGM with maxval 255."""
-    header = f"P5\n{lmap.width} {lmap.height}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as f:
-            f.write(header)
-            f.write(lmap.labels.tobytes())
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    _write_pnm(path, b"P5", lmap.labels)
 
 
 # DFNT tensor container: magic "DFNT", u8 version=1, u8 dtype code,

@@ -100,6 +100,16 @@ def test_walk_subcommand(stages, tmp_path, capsys):
     assert main([*args, "--rel", str(tmp_path / "bad.dfnt")]) == 1
     assert "ShapeMismatch" in capsys.readouterr().err
 
+    # ... of u8 0/1 entries: these spread a scaled or unclamped walk
+    for bad in (
+        np.full((3, n, n), 0.5, dtype=np.float32),
+        np.full((3, n, n), 7, dtype=np.uint8),
+        np.ones((3, n, n), dtype=np.uint16),
+    ):
+        save_tensor(bad, tmp_path / "bad.dfnt")
+        assert main([*args, "--rel", str(tmp_path / "bad.dfnt")]) == 1
+        assert "ShapeMismatch" in capsys.readouterr().err
+
     # seeds must be [C, N], not one flat vector
     save_tensor(seeds[1], tmp_path / "s.dfnt")
     assert main([*args, "--rel", rel]) == 1

@@ -46,6 +46,13 @@ def test_pixel_state_ignores_excluded_from_denominator():
     assert state.probs[1, 0] == 1.0
 
 
+def test_pixel_state_rejects_label_above_categories():
+    # a label >= n_categories must not count in its region's denominator only
+    spmap = SuperpixelMap(np.array([[0, 0]], dtype=np.int32))
+    with pytest.raises(DimensionMismatch):
+        pixel_state_to_superpixels(make_labels([[1, 2]]), spmap, 2)
+
+
 def test_pixel_state_matches_brute_force(rng):
     spmap = random_spmap(rng, 8, 8, 3)
     arr = rng.integers(0, 4, size=(8, 8)).astype(np.uint8)

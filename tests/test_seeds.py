@@ -21,8 +21,7 @@ from seedloop.tensorio import IGNORE
 
 
 def rel_from(m):
-    m = np.asarray(m, dtype=np.uint8)
-    return RelationshipMatrix(m, m, m)
+    return RelationshipMatrix(np.asarray(m, dtype=np.float64))
 
 
 def random_state(rng, c, n):
