@@ -30,7 +30,7 @@ from .relgraph import (
     similarity_matrix,
 )
 from .seeds import GateParams, SeedState, custom_walk
-from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge
+from .superpixel import SegParams, SuperpixelMap, _components, felzenszwalb, rag_merge
 from .tensorio import (
     SynthParams,
     gen_synthetic,
@@ -46,7 +46,11 @@ from .tensorio import (
 def _spmap_from_tensor(arr: np.ndarray) -> SuperpixelMap:
     if arr.ndim != 2 or arr.dtype != np.uint16:
         raise ShapeMismatch("superpixel tensor must be u16 [H, W]")
-    return SuperpixelMap(arr.astype(np.int32))
+    spmap = SuperpixelMap(arr.astype(np.int32))
+    # a count, not the ids: a map numbered out of scan order is still accepted
+    if _components(spmap.region_of).max() + 1 != spmap.n_regions:
+        raise ShapeMismatch("every superpixel region must be 4-connected")
+    return spmap
 
 
 def _add_fields(p, cls):

@@ -70,9 +70,8 @@ def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> np.ndarray:
         0,
         N_ORIENT_BINS - 1,
     )
-    for b in range(N_ORIENT_BINS):
-        raw[:, 7 + b] = np.bincount(flat, weights=(bins == b).astype(np.float64), minlength=n)
-    raw[:, 7:] /= counts[:, None]
+    hist = np.bincount(flat * N_ORIENT_BINS + bins, minlength=n * N_ORIENT_BINS)
+    raw[:, 7:] = hist.reshape(n, N_ORIENT_BINS) / counts[:, None]
 
     return standardize(raw)
 

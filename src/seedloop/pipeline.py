@@ -244,6 +244,8 @@ def ablation_configs(cfg: LoopConfig) -> dict:
 def score_pairs(pairs, n_categories: int):
     """(accu, mIoU, fIoU) of the confusion summed over `(pred, gt)` pairs,
     or None when no pixel is scored."""
+    if not 1 <= n_categories <= IGNORE:  # uint8 ids 0..C-1 below IGNORE
+        raise InvalidParams(f"n_categories must lie in [1, {IGNORE}], got {n_categories}")
     total = np.zeros((n_categories, n_categories), dtype=np.int64)
     for pred, gt in pairs:
         total += confusion(pred, gt, n_categories)

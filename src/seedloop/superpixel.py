@@ -17,8 +17,6 @@ from scipy import ndimage
 from .errors import DimensionMismatch, InvalidParams, NativeBuildError, ShapeMismatch
 from .tensorio import RasterImage
 
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
 _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
 # -ffp-contract=off: no fused multiply-add, so edge weights and thresholds
 # round as numpy's and Python's do
@@ -70,27 +68,21 @@ class SegParams:
             raise InvalidParams("bad segmentation parameters")
 
 
-def _relabel_scan_order(assignment):
-    """Map the arbitrary component ids of a 2-D map to contiguous ids by
-    first-pixel scan order."""
-    _, first, inverse = np.unique(assignment.ravel(), return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int32)
-    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
-    return rank[inverse].reshape(assignment.shape)
+def _components(labels):
+    """The 4-connected components of equal labels in a 2-D map, as int32 ids
+    numbered from 0 by first pixel in scan order.
 
-
-def _split_disconnected(region_of):
-    """Split every label into its 4-connected components and relabel."""
-    out = np.empty(region_of.shape, dtype=np.int64)
-    offset = 0
-    for rid, box in enumerate(ndimage.find_objects(region_of + 1)):
-        if box is None:  # id absent from the map
-            continue
-        mask = region_of[box] == rid
-        comps, n_comps = ndimage.label(mask, structure=_FOUR_CONN)
-        out[box][mask] = comps[mask] + offset
-        offset += n_comps
-    return _relabel_scan_order(out)
+    ndimage.label runs on a (2h-1, 2w-1) grid: even cells are the pixels, and
+    the odd cell between two 4-neighbours is set when their labels are equal.
+    It numbers components by first cell in raster order, and a component's
+    first cell is a pixel, so the even cells minus 1 are in scan order.
+    """
+    h, w = labels.shape
+    grid = np.ones((2 * h - 1, 2 * w - 1), dtype=bool)
+    grid[1::2, 1::2] = False
+    grid[::2, 1::2] = labels[:, :-1] == labels[:, 1:]
+    grid[1::2, ::2] = labels[:-1, :] == labels[1:, :]
+    return ndimage.label(grid)[0][::2, ::2] - 1
 
 
 def _build_felz(lib):
@@ -155,27 +147,23 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     Deterministic: edges sorted by (weight, generation index), merge predicate
     w <= min(Int(Ci) + k/|Ci|, Int(Cj) + k/|Cj|), then components smaller than
     min_size are absorbed along their lowest-weight edges. Output regions are
-    split to 4-connected components and relabeled by scan order. The edge
+    the 4-connected components of the result, numbered in scan order. The edge
     build and sort and the two union-find passes run in _felzenszwalb.c,
     compiled by gcc on first call.
     """
     h, w = image.height, image.width
     img = image.data.astype(np.float64)
-    if params.sigma > 0:
-        img = np.stack(
-            [ndimage.gaussian_filter(img[:, :, c], params.sigma) for c in range(3)],
-            axis=2,
-        )
+    if params.sigma > 0:  # blur each channel on its own
+        img = ndimage.gaussian_filter(img, (params.sigma, params.sigma, 0))
     ea, eb, ew = _grid_graph(img)
     n = h * w
     roots, size, thresh = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
     _load_felz().felz_segment(
         n, len(ea), ea, eb, ew, params.k, params.min_size, roots, size, thresh
     )
-    region_of = _relabel_scan_order(roots.reshape(h, w))
-    # 8-connected merging can produce diagonal-only links; enforce the
-    # 4-connectivity invariant by splitting
-    return SuperpixelMap(_split_disconnected(region_of))
+    # 8-connected merging can leave diagonal-only links; splitting each root's
+    # pixels into 4-connected components restores the invariant
+    return SuperpixelMap(_components(roots.reshape(h, w)))
 
 
 def region_edges(region_of):
@@ -212,6 +200,8 @@ def rag_merge(
     max_regions is reached, when given); mean colors are pixel-count-weighted.
     The pair merged is the first (i, j) in lexicographic order whose distance
     lies within 1e-12 of the minimum, so near-ties go to the smaller pair.
+    The merged map is renumbered as `felzenszwalb`'s is: its 4-connected
+    components, in scan order.
     """
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("superpixel map and image dimensions differ")
@@ -250,4 +240,4 @@ def rag_merge(
         ea, eb, dist = np.minimum(ea[keep], eb[keep]), np.maximum(ea[keep], eb[keep]), dist[keep]
         touch = np.flatnonzero((ea == i) | (eb == i))
         dist[touch] = _mean_dist(means, ea[touch], eb[touch])
-    return SuperpixelMap(_relabel_scan_order(final[spmap.region_of]))
+    return SuperpixelMap(_components(final[spmap.region_of]))

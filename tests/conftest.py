@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seedloop import LabelMap, RasterImage
-from seedloop.superpixel import SuperpixelMap, _split_disconnected
+from seedloop.superpixel import SuperpixelMap, _components
 
 
 def make_image(arr):
@@ -16,7 +16,7 @@ def make_labels(arr):
 def random_spmap(rng, h=6, w=6, n_values=4):
     """Valid SuperpixelMap from random pixel values split into 4-connected
     components with scan-order contiguous ids."""
-    return SuperpixelMap(_split_disconnected(rng.integers(0, n_values, size=(h, w))))
+    return SuperpixelMap(_components(rng.integers(0, n_values, size=(h, w))))
 
 
 @pytest.fixture

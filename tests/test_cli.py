@@ -142,6 +142,13 @@ def test_loop_and_eval(synth_dir, tmp_path, capsys):
     assert line == loop_line
 
 
+@pytest.mark.parametrize("classes", ["-1", "0", "256"])
+def test_eval_rejects_classes_outside_u8_ids(synth_dir, capsys, classes):
+    gt = str(synth_dir / "0000.gt.pgm")
+    assert main(["eval", "--pred", gt, "--gt", gt, "--classes", classes]) == 1
+    assert "InvalidParams" in capsys.readouterr().err
+
+
 def test_run_and_dir_eval(synth_dir, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     assert main(["run", "--data-dir", str(synth_dir), "--out-dir", out_dir]) == 0
@@ -208,3 +215,22 @@ def test_superpixel_ids_not_contiguous_rejected(synth_dir, tmp_path, capsys, sp)
     assert rc == 1
     assert "ShapeMismatch" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SPLIT_IDS = np.ones((64, 64), dtype=np.uint16)
+_SPLIT_IDS[:10, :10] = _SPLIT_IDS[-10:, -10:] = 0  # id 0 in two separate corners
+
+
+def test_superpixel_region_not_4_connected_rejected(synth_dir, tmp_path, capsys):
+    sp, feats = str(tmp_path / "sp.dfnt"), str(tmp_path / "f.dfnt")
+    save_tensor(_SPLIT_IDS, sp)
+    save_tensor(np.zeros((2, 15), dtype=np.float32), feats)
+    img = str(synth_dir / "0000.ppm")
+    out = tmp_path / "out.dfnt"
+    for args in (
+        ["features", "--image", img, "--sp", sp],
+        ["relmat", "--features", feats, "--sp", sp],
+    ):
+        assert main([*args, "--out", str(out)]) == 1
+        assert "ShapeMismatch" in capsys.readouterr().err
+        assert not out.exists()

@@ -9,8 +9,7 @@ from seedloop import SegParams, SynthParams, felzenszwalb, gen_synthetic, rag_me
 from seedloop.errors import DimensionMismatch, InvalidParams, NativeBuildError, ShapeMismatch
 from seedloop.superpixel import (
     SuperpixelMap,
-    _relabel_scan_order,
-    _split_disconnected,
+    _components,
     region_edges,
 )
 from tests.conftest import make_image
@@ -199,7 +198,7 @@ def _reference_rag_merge(spmap, image, merge_thresh, max_regions=None):
         while merged_into[root] != root:
             root = merged_into[root]
         final[r] = root
-    return SuperpixelMap(_relabel_scan_order(final[region_of]))
+    return SuperpixelMap(_components(final[region_of]))
 
 
 def _tie_heavy_case(seed):
@@ -285,11 +284,23 @@ def _reference_split(raw):
     return np.array([remap[c] for c in out.ravel().tolist()]).reshape(raw.shape), len(remap)
 
 
-def test_split_disconnected_matches_reference(rng):
+def _component_cases(rng):
     for _ in range(20):
         h, w = rng.integers(1, 10, size=2)
-        raw = rng.choice([0, 2, 3, 7], size=(h, w))  # ids 1, 4-6 absent
-        got = _split_disconnected(raw)
+        yield rng.choice([0, 2, 3, 7], size=(h, w))  # ids 1, 4-6 absent
+    # every same-label neighbour is diagonal: one component per pixel
+    yield np.add.outer(np.arange(7), np.arange(9)) % 2
+    for n in (1, 2, 9):
+        yield rng.integers(0, 2, size=(1, n))
+        yield rng.integers(0, 2, size=(n, 1))
+    yield np.array([[5, 5, 1], [0, 1, 1], [0, 3, 5]])  # ids out of scan order
+    # root ids as large as h*w, as felzenszwalb's union-find returns them
+    yield rng.choice([0, 17, 34, 35], size=(5, 7))
+
+
+def test_components_matches_reference(rng):
+    for raw in _component_cases(rng):
+        got = _components(raw)
         want, n_want = _reference_split(raw)
         assert got.dtype == np.int32 and got.max() + 1 == n_want
         assert np.array_equal(got, want)
@@ -369,7 +380,7 @@ def _reference_felzenszwalb(image, params):
         if ra != rb and (uf.size[ra] < params.min_size or uf.size[rb] < params.min_size):
             uf.union(ra, rb, wgt)
     roots = np.fromiter((uf.find(i) for i in range(h * w)), dtype=np.int64, count=h * w)
-    return SuperpixelMap(_split_disconnected(_relabel_scan_order(roots.reshape(h, w))))
+    return SuperpixelMap(_components(roots.reshape(h, w)))
 
 
 def _assert_same_segmentation(img, params):
