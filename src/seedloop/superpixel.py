@@ -115,30 +115,12 @@ def _load_felz():
     if not path.exists():
         _build_felz(path)
     lib = ctypes.CDLL(str(path))
-    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    u64 = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
     img = np.ctypeslib.ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS")
-    # h, w, image, ea (out), eb (out), ew (out), scratch
-    lib.felz_edges.argtypes = [ctypes.c_int64] * 2 + [img, i64, i64, f64, u64]
-    # n_pixels, n_edges, ea, eb, ew, k, min_size, root (out), size, thresh
-    lib.felz_segment.argtypes = (
-        [ctypes.c_int64] * 2 + [i64, i64, f64] + [ctypes.c_double] * 2 + [i64, i64, f64]
-    )
-    lib.felz_edges.restype = lib.felz_segment.restype = None
+    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    # h, w, image, k, min_size, root (out); nonzero when an allocation failed
+    lib.felz_segment.argtypes = [ctypes.c_int64] * 2 + [img] + [ctypes.c_double] * 2 + [i64]
+    lib.felz_segment.restype = ctypes.c_int
     return lib
-
-
-def _grid_graph(smoothed):
-    """8-connected grid edges of an (h, w, 3) float64 image as (a, b, weight),
-    sorted by weight; equal weights keep generation order: per pixel in
-    row-major order the neighbors right, down, down-right, down-left."""
-    h, w, _ = smoothed.shape
-    n_edges = h * (w - 1) + (h - 1) * w + 2 * (h - 1) * (w - 1)
-    ea, eb, ew = np.empty(n_edges, np.int64), np.empty(n_edges, np.int64), np.empty(n_edges)
-    scratch = np.empty(4 * n_edges, np.uint64)  # two buffers of (key, gen) pairs
-    _load_felz().felz_edges(h, w, np.ascontiguousarray(smoothed), ea, eb, ew, scratch)
-    return ea, eb, ew
 
 
 def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> SuperpixelMap:
@@ -148,19 +130,17 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     w <= min(Int(Ci) + k/|Ci|, Int(Cj) + k/|Cj|), then components smaller than
     min_size are absorbed along their lowest-weight edges. Output regions are
     the 4-connected components of the result, numbered in scan order. The edge
-    build and sort and the two union-find passes run in _felzenszwalb.c,
-    compiled by gcc on first call.
+    build and sort and the two union-find passes are one call into
+    _felzenszwalb.c, compiled by gcc on first call.
     """
     h, w = image.height, image.width
     img = image.data.astype(np.float64)
     if params.sigma > 0:  # blur each channel on its own
         img = ndimage.gaussian_filter(img, (params.sigma, params.sigma, 0))
-    ea, eb, ew = _grid_graph(img)
-    n = h * w
-    roots, size, thresh = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
-    _load_felz().felz_segment(
-        n, len(ea), ea, eb, ew, params.k, params.min_size, roots, size, thresh
-    )
+    roots = np.empty(h * w, np.int64)
+    lib = _load_felz()
+    if lib.felz_segment(h, w, np.ascontiguousarray(img), params.k, params.min_size, roots):
+        raise MemoryError(f"felz_segment could not allocate its buffers for a {h}x{w} image")
     # 8-connected merging can leave diagonal-only links; splitting each root's
     # pixels into 4-connected components restores the invariant
     return SuperpixelMap(_components(roots.reshape(h, w)))
@@ -168,15 +148,19 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
 
 def region_edges(region_of):
     """Unique (i, j), i < j, region pairs sharing a 4-connected border, as an
-    (E, 2) int array in lexicographic order."""
-    pairs = [
-        np.stack([np.minimum(a, b)[a != b], np.maximum(a, b)[a != b]], axis=1)
-        for a, b in (
-            (region_of[:, :-1], region_of[:, 1:]),
-            (region_of[:-1, :], region_of[1:, :]),
-        )
-    ]
-    return np.unique(np.concatenate(pairs), axis=0)
+    (E, 2) int64 array in lexicographic order. Each pair is one int64 key
+    i * n + j, so sorting the keys sorts the pairs."""
+    n = int(region_of.max()) + 1
+    keys = np.concatenate(
+        [
+            np.minimum(a, b)[a != b].astype(np.int64) * n + np.maximum(a, b)[a != b]
+            for a, b in (
+                (region_of[:, :-1], region_of[:, 1:]),
+                (region_of[:-1, :], region_of[1:, :]),
+            )
+        ]
+    )
+    return np.stack(np.divmod(np.unique(keys), n), axis=1)
 
 
 def _mean_dist(means, ea, eb):
@@ -200,8 +184,10 @@ def rag_merge(
     max_regions is reached, when given); mean colors are pixel-count-weighted.
     The pair merged is the first (i, j) in lexicographic order whose distance
     lies within 1e-12 of the minimum, so near-ties go to the smaller pair.
-    The merged map is renumbered as `felzenszwalb`'s is: its 4-connected
-    components, in scan order.
+    A merge keeps the smaller id, and survivors are renumbered 0.. in id
+    order. Ids in scan order, as `felzenszwalb` makes them, stay in scan order:
+    a group's smallest id names its first pixel. Merged regions are unions of
+    regions across 4-connected borders, so 4-connected regions stay so.
     """
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("superpixel map and image dimensions differ")
@@ -240,4 +226,5 @@ def rag_merge(
         ea, eb, dist = np.minimum(ea[keep], eb[keep]), np.maximum(ea[keep], eb[keep]), dist[keep]
         touch = np.flatnonzero((ea == i) | (eb == i))
         dist[touch] = _mean_dist(means, ea[touch], eb[touch])
-    return SuperpixelMap(_components(final[spmap.region_of]))
+    new_id = np.unique(final, return_inverse=True)[1].astype(np.int32)  # survivor ranks
+    return SuperpixelMap(new_id[spmap.region_of])

@@ -1,5 +1,9 @@
 import functools
+import hashlib
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from seedloop.superpixel import (
     _components,
     region_edges,
 )
-from tests.conftest import make_image
+from tests.conftest import make_image, random_spmap
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -114,6 +118,12 @@ def test_rag_merge_never_increases(rng):
         merged = rag_merge(spmap, img, thresh)
         assert merged.n_regions <= spmap.n_regions
         assert_valid_spmap(merged)
+    # merged regions stay 4-connected and in scan order: relabelling is a no-op
+    for _ in range(20):
+        spmap, img = random_spmap(rng, 9, 11), make_image(rng.integers(0, 256, size=(9, 11, 3)))
+        for thresh in (40.0, 120.0):
+            merged = rag_merge(spmap, img, thresh)
+            assert np.array_equal(_components(merged.region_of), merged.region_of)
 
 
 def test_rag_merge_dimension_mismatch(rng):
@@ -254,6 +264,16 @@ def test_rag_merge_exact_distance_rounding(pixels, region_of, thresh, max_region
     assert np.array_equal(got.region_of, want.region_of)
 
 
+def test_rag_merge_tie_break_beyond_int32_pair_keys():
+    # 50000 one-pixel regions of one color: every distance ties, and the
+    # first pair (0, 1) wins; an int32 key i * n + j wraps above 46340 regions
+    img = make_image(np.zeros((1, 50000, 3)))
+    spmap = SuperpixelMap(np.arange(50000, dtype=np.int32).reshape(1, -1))
+    merged = rag_merge(spmap, img, 0.0, max_regions=49999)
+    assert merged.n_regions == 49999
+    assert merged.region_of[0, :3].tolist() == [0, 0, 1]
+
+
 def test_region_edges_sorted_unique_pairs(rng):
     region_of = rng.integers(0, 5, size=(7, 9))
     edges = region_edges(region_of)
@@ -265,7 +285,7 @@ def test_region_edges_sorted_unique_pairs(rng):
                     a, b = region_of[y, x], region_of[y + dy, x + dx]
                     if a != b:
                         want.add((min(a, b), max(a, b)))
-    assert edges.shape == (len(want), 2)
+    assert edges.shape == (len(want), 2) and edges.dtype == np.int64
     assert [tuple(e) for e in edges.tolist()] == sorted(want)
     assert region_edges(np.zeros((3, 4), dtype=np.int32)).shape == (0, 2)
 
@@ -410,30 +430,96 @@ def test_felzenszwalb_matches_union_find_oracle_many_regions():
     _assert_same_segmentation(img, SegParams(k=20, min_size=5, merge_thresh=10))
 
 
-# colors in steps of 20 make equal weights, and so ties for the stable sort,
-# common; the small shapes have no edge in some or all directions
-@pytest.mark.parametrize("sigma", [0.0, 0.8])
-@pytest.mark.parametrize(
-    "shape",
-    [(1, 1), (1, 7), (7, 1), (2, 2), (3, 300), (17, 23), (40, 33)],
-    ids=lambda shape: f"{shape[0]}x{shape[1]}",
-)
-def test_native_edges_match_numpy_oracle(shape, sigma):
+_SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (3, 300), (17, 23), (40, 33)]
+
+
+def _shape_images(shape, sigma):
+    """Three images of one shape. Colors in steps of 20 make equal weights,
+    and so ties for the stable sort, common; the small shapes have no edge in
+    some or all directions."""
     rng = np.random.default_rng(shape[0] * 1000 + shape[1] + int(10 * sigma))
     for _ in range(3):
-        img = _smoothed(make_image(rng.integers(0, 13, size=(*shape, 3)) * 20), sigma)
-        got = superpixel._grid_graph(img)
-        want = _numpy_grid_edges(img)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        yield make_image(rng.integers(0, 13, size=(*shape, 3)) * 20)
+
+
+def _native_cases():
+    """(image, params) pairs that exercise the native edge build and sort: the
+    tie-heavy shapes at k=20, where ties decide merges, and one 64x64 scene."""
+    for shape in _SHAPES:
+        for sigma in (0.0, 0.8):
+            for img in _shape_images(shape, sigma):
+                for min_size in (1, 5):
+                    yield img, SegParams(k=20, sigma=sigma, min_size=min_size)
+    (img, _, _), = gen_synthetic(7, 1, SynthParams(64, 64))
+    yield img, SegParams()
+
+
+def _digest(spmap):
+    return hashlib.sha256(spmap.region_of.tobytes()).hexdigest()
+
+
+# the native edges, built and sorted inside felz_segment, are checked through
+# the segmentation they give against the numpy edges of the oracle
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+@pytest.mark.parametrize("shape", _SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_native_edges_match_numpy_oracle(shape, sigma):
+    for img in _shape_images(shape, sigma):
+        for min_size in (1, 5):
+            _assert_same_segmentation(img, SegParams(k=20, sigma=sigma, min_size=min_size))
 
 
 def test_native_edges_match_numpy_oracle_on_scenes():
     for img, _, _ in gen_synthetic(7, 5, SynthParams(64, 64)):
-        smoothed = _smoothed(img, SegParams().sigma)
-        got = superpixel._grid_graph(smoothed)
-        for g, w in zip(got, _numpy_grid_edges(smoothed)):
-            assert g.tobytes() == w.tobytes()
+        _assert_same_segmentation(img, SegParams())
+
+
+def _run_child(code, **env):
+    """Run Python code in a fresh process that can import seedloop and tests."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}", **env}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True
+    )
+
+
+def test_native_source_clean_under_ubsan(tmp_path):
+    """A build with UndefinedBehaviorSanitizer, loaded through the normal
+    _load_felz path in a fresh process, segments every native case without a
+    runtime error and as the production build does."""
+    proc = _run_child(
+        "from seedloop import felzenszwalb, superpixel\n"
+        "from tests.test_superpixel import _digest, _native_cases\n"
+        "superpixel._FELZ_FLAGS += ('-fsanitize=undefined', '-fno-sanitize-recover=all')\n"
+        "for img, params in _native_cases():\n"
+        "    print(_digest(felzenszwalb(img, params)))\n",
+        HOME=str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    (lib,) = (tmp_path / ".cache" / "seedloop").iterdir()
+    assert b"libubsan" in lib.read_bytes()  # the sanitized build, not a cached one
+    assert proc.stdout.split() == [_digest(felzenszwalb(*case)) for case in _native_cases()]
+
+
+def test_native_allocation_failure_raises_memory_error():
+    # the address space left after the image and roots of a 1024x1024 image
+    # cannot hold the 67 MB sort buffer of its 4.2 M edges
+    proc = _run_child(
+        "import resource\n"
+        "import numpy as np\n"
+        "from seedloop import SegParams, felzenszwalb, superpixel\n"
+        "from tests.conftest import make_image\n"
+        "superpixel._load_felz()\n"
+        "img = make_image(np.zeros((1024, 1024, 3)))\n"
+        "vm = next(l for l in open('/proc/self/status') if l.startswith('VmSize:'))\n"
+        "limit = int(vm.split()[1]) * 1024 + 80 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, resource.RLIM_INFINITY))\n"
+        "try:\n"
+        "    felzenszwalb(img, SegParams(sigma=0))\n"
+        "except MemoryError as e:\n"
+        "    print(e)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "felz_segment could not allocate" in proc.stdout
 
 
 def test_native_build_without_gcc_raises(tmp_path, monkeypatch):
