@@ -11,8 +11,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DimOverflow, EmptyConfusion, MissingFile, SeedloopError, ShapeMismatch
-from .features import load_external_features, superpixel_features
-from .metrics import confusion, scores
+from .features import load_external_features, standardize, superpixel_features
 from .pipeline import (
     LoopConfig,
     format_scores,
@@ -90,17 +89,17 @@ def _cmd_superpix(args):
 def _cmd_features(args):
     spmap = _spmap_from_tensor(load_tensor(args.sp))
     if args.external:
-        feats = load_external_features(args.external, spmap.n_regions)
+        raw = load_external_features(args.external, spmap.n_regions)
     else:
-        image = load_ppm(args.image)
-        feats = superpixel_features(image, spmap)
+        raw = superpixel_features(load_ppm(args.image), spmap)
+    feats = standardize(raw)
     save_tensor(feats.astype(np.float32), args.out)
     print(f"features {list(feats.shape)} -> {args.out}")
 
 
 def _cmd_relmat(args):
     spmap = _spmap_from_tensor(load_tensor(args.sp))
-    feats = load_external_features(args.features, spmap.n_regions)
+    feats = standardize(load_external_features(args.features, spmap.n_regions))
     siml = similarity_matrix(distance_matrix(feats), args.topk)
     adj = adjacency_matrix(spmap)
     rel = relationship_matrix(siml, adj)
@@ -167,8 +166,9 @@ def _cmd_loop(args):
     os.makedirs(args.out_dir, exist_ok=True)
     pred, _, trace = run_closed_loop(image, seeds, cfg, gt)
     write_outputs(args.out_dir, os.path.splitext(os.path.basename(args.image))[0], pred, trace)
-    if gt is not None:
-        print(format_scores(scores(confusion(pred, gt, cfg.n_categories))))
+    result = None if gt is None else score_pairs([(pred, gt)], cfg.n_categories)
+    if result is not None:
+        print(format_scores(result))
 
 
 def _cmd_run(args):

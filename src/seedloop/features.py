@@ -1,8 +1,9 @@
 """Per-superpixel descriptors: a 15-dim handcrafted bank over color and gradients.
 
 Stands in for CNN features; an external-tensor loader lets callers plug in
-their own descriptors as long as row i matches region i. Features are a
-(n_regions, dims) float64 array, z-scored per dimension.
+their own descriptors as long as row i matches region i. Features are a raw
+(n_regions, dims) float64 array; `standardize` z-scores them where a caller
+chooses the scaling (per scene in the closed loop).
 """
 
 from __future__ import annotations
@@ -18,32 +19,14 @@ N_ORIENT_BINS = 8
 
 def standardize(values: np.ndarray) -> np.ndarray:
     """Z-score each column; columns with zero variance become all-zero."""
-    mean = values.mean(axis=0)
+    centered = values - values.mean(axis=0)
     std = values.std(axis=0)
-    out = values - mean
-    nonconst = std > 0
-    out[:, nonconst] /= std[nonconst]
-    out[:, ~nonconst] = 0.0
-    return out
-
-
-def _gradients(image: RasterImage):
-    """Central-difference gradients of (R+G+B)/3 grayscale, one-sided at borders."""
-    gray = image.data.astype(np.float64).sum(axis=2) / 3.0
-    gy = np.empty_like(gray)
-    gx = np.empty_like(gray)
-    gy[1:-1, :] = (gray[2:, :] - gray[:-2, :]) / 2.0
-    gy[0, :] = gray[1, :] - gray[0, :] if gray.shape[0] > 1 else 0.0
-    gy[-1, :] = gray[-1, :] - gray[-2, :] if gray.shape[0] > 1 else 0.0
-    gx[:, 1:-1] = (gray[:, 2:] - gray[:, :-2]) / 2.0
-    gx[:, 0] = gray[:, 1] - gray[:, 0] if gray.shape[1] > 1 else 0.0
-    gx[:, -1] = gray[:, -1] - gray[:, -2] if gray.shape[1] > 1 else 0.0
-    return gx, gy
+    return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
 
 
 def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> np.ndarray:
     """Mean/std per RGB channel (6), mean gradient magnitude (1), and an
-    8-bin gradient-orientation histogram (8), z-scored across regions."""
+    8-bin gradient-orientation histogram (8), unscaled."""
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("image and superpixel map dimensions differ")
     n = spmap.n_regions
@@ -60,7 +43,12 @@ def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> np.ndarray:
         raw[:, c] = mean
         raw[:, 3 + c] = np.sqrt(var)
 
-    gx, gy = _gradients(image)
+    # central differences of (R+G+B)/3 grayscale, one-sided at the borders;
+    # np.gradient needs two samples, so a 1-pixel side has zero gradient
+    gray = image.data.astype(np.float64).sum(axis=2) / 3.0
+    gy, gx = (
+        np.gradient(gray, axis=a) if gray.shape[a] > 1 else np.zeros_like(gray) for a in (0, 1)
+    )
     mag = np.hypot(gx, gy).ravel()
     raw[:, 6] = np.bincount(flat, weights=mag, minlength=n) / counts
 
@@ -73,11 +61,11 @@ def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> np.ndarray:
     hist = np.bincount(flat * N_ORIENT_BINS + bins, minlength=n * N_ORIENT_BINS)
     raw[:, 7:] = hist.reshape(n, N_ORIENT_BINS) / counts[:, None]
 
-    return standardize(raw)
+    return raw
 
 
 def load_external_features(path, n_regions: int) -> np.ndarray:
-    """Load a DFNT f32 [N, D] tensor and standardize it."""
+    """Load a DFNT f32 [N, D] tensor as unscaled float64 descriptors."""
     arr = load_tensor(path)
     if arr.dtype != np.float32 or arr.ndim != 2:
         raise ShapeMismatch("features must be an f32 [N, D] tensor")
@@ -85,4 +73,4 @@ def load_external_features(path, n_regions: int) -> np.ndarray:
         raise ShapeMismatch(
             f"feature rows {arr.shape[0]} != n_regions {n_regions}"
         )
-    return standardize(arr.astype(np.float64))
+    return arr.astype(np.float64)

@@ -1,19 +1,20 @@
-"""Closed-loop driver: per image, build superpixels, features, and the
-relationship matrix once, then alternate segmenter training, random-walk seed
-expansion, and convex seed updates on a fixed schedule with a convergence
-monitor."""
+"""Closed-loop driver: per image, prepare the scene once (superpixels,
+features, the relationship matrix, the initial seeds), then alternate
+random-walk seed expansion and segmenter training, each epoch ending in the
+scheduled convex seed update, the convergence monitor and a trace record."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile
-from .features import superpixel_features
+from .features import standardize, superpixel_features
 from .metrics import confusion, scores
-from .relgraph import build_relationship
+from .relgraph import RelationshipMatrix, build_relationship
 from .seeds import (
     ConvergenceParams,
     GateParams,
@@ -99,26 +100,39 @@ def parse_config(path) -> LoopConfig:
     )
 
 
+class EpochRecord(NamedTuple):
+    epoch: int
+    loss: float
+    unchanged: float  # the last convergence check's unchanged fraction, 0 before one
+    seed_miou: float | None  # None without ground truth or with no scored seed
+
+
 @dataclass
 class LoopTrace:
-    """Per-epoch records of the closed loop."""
+    """One EpochRecord per epoch of the closed loop."""
 
     epochs: list = field(default_factory=list)
-    losses: list = field(default_factory=list)
-    unchanged_fractions: list = field(default_factory=list)
-    seed_mious: list = field(default_factory=list)  # None when gt missing
     stopped_at: int | None = None
 
     def lines(self):
         out = []
-        for e, loss, uf, miou in zip(
-            self.epochs, self.losses, self.unchanged_fractions, self.seed_mious
-        ):
+        for e, loss, uf, miou in self.epochs:
             miou_s = f"{miou:.4f}" if miou is not None else "-"
             out.append(f"epoch={e} loss={loss:.6f} unchanged={uf:.4f} seed_miou={miou_s}")
         if self.stopped_at is not None:
             out.append(f"stopped_at={self.stopped_at}")
         return out
+
+
+@dataclass(frozen=True)
+class Scene:
+    """What the loop builds once per scene; `seeds` is the initial state S_0."""
+
+    spmap: SuperpixelMap
+    feats: np.ndarray
+    rel: RelationshipMatrix
+    seeds: SeedState
+    gt_counts: np.ndarray | None
 
 
 def region_label_counts(spmap: SuperpixelMap, labels: LabelMap, n_categories: int) -> np.ndarray:
@@ -145,10 +159,6 @@ def pixel_state_to_superpixels(
     return SeedState(np.ascontiguousarray(probs.T))
 
 
-def build_superpixels(image: RasterImage, seg: SegParams) -> SuperpixelMap:
-    return rag_merge(felzenszwalb(image, seg), image, seg.merge_thresh)
-
-
 def seed_miou(state: SeedState, gt_counts: np.ndarray):
     """mIoU of labels_from_state(state) against the ground truth on the pixels
     it labels, or None when it labels no scored pixel. The confusion is summed
@@ -160,65 +170,71 @@ def seed_miou(state: SeedState, gt_counts: np.ndarray):
     return scores(cm)[1] if cm.sum() > 0 else None
 
 
-def run_closed_loop(
-    image: RasterImage,
-    initial_seeds: LabelMap,
-    cfg: LoopConfig = LoopConfig(),
-    gt: LabelMap | None = None,
-):
-    """Run the full closed loop on one image.
-
-    Returns (final prediction LabelMap, final SeedState, LoopTrace).
-    """
-    seed_labels = initial_seeds.labels[initial_seeds.labels != IGNORE]
+def prepare_scene(
+    image: RasterImage, seeds: LabelMap, cfg: LoopConfig, gt: LabelMap | None = None
+) -> Scene:
+    """Check the inputs, then build the scene, its descriptors z-scored within it."""
+    seed_labels = seeds.labels[seeds.labels != IGNORE]
     if seed_labels.size == 0:
         raise EmptySeeds("initial seeds label no pixel")
     if seed_labels.max() >= cfg.n_categories:
         raise DimensionMismatch("seed label >= n_categories")
     shape = (image.height, image.width)
-    if (initial_seeds.height, initial_seeds.width) != shape:
+    if (seeds.height, seeds.width) != shape:
         raise DimensionMismatch("seed and image dimensions differ")
     if gt is not None:
         if (gt.height, gt.width) != shape:
             raise DimensionMismatch("ground-truth and image dimensions differ")
         if (gt.labels[gt.labels != IGNORE] >= cfg.n_categories).any():
             raise DimensionMismatch("ground-truth label >= n_categories")
-    spmap = build_superpixels(image, cfg.seg)
-    feats = superpixel_features(image, spmap)
+    spmap = rag_merge(felzenszwalb(image, cfg.seg), image, cfg.seg.merge_thresh)
+    feats = standardize(superpixel_features(image, spmap))
     rel = build_relationship(feats, spmap, m=cfg.topk)
+    s0 = pixel_state_to_superpixels(seeds, spmap, cfg.n_categories)
     gt_counts = None if gt is None else region_label_counts(spmap, gt, cfg.n_categories)
+    return Scene(spmap, feats, rel, s0, gt_counts)
 
-    state = pixel_state_to_superpixels(initial_seeds, spmap, cfg.n_categories)
+
+def end_epoch(scene, state, n_out, loss, epoch, cfg, trace) -> SeedState:
+    """End one epoch of `scene`: on the schedule, mix `n_out` into the seeds and
+    set `trace.stopped_at` if they converged; record the epoch; return the seeds."""
+    unchanged = trace.epochs[-1].unchanged if trace.epochs else 0.0
+    since_start = epoch - cfg.update_start_epoch
+    if cfg.w > 0 and since_start >= 0 and since_start % cfg.update_every == 0:
+        new_state = seed_update(state, n_out, cfg.w)
+        converged, unchanged = convergence_check(state, new_state, cfg.conv)
+        trace.stopped_at = epoch if converged else None
+        state = new_state
+    miou = None if scene.gt_counts is None else seed_miou(state, scene.gt_counts)
+    trace.epochs.append(EpochRecord(epoch, loss, unchanged, miou))
+    return state
+
+
+def run_closed_loop(
+    image: RasterImage,
+    initial_seeds: LabelMap,
+    cfg: LoopConfig = LoopConfig(),
+    gt: LabelMap | None = None,
+):
+    """Run the closed loop on one image: prepare the scene, then per epoch
+    predict, walk, train and end the epoch until the seeds converge.
+
+    Returns (final prediction LabelMap, final SeedState, LoopTrace).
+    """
+    scene = prepare_scene(image, initial_seeds, cfg, gt)
     model = LinearSegmenter.zeros(
-        feats.shape[1], cfg.n_categories, learning_rate=cfg.learning_rate, l2=cfg.l2
+        scene.feats.shape[1], cfg.n_categories, learning_rate=cfg.learning_rate, l2=cfg.l2
     )
-    trace = LoopTrace()
-    last_unchanged = 0.0
+    state, trace = scene.seeds, LoopTrace()
     for epoch in range(1, cfg.total_epochs + 1):
-        n_out = predict(model, feats)
-        mixed = custom_walk(state, rel, n_out, cfg.gates, cfg.walk_steps)
-        loss = train_epochs(model, feats, mixed, cfg.epochs_per_phase)
-
-        stopped = False
-        if (
-            cfg.w > 0
-            and epoch >= cfg.update_start_epoch
-            and (epoch - cfg.update_start_epoch) % cfg.update_every == 0
-        ):
-            new_state = seed_update(state, n_out, cfg.w)
-            stopped, last_unchanged = convergence_check(state, new_state, cfg.conv)
-            state = new_state
-
-        miou = None if gt_counts is None else seed_miou(state, gt_counts)
-        trace.epochs.append(epoch)
-        trace.losses.append(loss)
-        trace.unchanged_fractions.append(last_unchanged)
-        trace.seed_mious.append(miou)
-        if stopped:
-            trace.stopped_at = epoch
+        n_out = predict(model, scene.feats)
+        mixed = custom_walk(state, scene.rel, n_out, cfg.gates, cfg.walk_steps)
+        loss = train_epochs(model, scene.feats, mixed, cfg.epochs_per_phase)
+        state = end_epoch(scene, state, n_out, loss, epoch, cfg, trace)
+        if trace.stopped_at is not None:
             break
 
-    final_pred = labels_from_state(predict(model, feats), spmap)
+    final_pred = labels_from_state(predict(model, scene.feats), scene.spmap)
     return final_pred, state, trace
 
 
@@ -284,13 +300,14 @@ def run_dataset(dir_in, cfg: LoopConfig, dir_out):
     ids = sorted(name[:-4] for name in os.listdir(dir_in) if name.endswith(".ppm"))
     if not ids:
         raise MissingFile(f"no .ppm images in {dir_in}")
+    stems = [os.path.join(dir_in, scene_id) for scene_id in ids]
+    for stem in stems:  # every scene's seeds, before any output is written
+        if not os.path.exists(stem + ".seeds.pgm"):
+            raise MissingFile(stem + ".seeds.pgm")
     os.makedirs(dir_out, exist_ok=True)
 
     def scored():
-        for scene_id in ids:
-            stem = os.path.join(dir_in, scene_id)
-            if not os.path.exists(stem + ".seeds.pgm"):
-                raise MissingFile(stem + ".seeds.pgm")
+        for scene_id, stem in zip(ids, stems):
             image = load_ppm(stem + ".ppm")
             seeds = load_label_pgm(stem + ".seeds.pgm")
             gt = load_label_pgm(stem + ".gt.pgm") if os.path.exists(stem + ".gt.pgm") else None

@@ -1,9 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from seedloop import GateParams, LoopConfig, SegParams, SynthParams
-from seedloop.cli import build_parser, main
-from seedloop.tensorio import load_label_pgm, load_tensor, save_tensor
+from seedloop import (
+    GateParams,
+    LabelMap,
+    LoopConfig,
+    SegParams,
+    SynthParams,
+    adjacency_matrix,
+    distance_matrix,
+    load_ppm,
+    relationship_matrix,
+    similarity_matrix,
+    superpixel_features,
+)
+from seedloop.cli import _spmap_from_tensor, build_parser, main
+from seedloop.features import standardize
+from seedloop.tensorio import IGNORE, load_label_pgm, load_tensor, save_label_pgm, save_tensor
 from tests.test_tensorio import dfnt_bytes
 
 
@@ -61,6 +76,32 @@ def test_stage_defaults_are_the_dataclass_defaults():
     assert GateParams(args.alpha_fg, args.alpha_bg, args.beta_fg, args.beta_bg) == GateParams()
     args = parse(["synth", "--seed", "1", "--count", "1", "--out-dir", "d"])
     assert (args.width, args.height) == (SynthParams().width, SynthParams().height)
+
+
+def test_features_and_relmat_write_scene_z_scored_descriptors(stages, synth_dir, tmp_path, rng):
+    sp, feats, _rel = stages
+    spmap = _spmap_from_tensor(load_tensor(sp))
+    raw = superpixel_features(load_ppm(synth_dir / "0000.ppm"), spmap)
+    save_tensor(standardize(raw).astype(np.float32), tmp_path / "want.dfnt")
+    assert (tmp_path / "want.dfnt").read_bytes() == Path(feats).read_bytes()
+
+    # external descriptors: one column on a scale that would swamp the others unscaled
+    ext = rng.standard_normal((spmap.n_regions, 5)).astype(np.float32)
+    ext[:, 0] *= 1e4
+    save_tensor(ext, tmp_path / "ext.dfnt")
+    out = tmp_path / "ext_f.dfnt"
+    args = ["--external", str(tmp_path / "ext.dfnt"), "--sp", sp]
+    assert main(["features", *args, "--out", str(out)]) == 0
+    scaled = standardize(ext.astype(np.float64))
+    save_tensor(scaled.astype(np.float32), tmp_path / "want.dfnt")
+    assert (tmp_path / "want.dfnt").read_bytes() == out.read_bytes()
+
+    out = tmp_path / "ext_rel.dfnt"
+    args = ["--features", str(tmp_path / "ext.dfnt"), "--sp", sp, "--topk", "3"]
+    assert main(["relmat", *args, "--out", str(out)]) == 0
+    siml, adj = similarity_matrix(distance_matrix(scaled), 3), adjacency_matrix(spmap)
+    want = np.stack([siml, adj, relationship_matrix(siml, adj).m_rel]).astype(np.uint8)
+    assert np.array_equal(load_tensor(out), want)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +181,17 @@ def test_loop_and_eval(synth_dir, tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("accu=") and "mIoU=" in line and "fIoU=" in line
     assert line == loop_line
+
+
+def test_loop_with_unscored_gt_prints_no_score(synth_dir, tmp_path, capsys):
+    # every gt pixel is ignore: outputs are written, no score line, exit 0 as `run` does
+    gt = load_label_pgm(synth_dir / "0000.gt.pgm")
+    save_label_pgm(LabelMap(np.full_like(gt.labels, IGNORE)), tmp_path / "gt.pgm")
+    args = ["--image", str(synth_dir / "0000.ppm"), "--seeds", str(synth_dir / "0000.seeds.pgm")]
+    out_dir = tmp_path / "out"
+    assert main(["loop", *args, "--gt", str(tmp_path / "gt.pgm"), "--out-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().out == ""
+    assert (out_dir / "0000.pred.pgm").exists() and (out_dir / "0000.trace.txt").exists()
 
 
 @pytest.mark.parametrize("classes", ["-1", "0", "256"])

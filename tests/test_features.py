@@ -43,14 +43,15 @@ def brute_force_features(image, spmap):
             b = min(int((theta + np.pi) / (2 * np.pi) * N_ORIENT_BINS), N_ORIENT_BINS - 1)
             hist[b] += 1
         raw[rid, 7:] = hist / hist.sum()
-    return standardize(raw)
+    return raw
 
 
 def test_constant_image_all_zero(rng):
     img = make_image(np.full((6, 6, 3), 77))
     spmap = random_spmap(rng)
-    feats = superpixel_features(img, spmap)
-    assert np.allclose(feats, 0.0)
+    raw = superpixel_features(img, spmap)
+    assert spmap.n_regions > 1 and (raw == raw[0]).all()  # every region alike
+    assert np.array_equal(standardize(raw), np.zeros_like(raw))
 
 
 def test_two_region_color_symmetry():
@@ -58,19 +59,21 @@ def test_two_region_color_symmetry():
     arr[:, 0, 0] = 255  # left column pure red
     arr[:, 1, 2] = 255  # right column pure blue
     spmap = SuperpixelMap(np.array([[0, 1], [0, 1]], dtype=np.int32))
-    feats = superpixel_features(make_image(arr), spmap)
+    feats = standardize(superpixel_features(make_image(arr), spmap))
     red_mean, blue_mean = feats[:, 0], feats[:, 2]
     assert red_mean[0] == pytest.approx(-blue_mean[0])
     assert red_mean[0] == pytest.approx(-red_mean[1])
 
 
 def test_matches_brute_force_oracle(rng):
-    img = make_image(rng.integers(0, 256, size=(6, 6, 3)))
-    spmap = random_spmap(rng, 6, 6, 3)
-    feats = superpixel_features(img, spmap)
-    oracle = brute_force_features(img, spmap)
-    assert feats.shape == (spmap.n_regions, 15) and feats.dtype == np.float64
-    assert np.allclose(feats, oracle, atol=1e-10)
+    # 1-pixel sides take the zero-gradient branch of both implementations
+    for h, w in [(6, 6), (1, 7), (7, 1), (1, 1)]:
+        img = make_image(rng.integers(0, 256, size=(h, w, 3)))
+        spmap = random_spmap(rng, h, w, 3)
+        feats = superpixel_features(img, spmap)
+        oracle = brute_force_features(img, spmap)
+        assert feats.shape == (spmap.n_regions, 15) and feats.dtype == np.float64
+        assert np.allclose(feats, oracle, atol=1e-10), (h, w)
 
 
 def test_dimension_mismatch(rng):
@@ -82,10 +85,13 @@ def test_dimension_mismatch(rng):
 
 def test_standardization_idempotent(rng):
     v = rng.standard_normal((10, 5))
+    v[:, 2] = 3.5  # zero variance
     once = standardize(v)
     twice = standardize(once.copy())
     assert np.allclose(once, twice, atol=1e-6)
+    assert np.array_equal(once[:, 2], np.zeros(10))
     nonconst = once.std(axis=0) > 0
+    assert nonconst.sum() == 4
     assert np.abs(once.mean(axis=0)).max() < 1e-9
     assert np.allclose(once.std(axis=0)[nonconst], 1.0)
 
@@ -95,6 +101,7 @@ def test_external_features_roundtrip(tmp_path, rng):
     save_tensor(arr, tmp_path / "f.dfnt")
     feats = load_external_features(tmp_path / "f.dfnt", 8)
     assert feats.shape == (8, 64) and feats.dtype == np.float64
+    assert np.array_equal(feats, arr.astype(np.float64))  # unscaled
 
 
 def test_external_features_shape_mismatch(tmp_path, rng):

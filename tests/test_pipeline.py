@@ -19,8 +19,8 @@ from seedloop import (
 )
 from seedloop.errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile, WOutOfRange
 from seedloop.pipeline import (
-    build_superpixels,
     pixel_state_to_superpixels,
+    prepare_scene,
     score_pairs,
     seed_miou,
     seeds_as_prediction,
@@ -128,7 +128,7 @@ def test_bad_input_rejected_before_superpixels(make_cfg, bad_label, error, monke
     def no_work(*args):
         raise AssertionError("superpixels built before the input was checked")
 
-    monkeypatch.setattr(pipeline, "build_superpixels", no_work)
+    monkeypatch.setattr(pipeline, "felzenszwalb", no_work)
     with pytest.raises(error):
         run_closed_loop(img, maps["seeds"], make_cfg(), maps["gt"])
 
@@ -146,7 +146,7 @@ def test_label_map_of_other_size_rejected_before_superpixels(which, monkeypatch)
     def no_work(*args):
         raise AssertionError("superpixels built before the input was checked")
 
-    monkeypatch.setattr(pipeline, "build_superpixels", no_work)
+    monkeypatch.setattr(pipeline, "felzenszwalb", no_work)
     with pytest.raises(DimensionMismatch):
         run_closed_loop(img, maps["seeds"], LoopConfig(), maps["gt"])
 
@@ -176,23 +176,23 @@ def test_seed_mious_match_pixel_formula(cfg, ignore_frac, monkeypatch):
     gt_labels = gt.labels.copy()
     gt_labels[rng.random(gt_labels.shape) < ignore_frac] = IGNORE
     gt = make_labels(gt_labels)
-    spmaps, states = [], []
+    scenes, states = [], []
 
-    def spy_superpixels(image, seg):
-        spmaps.append(build_superpixels(image, seg))
-        return spmaps[-1]
+    def spy_scene(*args):
+        scenes.append(prepare_scene(*args))
+        return scenes[-1]
 
     def spy_miou(state, gt_counts):
         states.append(state)
         return seed_miou(state, gt_counts)
 
-    monkeypatch.setattr(pipeline, "build_superpixels", spy_superpixels)
+    monkeypatch.setattr(pipeline, "prepare_scene", spy_scene)
     monkeypatch.setattr(pipeline, "seed_miou", spy_miou)
     _pred, _state, trace = run_closed_loop(img, seeds, cfg, gt)
-    assert len(states) == len(trace.seed_mious) > 0
+    assert len(states) == len(trace.epochs) > 0
     assert any((s.probs.sum(axis=0) == 0).any() for s in states)  # empty seed columns
-    want = [_pixel_seed_miou(s, spmaps[0], gt, cfg.n_categories) for s in states]
-    assert trace.seed_mious == want
+    want = [_pixel_seed_miou(s, scenes[0].spmap, gt, cfg.n_categories) for s in states]
+    assert [r.seed_miou for r in trace.epochs] == want
     assert (ignore_frac == 1.0) == (want[0] is None)
 
 
@@ -200,8 +200,7 @@ def test_w_zero_keeps_initial_seeds():
     img, gt, seeds = gen_synthetic(7, 1)[0]
     cfg = dataclasses.replace(LoopConfig(), w=0.0)
     _pred, final_seeds, _trace = run_closed_loop(img, seeds, cfg, gt)
-    spmap = build_superpixels(img, cfg.seg)
-    s0 = pixel_state_to_superpixels(seeds, spmap, cfg.n_categories)
+    s0 = prepare_scene(img, seeds, cfg, gt).seeds
     assert np.array_equal(final_seeds.probs, s0.probs)
 
 
@@ -209,16 +208,15 @@ def test_no_update_before_start_epoch():
     img, gt, seeds = gen_synthetic(7, 1)[0]
     cfg = LoopConfig()
     _pred, _seeds, trace = run_closed_loop(img, seeds, cfg, gt)
-    for epoch, frac in zip(trace.epochs, trace.unchanged_fractions):
-        if epoch < cfg.update_start_epoch:
-            assert frac == 0.0
+    for record in trace.epochs:
+        if record.epoch < cfg.update_start_epoch:
+            assert record.unchanged == 0.0
 
 
 def test_frozen_segmenter_is_fixed_point(monkeypatch):
     img, _gt, seeds = gen_synthetic(7, 1)[0]
     cfg = LoopConfig()
-    spmap = build_superpixels(img, cfg.seg)
-    s0 = pixel_state_to_superpixels(seeds, spmap, cfg.n_categories)
+    s0 = prepare_scene(img, seeds, cfg).seeds
     monkeypatch.setattr(pipeline, "predict", lambda model, feats: s0)
     _pred, final_seeds, trace = run_closed_loop(img, seeds, cfg)
     assert np.array_equal(final_seeds.probs, s0.probs)
@@ -245,6 +243,24 @@ def test_run_dataset_single_image(tmp_path):
     assert (tmp_path / "out" / "0000.trace.txt").exists()
     pred, _state, _trace = run_closed_loop(img, seeds, LoopConfig(), gt)
     assert result == scores(confusion(pred, gt, 4))
+
+
+def test_run_dataset_checks_every_seeds_file_first(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    for i, (img, gt, seeds) in enumerate(gen_synthetic(7, 3)):
+        save_ppm(img, data / f"{i:04d}.ppm")
+        save_label_pgm(gt, data / f"{i:04d}.gt.pgm")
+        if i != 2:
+            save_label_pgm(seeds, data / f"{i:04d}.seeds.pgm")
+
+    def no_work(*args):
+        raise AssertionError("a scene ran before every seeds file was found")
+
+    monkeypatch.setattr(pipeline, "run_closed_loop", no_work)
+    with pytest.raises(MissingFile, match="0002.seeds.pgm"):
+        run_dataset(data, LoopConfig(), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_dataset_empty_dir(tmp_path):
