@@ -1,5 +1,5 @@
-/* Graph-based segmentation of Felzenszwalb & Huttenlocher (IJCV 2004),
- * called from seedloop.superpixel.felzenszwalb as one function.
+/* Graph-based segmentation of Felzenszwalb & Huttenlocher (IJCV 2004) and
+ * its greedy region merge, called from seedloop.superpixel as two functions.
  *
  * felz_segment builds the 8-connected grid graph of an image, sorts its
  * edges by (weight, generation index) and runs the two union-find passes
@@ -16,6 +16,9 @@
 
 int felz_segment(int64_t h, int64_t w, const double *img, double k,
                  double min_size, int64_t *root);
+void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
+                    double *sums, double *counts, int64_t *final, double *dist,
+                    double merge_thresh, int64_t max_regions);
 
 #define DIGIT_BITS 11
 #define N_BUCKETS (1 << DIGIT_BITS)
@@ -172,4 +175,74 @@ int felz_segment(int64_t h, int64_t w, const double *img, double k,
     free(size);
     free(thresh);
     return failed;
+}
+
+/* Mean-color distance of regions a and b, means sums[3r + c] / counts[r].
+ * The squares are summed as fma(d2, d2, fma(d1, d1, d0 * d0)): numpy's
+ * matmul of a 1x3 by a 3x1 row, and np.linalg.norm of a 3-vector, go to
+ * OpenBLAS's ddot (0.3.31, under numpy 2.4), whose Haswell kernel fuses the
+ * multiply-adds. A plain sum rounds differently on about a tenth of rows
+ * and can flip a merge whose distance equals the threshold. fma() is
+ * written out, as -ffp-contract=off forbids gcc to fuse; without -mfma it is
+ * libm's correctly rounded fma. */
+static double mean_dist(const double *sums, const double *counts, int64_t a, int64_t b)
+{
+    double d0 = sums[3 * a] / counts[a] - sums[3 * b] / counts[b];
+    double d1 = sums[3 * a + 1] / counts[a] - sums[3 * b + 1] / counts[b];
+    double d2 = sums[3 * a + 2] / counts[a] - sums[3 * b + 2] / counts[b];
+    return sqrt(fma(d2, d2, fma(d1, d1, d0 * d0)));
+}
+
+/* Greedy merge of the n regions over the n_edges adjacent pairs
+ * (ea[e], eb[e]), ea[e] < eb[e], rows in any order. Each step merges the
+ * pair of smallest key ea * n + eb among those whose distance lies within
+ * 1e-12 of the minimum; the first row wins a duplicate key. It stops when
+ * that pair's distance is not below merge_thresh, unless more than
+ * max_regions regions are alive. A merge of (i, j) keeps i: sums and counts
+ * of j are added into i, final[r] == j becomes i, and the rows are rewritten
+ * with j as i, self-loops dropped and each pair reordered to a < b. Only
+ * rows that touch i get a new distance. All arrays are the caller's: ea,
+ * eb and dist (scratch, n_edges long) are compacted in place, sums (n x 3),
+ * counts and final (n long) are updated in place. */
+void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
+                    double *sums, double *counts, int64_t *final, double *dist,
+                    double merge_thresh, int64_t max_regions)
+{
+    int64_t n_alive = n, e, r, m;
+    for (e = 0; e < n_edges; e++)
+        dist[e] = mean_dist(sums, counts, ea[e], eb[e]);
+    while (n_edges > 0) {
+        double lo = dist[0];
+        int64_t best = -1, best_key = 0, i, j;
+        for (e = 1; e < n_edges; e++)
+            lo = dist[e] < lo ? dist[e] : lo;
+        for (e = 0; e < n_edges; e++) {
+            int64_t key = ea[e] * n + eb[e];
+            if (dist[e] <= lo + 1e-12 && (best < 0 || key < best_key)) {
+                best = e;
+                best_key = key;
+            }
+        }
+        if (dist[best] >= merge_thresh && n_alive <= max_regions)
+            break;
+        i = ea[best];
+        j = eb[best];
+        sums[3 * i] += sums[3 * j];
+        sums[3 * i + 1] += sums[3 * j + 1];
+        sums[3 * i + 2] += sums[3 * j + 2];
+        counts[i] += counts[j];
+        for (r = 0; r < n; r++)
+            final[r] = final[r] == j ? i : final[r];
+        n_alive--;
+        for (e = 0, m = 0; e < n_edges; e++) {
+            int64_t a = ea[e] == j ? i : ea[e], b = eb[e] == j ? i : eb[e];
+            if (a == b)
+                continue;
+            ea[m] = a < b ? a : b;
+            eb[m] = a < b ? b : a;
+            dist[m] = a == i || b == i ? mean_dist(sums, counts, ea[m], eb[m]) : dist[e];
+            m++;
+        }
+        n_edges = m;
+    }
 }

@@ -163,8 +163,8 @@ def _cmd_loop(args):
     image = load_ppm(args.image)
     seeds = load_label_pgm(args.seeds)
     gt = load_label_pgm(args.gt) if args.gt else None
-    os.makedirs(args.out_dir, exist_ok=True)
     pred, _, trace = run_closed_loop(image, seeds, cfg, gt)
+    os.makedirs(args.out_dir, exist_ok=True)  # only once the inputs are accepted
     write_outputs(args.out_dir, os.path.splitext(os.path.basename(args.image))[0], pred, trace)
     result = None if gt is None else score_pairs([(pred, gt)], cfg.n_categories)
     if result is not None:

@@ -18,10 +18,11 @@ from .errors import DimensionMismatch, InvalidParams, NativeBuildError, ShapeMis
 from .tensorio import RasterImage
 
 _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
-# -ffp-contract=off: no fused multiply-add, so edge weights and thresholds
-# round as numpy's and Python's do
-# -fno-math-errno: sqrt is the bare instruction, with no libm call to link
-_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+# -ffp-contract=off: no fused multiply-add but the explicit fma() calls, so
+# edge weights, thresholds and merge distances round as numpy's do
+# -fno-math-errno: sqrt is the bare instruction
+# -lm: fma() is libm's, linked here rather than found in the loading process
+_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno", "-lm")
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,8 @@ def _build_felz(lib):
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
         os.close(fd)
         try:
-            cmd = ["gcc", *_FELZ_FLAGS, "-o", tmp, str(_FELZ_SOURCE)]
+            # the source first: gcc links as needed, so -lm must follow it
+            cmd = ["gcc", str(_FELZ_SOURCE), *_FELZ_FLAGS, "-o", tmp]
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode == 0:
                 os.replace(tmp, lib)
@@ -117,9 +119,15 @@ def _load_felz():
     lib = ctypes.CDLL(str(path))
     img = np.ctypeslib.ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    c_i64, c_f64 = ctypes.c_int64, ctypes.c_double
     # h, w, image, k, min_size, root (out); nonzero when an allocation failed
-    lib.felz_segment.argtypes = [ctypes.c_int64] * 2 + [img] + [ctypes.c_double] * 2 + [i64]
+    lib.felz_segment.argtypes = [c_i64, c_i64, img, c_f64, c_f64, i64]
     lib.felz_segment.restype = ctypes.c_int
+    # n, n_edges, ea, eb, sums, counts, final, dist, merge_thresh, max_regions;
+    # every array is updated in place, dist is scratch
+    lib.rag_merge_loop.argtypes = [c_i64, c_i64, i64, i64, f64, f64, i64, f64, c_f64, c_i64]
+    lib.rag_merge_loop.restype = None
     return lib
 
 
@@ -163,15 +171,6 @@ def region_edges(region_of):
     return np.stack(np.divmod(np.unique(keys), n), axis=1)
 
 
-def _mean_dist(means, ea, eb):
-    """Mean-color distance of each (ea, eb) row pair. sqrt of a batched matmul
-    rounds as np.linalg.norm of one 3-vector does, and a row rounds the same
-    in any batch; norm(axis=1) and a plain sum of squares round differently
-    and can flip a merge whose distance equals merge_thresh."""
-    diff = means[ea] - means[eb]
-    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-
-
 def rag_merge(
     spmap: SuperpixelMap,
     image: RasterImage,
@@ -188,6 +187,13 @@ def rag_merge(
     order. Ids in scan order, as `felzenszwalb` makes them, stay in scan order:
     a group's smallest id names its first pixel. Merged regions are unions of
     regions across 4-connected borders, so 4-connected regions stay so.
+
+    The merge loop is one call into _felzenszwalb.c. Its distance sums the
+    squares as fma(d2, d2, fma(d1, d1, d0 * d0)), because that is how
+    np.linalg.norm of the 3-vector rounds: numpy 2.4's OpenBLAS 0.3.31 runs
+    it through a Haswell ddot kernel that fuses the multiply-adds. A plain
+    sum rounds differently on about a tenth of pairs and can flip a merge
+    whose distance equals merge_thresh.
     """
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("superpixel map and image dimensions differ")
@@ -200,31 +206,12 @@ def rag_merge(
     sums = np.stack(
         [np.bincount(flat, weights=pix[:, c], minlength=n) for c in range(3)], axis=1
     )
-    means = sums / counts[:, None]
-    # one row per adjacent pair, ea < eb; a merge can leave duplicate rows,
-    # which share one distance and so change neither the minimum nor the
-    # first near-tie
     ea, eb = region_edges(spmap.region_of).T.copy()
-    dist = _mean_dist(means, ea, eb)
-    final = np.arange(n)  # original region -> the region it was merged into
-    n_alive = n
-    while len(dist):
-        near = np.flatnonzero(dist <= dist.min() + 1e-12)
-        best = near[np.argmin(ea[near] * n + eb[near])]
-        force = max_regions is not None and n_alive > max_regions
-        if dist[best] >= merge_thresh and not force:
-            break
-        i, j = ea[best], eb[best]
-        sums[i] += sums[j]
-        counts[i] += counts[j]
-        means[i] = sums[i] / counts[i]
-        final[final == j] = i
-        n_alive -= 1
-        ea[ea == j] = i
-        eb[eb == j] = i
-        keep = ea != eb
-        ea, eb, dist = np.minimum(ea[keep], eb[keep]), np.maximum(ea[keep], eb[keep]), dist[keep]
-        touch = np.flatnonzero((ea == i) | (eb == i))
-        dist[touch] = _mean_dist(means, ea[touch], eb[touch])
+    final = np.arange(n, dtype=np.int64)  # original region -> the region it was merged into
+    cap = n if max_regions is None else int(max_regions)  # n alive never forces a merge
+    dist = np.empty(len(ea))
+    _load_felz().rag_merge_loop(
+        n, len(ea), ea, eb, sums.ravel(), counts, final, dist, float(merge_thresh), cap
+    )
     new_id = np.unique(final, return_inverse=True)[1].astype(np.int32)  # survivor ranks
     return SuperpixelMap(new_id[spmap.region_of])

@@ -194,6 +194,17 @@ def test_loop_with_unscored_gt_prints_no_score(synth_dir, tmp_path, capsys):
     assert (out_dir / "0000.pred.pgm").exists() and (out_dir / "0000.trace.txt").exists()
 
 
+def test_loop_rejected_input_leaves_no_out_dir(synth_dir, tmp_path, capsys):
+    # seeds one column narrower than the image
+    seeds = load_label_pgm(synth_dir / "0000.seeds.pgm")
+    save_label_pgm(LabelMap(seeds.labels[:, :-1].copy()), tmp_path / "narrow.pgm")
+    out_dir = tmp_path / "out"
+    args = ["--image", str(synth_dir / "0000.ppm"), "--seeds", str(tmp_path / "narrow.pgm")]
+    assert main(["loop", *args, "--out-dir", str(out_dir)]) == 1
+    assert "DimensionMismatch" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("classes", ["-1", "0", "256"])
 def test_eval_rejects_classes_outside_u8_ids(synth_dir, capsys, classes):
     gt = str(synth_dir / "0000.gt.pgm")

@@ -236,23 +236,26 @@ def test_rag_merge_matches_pairwise_scan_oracle(seed):
 # mean is at distance exactly 25 from each of them. np.linalg.norm of the
 # 3-vector rounds each 25 as noted; a per-row norm(axis=1) rounds some of
 # them the other way.
+_ROUNDING_CASES = [
+    # d(0, 1) = 25.000000000000004 and d(1, 2) = 25.0: the forced merge
+    # takes the first pair, not the smaller second one
+    (
+        [(3, 4, 25), (1, 1, 1), (1, 1, 0), (0, 0, 0), (4, 8, 24)],
+        [0, 1, 1, 1, 2],
+        0,
+        2,
+        [0, 0, 0, 0, 1],
+    ),
+    # d = 25.0: not below the threshold, no merge
+    ([(4, 9, 24), (1, 1, 1), (1, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 1, 1, 1]),
+    # d = 24.999999999999996: below the threshold, merged
+    ([(5, 25, 4), (1, 1, 1), (0, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 0, 0, 0]),
+]
+
+
 @pytest.mark.parametrize(
     "pixels, region_of, thresh, max_regions, expected",
-    [
-        # d(0, 1) = 25.000000000000004 and d(1, 2) = 25.0: the forced merge
-        # takes the first pair, not the smaller second one
-        (
-            [(3, 4, 25), (1, 1, 1), (1, 1, 0), (0, 0, 0), (4, 8, 24)],
-            [0, 1, 1, 1, 2],
-            0,
-            2,
-            [0, 0, 0, 0, 1],
-        ),
-        # d = 25.0: not below the threshold, no merge
-        ([(4, 9, 24), (1, 1, 1), (1, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 1, 1, 1]),
-        # d = 24.999999999999996: below the threshold, merged
-        ([(5, 25, 4), (1, 1, 1), (0, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 0, 0, 0]),
-    ],
+    _ROUNDING_CASES,
     ids=["near_tie", "at_thresh", "below_thresh"],
 )
 def test_rag_merge_exact_distance_rounding(pixels, region_of, thresh, max_regions, expected):
@@ -262,6 +265,94 @@ def test_rag_merge_exact_distance_rounding(pixels, region_of, thresh, max_region
     assert got.region_of.ravel().tolist() == expected
     want = _reference_rag_merge(spmap, img, thresh, max_regions)
     assert np.array_equal(got.region_of, want.region_of)
+
+
+def _rounding_probes(count=3000):
+    """(image, spmap, d): one row of two regions, 1-5 px each in random u8
+    colors, and d = np.linalg.norm of the difference of their means."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        n0, n1 = rng.integers(1, 6, size=2)
+        pix = rng.integers(0, 256, size=(n0 + n1, 3))
+        region_of = np.repeat(np.array([0, 1], dtype=np.int32), [n0, n1])[None, :]
+        means = np.stack([pix[:n0].sum(axis=0) / n0, pix[n0:].sum(axis=0) / n1])
+        yield make_image(pix[None]), SuperpixelMap(region_of), np.linalg.norm(means[0] - means[1])
+
+
+# A merge happens exactly when the distance is below merge_thresh, so a
+# threshold of d keeps the pair and the next double above d merges it: the
+# native distance must round as np.linalg.norm does on every probe
+def test_rag_merge_distance_rounds_as_numpy_norm():
+    for img, spmap, d in _rounding_probes():
+        assert rag_merge(spmap, img, d).n_regions == 2, d
+        assert rag_merge(spmap, img, np.nextafter(d, np.inf)).n_regions == 1, d
+
+
+def _mean_dist(means, ea, eb):
+    """Mean-color distance of each (ea, eb) row pair: sqrt of a batched
+    matmul, which rounds as np.linalg.norm of one 3-vector does."""
+    diff = means[ea] - means[eb]
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+
+
+def _reference_incremental_rag_merge(spmap, image, merge_thresh, max_regions=None):
+    """numpy greedy merge over the region-edge rows: after each merge, the
+    rows are rewritten, compacted, and only those that touch the kept region
+    get a new distance."""
+    n = spmap.n_regions
+    flat = spmap.region_of.ravel()
+    counts = np.bincount(flat, minlength=n).astype(np.float64)
+    pix = image.data.reshape(-1, 3).astype(np.float64)
+    sums = np.stack(
+        [np.bincount(flat, weights=pix[:, c], minlength=n) for c in range(3)], axis=1
+    )
+    means = sums / counts[:, None]
+    ea, eb = region_edges(spmap.region_of).T.copy()
+    dist = _mean_dist(means, ea, eb)
+    final = np.arange(n)
+    n_alive = n
+    while len(dist):
+        near = np.flatnonzero(dist <= dist.min() + 1e-12)
+        best = near[np.argmin(ea[near] * n + eb[near])]
+        force = max_regions is not None and n_alive > max_regions
+        if dist[best] >= merge_thresh and not force:
+            break
+        i, j = ea[best], eb[best]
+        sums[i] += sums[j]
+        counts[i] += counts[j]
+        means[i] = sums[i] / counts[i]
+        final[final == j] = i
+        n_alive -= 1
+        ea[ea == j] = i
+        eb[eb == j] = i
+        keep = ea != eb
+        ea, eb, dist = np.minimum(ea[keep], eb[keep]), np.maximum(ea[keep], eb[keep]), dist[keep]
+        touch = np.flatnonzero((ea == i) | (eb == i))
+        dist[touch] = _mean_dist(means, ea[touch], eb[touch])
+    new_id = np.unique(final, return_inverse=True)[1].astype(np.int32)
+    return SuperpixelMap(new_id[spmap.region_of])
+
+
+# the benchmark's large256 and many_regions scenes, merged as configured, to
+# a quarter of their regions, to 3 and to 1
+@pytest.mark.parametrize(
+    "size, params",
+    [(256, SegParams()), (128, SegParams(k=20, min_size=5, merge_thresh=10))],
+    ids=["large256", "many_regions"],
+)
+def test_rag_merge_matches_incremental_oracle_on_scenes(size, params):
+    for img, _, _ in gen_synthetic(7, 5, SynthParams(size, size)):
+        spmap = felzenszwalb(img, params)
+        n = spmap.n_regions
+        for thresh, max_regions in (
+            (params.merge_thresh, None),
+            (0, 3),
+            (1e9, None),
+            (params.merge_thresh, n // 4),
+        ):
+            got = rag_merge(spmap, img, thresh, max_regions)
+            want = _reference_incremental_rag_merge(spmap, img, thresh, max_regions)
+            assert np.array_equal(got.region_of, want.region_of), (thresh, max_regions)
 
 
 def test_rag_merge_tie_break_beyond_int32_pair_keys():
@@ -482,22 +573,43 @@ def _run_child(code, **env):
     )
 
 
+def _native_merge_cases():
+    """rag_merge arguments that exercise the native merge: the tie-heavy maps
+    at capped and uncapped thresholds, the exact-rounding rows, and a
+    quarter of the rounding probes at their distance and just above it."""
+    for seed in [*range(12), 1655]:
+        img, spmap = _tie_heavy_case(seed)
+        for thresh, max_regions in ((30, None), (1e9, None), (0, 2), (25, 3)):
+            yield spmap, img, thresh, max_regions
+    for pixels, region_of, thresh, max_regions, _ in _ROUNDING_CASES:
+        spmap = SuperpixelMap(np.array([region_of], dtype=np.int32))
+        yield spmap, make_image([pixels]), thresh, max_regions
+    for img, spmap, d in _rounding_probes(750):
+        yield spmap, img, d, None
+        yield spmap, img, np.nextafter(d, np.inf), None
+
+
 def test_native_source_clean_under_ubsan(tmp_path):
     """A build with UndefinedBehaviorSanitizer, loaded through the normal
-    _load_felz path in a fresh process, segments every native case without a
-    runtime error and as the production build does."""
+    _load_felz path in a fresh process, segments every native case and
+    merges every native merge case without a runtime error and as the
+    production build does."""
     proc = _run_child(
-        "from seedloop import felzenszwalb, superpixel\n"
-        "from tests.test_superpixel import _digest, _native_cases\n"
+        "from seedloop import felzenszwalb, rag_merge, superpixel\n"
+        "from tests.test_superpixel import _digest, _native_cases, _native_merge_cases\n"
         "superpixel._FELZ_FLAGS += ('-fsanitize=undefined', '-fno-sanitize-recover=all')\n"
         "for img, params in _native_cases():\n"
-        "    print(_digest(felzenszwalb(img, params)))\n",
+        "    print(_digest(felzenszwalb(img, params)))\n"
+        "for case in _native_merge_cases():\n"
+        "    print(_digest(rag_merge(*case)))\n",
         HOME=str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
     (lib,) = (tmp_path / ".cache" / "seedloop").iterdir()
     assert b"libubsan" in lib.read_bytes()  # the sanitized build, not a cached one
-    assert proc.stdout.split() == [_digest(felzenszwalb(*case)) for case in _native_cases()]
+    want = [_digest(felzenszwalb(*case)) for case in _native_cases()]
+    want += [_digest(rag_merge(*case)) for case in _native_merge_cases()]
+    assert proc.stdout.split() == want
 
 
 def test_native_allocation_failure_raises_memory_error():
@@ -522,15 +634,28 @@ def test_native_allocation_failure_raises_memory_error():
     assert "felz_segment could not allocate" in proc.stdout
 
 
-def test_native_build_without_gcc_raises(tmp_path, monkeypatch):
+@pytest.fixture
+def without_gcc(tmp_path, monkeypatch):
+    """An empty cache under tmp_path and no gcc on PATH; yields the cache."""
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setenv("PATH", "")
     monkeypatch.chdir(tmp_path)  # an empty PATH entry searches the working directory
     # a fresh process: nothing loaded yet, nothing in the cache
     monkeypatch.setattr(superpixel, "_load_felz", functools.cache(superpixel._load_felz.__wrapped__))
+    yield tmp_path / ".cache" / "seedloop"
+
+
+def test_native_build_without_gcc_raises(without_gcc):
     with pytest.raises(NativeBuildError, match="gcc"):
         felzenszwalb(make_image(np.zeros((4, 4, 3))), SegParams())
-    assert not any((tmp_path / ".cache" / "seedloop").iterdir())  # no temp file left
+    assert not any(without_gcc.iterdir())  # no temp file left
+
+
+def test_native_merge_without_gcc_raises(without_gcc):
+    spmap = SuperpixelMap(np.array([[0, 0, 1, 1]], dtype=np.int32))
+    with pytest.raises(NativeBuildError, match="gcc"):
+        rag_merge(spmap, make_image(np.zeros((1, 4, 3))), 10.0)
+    assert not any(without_gcc.iterdir())
 
 
 def test_native_build_reused_from_cache(tmp_path, monkeypatch):
