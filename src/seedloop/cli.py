@@ -19,7 +19,6 @@ from .pipeline import (
     run_closed_loop,
     run_dataset,
     score_pairs,
-    write_outputs,
 )
 from .relgraph import (
     RelationshipMatrix,
@@ -36,8 +35,10 @@ from .tensorio import (
     load_label_pgm,
     load_ppm,
     load_tensor,
-    save_label_pgm,
-    save_ppm,
+    make_dir,
+    prediction_pairs,
+    save_outputs,
+    save_scene,
     save_tensor,
 )
 
@@ -64,13 +65,10 @@ def _from_args(cls, args):
 
 
 def _cmd_synth(args):
-    os.makedirs(args.out_dir, exist_ok=True)
     scenes = gen_synthetic(args.seed, args.count, SynthParams(args.width, args.height))
-    for i, (image, gt, seeds) in enumerate(scenes):
-        stem = os.path.join(args.out_dir, f"{i:04d}")
-        save_ppm(image, stem + ".ppm")
-        save_label_pgm(gt, stem + ".gt.pgm")
-        save_label_pgm(seeds, stem + ".seeds.pgm")
+    make_dir(args.out_dir)  # only once the parameters are accepted
+    for i, scene in enumerate(scenes):
+        save_scene(args.out_dir, f"{i:04d}", *scene)
     print(f"wrote {len(scenes)} scenes to {args.out_dir}")
 
 
@@ -120,35 +118,11 @@ def _cmd_walk(args):
     print(f"mixed seed [{mixed.n_categories}, {mixed.n_regions}] -> {args.out}")
 
 
-def _dataset_ids(pred_dir):
-    """Scene ids of the `<id>.pred.pgm` and `<id>.pgm` files, each id once."""
-    ids = []
-    for name in sorted(os.listdir(pred_dir)):
-        if name.endswith(".pred.pgm"):
-            ids.append(name[: -len(".pred.pgm")])
-        elif name.endswith(".pgm"):
-            ids.append(name[: -len(".pgm")])
-    return list(dict.fromkeys(ids))
-
-
 def _cmd_eval(args):
     if args.pred and args.gt:
         paths = [(args.pred, args.gt)]
     elif args.pred_dir and args.gt_dir:
-        ids = _dataset_ids(args.pred_dir)
-        if not ids:
-            raise MissingFile(f"no predictions in {args.pred_dir}")
-        paths = []
-        for scene_id in ids:
-            pred_path = os.path.join(args.pred_dir, scene_id + ".pred.pgm")
-            if not os.path.exists(pred_path):
-                pred_path = os.path.join(args.pred_dir, scene_id + ".pgm")
-            gt_path = os.path.join(args.gt_dir, scene_id + ".gt.pgm")
-            if not os.path.exists(gt_path):
-                gt_path = os.path.join(args.gt_dir, scene_id + ".pgm")
-            if not os.path.exists(gt_path):
-                raise MissingFile(f"no ground truth for {scene_id}")
-            paths.append((pred_path, gt_path))
+        paths = prediction_pairs(args.pred_dir, args.gt_dir)
     else:
         raise MissingFile("need --pred/--gt or --pred-dir/--gt-dir")
     pairs = ((load_label_pgm(pred), load_label_pgm(gt)) for pred, gt in paths)
@@ -164,8 +138,9 @@ def _cmd_loop(args):
     seeds = load_label_pgm(args.seeds)
     gt = load_label_pgm(args.gt) if args.gt else None
     pred, _, trace = run_closed_loop(image, seeds, cfg, gt)
-    os.makedirs(args.out_dir, exist_ok=True)  # only once the inputs are accepted
-    write_outputs(args.out_dir, os.path.splitext(os.path.basename(args.image))[0], pred, trace)
+    make_dir(args.out_dir)  # only once the inputs are accepted
+    stem = os.path.splitext(os.path.basename(args.image))[0]
+    save_outputs(args.out_dir, stem, pred, trace.lines())
     result = None if gt is None else score_pairs([(pred, gt)], cfg.n_categories)
     if result is not None:
         print(format_scores(result))

@@ -5,7 +5,6 @@ scheduled convex seed update, the convergence monitor and a trace record."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -27,7 +26,7 @@ from .seeds import (
 )
 from .segmenter import LinearSegmenter, predict, train_epochs
 from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge
-from .tensorio import IGNORE, LabelMap, RasterImage, load_label_pgm, load_ppm, save_label_pgm
+from .tensorio import IGNORE, LabelMap, RasterImage, load_scene, make_dir, save_outputs, scene_ids
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,8 @@ def parse_config(path) -> LoopConfig:
             lines = f.readlines()
     except OSError as e:
         raise MissingFile(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise InvalidParams(f"{path}: not UTF-8 text") from e
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -283,36 +284,18 @@ def score_scenes(scenes, cfg: LoopConfig):
     )
 
 
-def write_outputs(out_dir, stem, pred: LabelMap, trace: LoopTrace) -> None:
-    """Write `<stem>.pred.pgm` and `<stem>.trace.txt` into `out_dir`."""
-    save_label_pgm(pred, os.path.join(out_dir, stem + ".pred.pgm"))
-    with open(os.path.join(out_dir, stem + ".trace.txt"), "w") as f:
-        f.write("\n".join(trace.lines()) + "\n")
-
-
 def run_dataset(dir_in, cfg: LoopConfig, dir_out):
-    """Run the loop over `<id>.ppm` / `<id>.seeds.pgm` / `<id>.gt.pgm` triples.
-
-    Writes `<id>.pred.pgm` and `<id>.trace.txt` per image and returns
-    (accu, mIoU, fIoU) of the confusion matrix summed across images, or None
-    when no image has ground truth.
-    """
-    ids = sorted(name[:-4] for name in os.listdir(dir_in) if name.endswith(".ppm"))
-    if not ids:
-        raise MissingFile(f"no .ppm images in {dir_in}")
-    stems = [os.path.join(dir_in, scene_id) for scene_id in ids]
-    for stem in stems:  # every scene's seeds, before any output is written
-        if not os.path.exists(stem + ".seeds.pgm"):
-            raise MissingFile(stem + ".seeds.pgm")
-    os.makedirs(dir_out, exist_ok=True)
+    """Run the loop over every scene in `dir_in`, writing its prediction and
+    trace into `dir_out`. Returns (accu, mIoU, fIoU) of the confusion matrix
+    summed across images, or None when no image has ground truth."""
+    ids = scene_ids(dir_in)  # every scene's seeds, before any output is written
+    make_dir(dir_out)
 
     def scored():
-        for scene_id, stem in zip(ids, stems):
-            image = load_ppm(stem + ".ppm")
-            seeds = load_label_pgm(stem + ".seeds.pgm")
-            gt = load_label_pgm(stem + ".gt.pgm") if os.path.exists(stem + ".gt.pgm") else None
+        for scene_id in ids:
+            image, gt, seeds = load_scene(dir_in, scene_id)
             pred, _, trace = run_closed_loop(image, seeds, cfg, gt)
-            write_outputs(dir_out, scene_id, pred, trace)
+            save_outputs(dir_out, scene_id, pred, trace.lines())
             if gt is not None:
                 yield pred, gt
 

@@ -1,4 +1,4 @@
-"""Raster and tensor file I/O plus the synthetic scene generator.
+"""Raster, tensor and scene-directory I/O plus the synthetic scene generator.
 
 Supported formats: binary PPM (P6, maxval 255) for RGB images, binary PGM
 (P5, maxval 255) for label maps, and a tiny "DFNT" container for numeric
@@ -8,6 +8,8 @@ tensors exchanged between CLI stages.
 from __future__ import annotations
 
 import math
+import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ from .errors import (
     InvalidParams,
     IoFailure,
     MalformedHeader,
+    MissingFile,
     TruncatedPayload,
     UnsupportedMaxval,
     UnsupportedVersion,
@@ -71,45 +74,48 @@ class LabelMap:
         return self.labels.shape[1]
 
 
-def _read_pnm_header(raw: bytes, magic: bytes):
-    """Parse a PNM header and return (width, height, maxval, payload offset)."""
+def _read(path) -> bytes:
+    """The bytes of the file at `path`; a failed open or read is IoFailure."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise IoFailure(str(e)) from e
+
+
+def _write(path, *chunks: bytes) -> None:
+    """Write `chunks` as the file at `path`; a failed open or write is IoFailure."""
+    try:
+        with open(path, "wb") as f:
+            f.writelines(chunks)
+    except OSError as e:
+        raise IoFailure(str(e)) from e
+
+
+# one PNM header token: the whitespace and '#' comments before it, then the
+# token itself, empty at the end of the file
+_PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """Load a binary PNM with maxval 255 as a (height, width[, channels])
+    uint8 array; one channel gives a 2-D array."""
+    raw = _read(path)
     if raw[:2] != magic:
         raise MalformedHeader(f"expected {magic!r} magic, got {raw[:2]!r}")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        # skip whitespace and '#' comments between header tokens
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        token = raw[start:pos]
-        if not token.isdigit():
-            raise MalformedHeader(f"bad header token {token!r}")
-        fields.append(int(token))
+    pos, fields = 2, []
+    for _ in range(3):  # width, height, maxval
+        token = _PNM_TOKEN.match(raw, pos)
+        if not token[1].isdigit():
+            raise MalformedHeader(f"bad header token {token[1]!r}")
+        fields.append(int(token[1]))
+        pos = token.end()
     if pos >= len(raw):
         raise MalformedHeader("header ends before payload")
     pos += 1  # single whitespace byte separates maxval from payload
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise MalformedHeader("non-positive dimensions")
-    return width, height, maxval, pos
-
-
-def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
-    """Load a binary PNM with maxval 255 as a (height, width[, channels])
-    uint8 array; one channel gives a 2-D array."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise IoFailure(str(e)) from e
-    width, height, maxval, pos = _read_pnm_header(raw, magic)
     if maxval != 255:
         raise UnsupportedMaxval(f"maxval {maxval} unsupported, need 255")
     shape = (height, width, channels) if channels > 1 else (height, width)
@@ -124,12 +130,7 @@ def _write_pnm(path, magic: bytes, array: np.ndarray) -> None:
     """Write a uint8 (height, width[, channels]) array as binary PNM with
     maxval 255."""
     header = magic + f"\n{array.shape[1]} {array.shape[0]}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as f:
-            f.write(header)
-            f.write(array.tobytes())
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    _write(path, header, array.tobytes())
 
 
 def load_ppm(path) -> RasterImage:
@@ -152,11 +153,95 @@ def save_label_pgm(lmap: LabelMap, path) -> None:
     _write_pnm(path, b"P5", lmap.labels)
 
 
+# Scene directories. `seedloop synth` writes, and `run` reads, per scene id:
+# <id>.ppm the image, <id>.seeds.pgm the initial seeds, <id>.gt.pgm the ground
+# truth (optional). `run` and `loop` write <id>.pred.pgm and <id>.trace.txt.
+_IMAGE, _SEEDS, _GT = ".ppm", ".seeds.pgm", ".gt.pgm"
+_PRED, _TRACE, _BARE = ".pred.pgm", ".trace.txt", ".pgm"
+
+
+def _list_dir(path) -> list:
+    """The names in directory `path`; one that cannot be listed is MissingFile."""
+    try:
+        return os.listdir(path)
+    except OSError as e:
+        raise MissingFile(str(e)) from e
+
+
+def make_dir(path) -> None:
+    """Create output directory `path` unless it exists; IoFailure when it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise IoFailure(str(e)) from e
+
+
+def scene_ids(data_dir) -> list:
+    """Sorted ids of the scenes in `data_dir`, each checked to have its seeds."""
+    ids = sorted(name[: -len(_IMAGE)] for name in _list_dir(data_dir) if name.endswith(_IMAGE))
+    if not ids:
+        raise MissingFile(f"no {_IMAGE} images in {data_dir}")
+    for scene_id in ids:
+        seeds = os.path.join(data_dir, scene_id + _SEEDS)
+        if not os.path.exists(seeds):
+            raise MissingFile(seeds)
+    return ids
+
+
+def load_scene(data_dir, scene_id):
+    """(image, ground truth or None when the scene has none, seeds) of one scene."""
+    stem = os.path.join(data_dir, scene_id)
+    image = load_ppm(stem + _IMAGE)
+    seeds = load_label_pgm(stem + _SEEDS)
+    gt = load_label_pgm(stem + _GT) if os.path.exists(stem + _GT) else None
+    return image, gt, seeds
+
+
+def save_scene(out_dir, scene_id, image: RasterImage, gt: LabelMap, seeds: LabelMap) -> None:
+    """Write one scene as `load_scene` reads it."""
+    stem = os.path.join(out_dir, scene_id)
+    save_ppm(image, stem + _IMAGE)
+    save_label_pgm(gt, stem + _GT)
+    save_label_pgm(seeds, stem + _SEEDS)
+
+
+def save_outputs(out_dir, scene_id, pred: LabelMap, trace_lines) -> None:
+    """Write a scene's outputs: its prediction and its trace, one line per string."""
+    stem = os.path.join(out_dir, scene_id)
+    save_label_pgm(pred, stem + _PRED)
+    _write(stem + _TRACE, ("\n".join(trace_lines) + "\n").encode())
+
+
+def prediction_pairs(pred_dir, gt_dir) -> list:
+    """(prediction, ground truth) paths per scene id of `pred_dir`, each id once:
+    `<id>.pred.pgm`, else a bare `<id>.pgm` that is no seeds or ground-truth map,
+    against `<id>.gt.pgm` in `gt_dir`, else `<id>.pgm` there."""
+    ids = [
+        name[: -len(_PRED if name.endswith(_PRED) else _BARE)]
+        for name in sorted(_list_dir(pred_dir))
+        if name.endswith(_BARE) and not name.endswith((_GT, _SEEDS))
+    ]
+    if not ids:
+        raise MissingFile(f"no predictions in {pred_dir}")
+    pairs = []
+    for scene_id in dict.fromkeys(ids):
+        pred = os.path.join(pred_dir, scene_id + _PRED)
+        if not os.path.exists(pred):
+            pred = os.path.join(pred_dir, scene_id + _BARE)
+        gt = os.path.join(gt_dir, scene_id + _GT)
+        if not os.path.exists(gt):
+            gt = os.path.join(gt_dir, scene_id + _BARE)
+        if not os.path.exists(gt):
+            raise MissingFile(f"no ground truth for {scene_id}")
+        pairs.append((pred, gt))
+    return pairs
+
+
 # DFNT tensor container: magic "DFNT", u8 version=1, u8 dtype code,
 # u8 ndim, ndim little-endian u32 dims, little-endian row-major payload.
 _DFNT_MAGIC = b"DFNT"
-_DTYPE_CODES = {np.dtype("<f4"): 1, np.dtype("<u2"): 2, np.dtype("u1"): 3}
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}
+_DTYPE_CODES = {dtype: code for code, dtype in _CODE_DTYPES.items()}
 
 
 def save_tensor(arr: np.ndarray, path) -> None:
@@ -175,23 +260,13 @@ def save_tensor(arr: np.ndarray, path) -> None:
     if any(d > 0xFFFFFFFF for d in a.shape):
         raise DimOverflow("dimension exceeds u32")
     code = _DTYPE_CODES[np.dtype(a.dtype.str.replace(">", "<"))]
-    try:
-        with open(path, "wb") as f:
-            f.write(_DFNT_MAGIC)
-            f.write(struct.pack("<BBB", 1, code, a.ndim))
-            f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(a.tobytes())
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    header = struct.pack(f"<BBB{a.ndim}I", 1, code, a.ndim, *a.shape)
+    _write(path, _DFNT_MAGIC, header, a.tobytes())
 
 
 def load_tensor(path) -> np.ndarray:
     """Load a DFNT tensor; inverse of :func:`save_tensor`."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    raw = _read(path)
     if raw[:4] != _DFNT_MAGIC:
         raise BadMagic(f"bad magic {raw[:4]!r}")
     if len(raw) < 7:

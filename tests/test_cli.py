@@ -234,6 +234,74 @@ def test_dir_eval_counts_each_scene_once(synth_dir, tmp_path, capsys):
     assert capsys.readouterr().out == once
 
 
+def test_dir_eval_reads_no_gt_or_seeds_map_as_prediction(synth_dir, tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    assert main(["run", "--data-dir", str(synth_dir), "--out-dir", out_dir]) == 0
+    apart = capsys.readouterr().out.strip().splitlines()[-1]
+    # outputs next to the inputs: `<id>.gt.pgm` and `<id>.seeds.pgm` share the
+    # directory with `<id>.pred.pgm`
+    assert main(["run", "--data-dir", str(synth_dir), "--out-dir", str(synth_dir)]) == 0
+    capsys.readouterr()
+    args = ["--pred-dir", str(synth_dir), "--gt-dir", str(synth_dir), "--classes", "4"]
+    assert main(["eval", *args]) == 0
+    assert capsys.readouterr().out.strip() == apart
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--data-dir", "{missing}", "--out-dir", "{tmp}/out"],
+        ["eval", "--pred-dir", "{missing}", "--gt-dir", "{data}", "--classes", "4"],
+    ],
+    ids=["run_data_dir", "eval_pred_dir"],
+)
+def test_missing_input_dir_is_missing_file(synth_dir, tmp_path, capsys, argv):
+    where = {"missing": tmp_path / "missing", "tmp": tmp_path, "data": synth_dir}
+    assert main([arg.format(**where) for arg in argv]) == 1
+    assert "error: MissingFile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--seed", "7", "--count", "1"],
+        ["run", "--data-dir", "{data}"],
+        ["loop", "--image", "{data}/0000.ppm", "--seeds", "{data}/0000.seeds.pgm"],
+    ],
+    ids=["synth", "run", "loop"],
+)
+def test_out_dir_naming_a_file_is_io_failure(synth_dir, tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    args = [arg.format(data=synth_dir) for arg in argv]
+    assert main([*args, "--out-dir", str(tmp_path / "file")]) == 1
+    assert "error: IoFailure" in capsys.readouterr().err
+
+
+def test_unwritable_trace_is_io_failure(synth_dir, tmp_path, capsys):
+    (tmp_path / "out" / "0000.trace.txt").mkdir(parents=True)  # a directory in its place
+    args = ["--image", str(synth_dir / "0000.ppm"), "--seeds", str(synth_dir / "0000.seeds.pgm")]
+    assert main(["loop", *args, "--out-dir", str(tmp_path / "out")]) == 1
+    assert "error: IoFailure" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_invalid_params(synth_dir, tmp_path, capsys):
+    (tmp_path / "cfg.txt").write_bytes(b"w = 0.2 # \xff\n")
+    args = ["--config", str(tmp_path / "cfg.txt"), "--out-dir", str(tmp_path / "out")]
+    assert main(["run", "--data-dir", str(synth_dir), *args]) == 1
+    err = capsys.readouterr().err
+    assert "error: InvalidParams" in err and "cfg.txt" in err
+
+
+@pytest.mark.parametrize(
+    "bad", [["--count", "0"], ["--count", "1", "--width", "10"]], ids=["count_0", "width_10"]
+)
+def test_synth_rejected_params_leave_no_out_dir(tmp_path, capsys, bad):
+    out_dir = tmp_path / "data"
+    assert main(["synth", "--seed", "7", *bad, "--out-dir", str(out_dir)]) == 1
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_reports_errors(tmp_path, capsys):
     rc = main(["superpix", "--image", str(tmp_path / "nope.ppm"), "--out", str(tmp_path / "o")])
     assert rc == 1

@@ -677,7 +677,9 @@ def test_native_build_reused_from_cache(tmp_path, monkeypatch):
 
 def test_native_source_compiles_without_warnings(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
-    flags = ["-Wall", "-Wextra", "-Werror", *superpixel._FELZ_FLAGS]
-    cmd = ["gcc", *flags, "-o", str(tmp_path / "lint.so"), str(superpixel._FELZ_SOURCE)]
+    # linked as _build_felz links it, source first so -lm is kept, and every
+    # symbol (fma included) must resolve
+    flags = ["-Wall", "-Wextra", "-Werror", *superpixel._FELZ_FLAGS, "-Wl,--no-undefined"]
+    cmd = ["gcc", str(superpixel._FELZ_SOURCE), *flags, "-o", str(tmp_path / "lint.so")]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -19,9 +19,11 @@ from seedloop import (
 from seedloop.errors import (
     BadMagic,
     InvalidParams,
+    IoFailure,
     MalformedHeader,
     TruncatedPayload,
     UnsupportedMaxval,
+    UnsupportedVersion,
 )
 from tests.conftest import make_image, make_labels
 
@@ -45,6 +47,33 @@ def test_load_ppm_truncated(tmp_path):
 def test_load_ppm_wrong_magic(tmp_path):
     p = tmp_path / "t.ppm"
     p.write_bytes(b"P5\n2 1\n255\n" + bytes(2))
+    with pytest.raises(MalformedHeader):
+        load_ppm(p)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P6\n# made by hand\n2 # width\n1\n# maxval next\n255\n",
+        b"P6# comment\n2 1 255\n",
+        b"P62 1 255\n",
+    ],
+    ids=["comments_between_tokens", "comment_after_magic", "token_after_magic"],
+)
+def test_load_ppm_header_forms(tmp_path, header):
+    p = tmp_path / "t.ppm"
+    p.write_bytes(header + bytes([255, 0, 0, 0, 0, 255]))
+    assert load_ppm(p).data.tolist() == [[[255, 0, 0], [0, 0, 255]]]
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P6\n2 1\n# no end", b"P6\n2 1#c\n255\n", b"P6\n2 1\n255", b"P6\n0 1\n255\n"],
+    ids=["comment_to_eof", "hash_glued_to_token", "ends_at_maxval", "zero_width"],
+)
+def test_load_ppm_malformed_header(tmp_path, header):
+    p = tmp_path / "t.ppm"
+    p.write_bytes(header)
     with pytest.raises(MalformedHeader):
         load_ppm(p)
 
@@ -125,6 +154,26 @@ def test_tensor_bad_magic(tmp_path):
     p.write_bytes(b"XXXX" + bytes(20))
     with pytest.raises(BadMagic):
         load_tensor(p)
+
+
+def test_tensor_unsupported_version(tmp_path):
+    p = tmp_path / "t.dfnt"
+    p.write_bytes(b"DFNT" + struct.pack("<BBBI", 2, 3, 1, 1) + bytes(1))
+    with pytest.raises(UnsupportedVersion):
+        load_tensor(p)
+
+
+@pytest.mark.parametrize(
+    "io",
+    [
+        lambda d: load_ppm(d / "absent.ppm"),
+        lambda d: save_tensor(np.zeros(1, dtype=np.uint8), d / "absent" / "t.dfnt"),
+    ],
+    ids=["load_missing_file", "save_into_missing_dir"],
+)
+def test_file_errors_are_io_failure(tmp_path, io):
+    with pytest.raises(IoFailure):
+        io(tmp_path)
 
 
 def test_tensor_rejects_nan(tmp_path):
