@@ -34,10 +34,11 @@ typedef struct {
     uint64_t gen;
 } entry;
 
-static double weight(const double *pa, const double *pb)
+/* The Euclidean distance of two RGB colors, the squares summed left to
+ * right: both the edge weights and the merge distances are this one. */
+static double color_dist(const double *pa, const double *pb)
 {
     double d0 = pa[0] - pb[0], d1 = pa[1] - pb[1], d2 = pa[2] - pb[2];
-    /* summed left to right, as numpy sums the three squares */
     return sqrt((d0 * d0 + d1 * d1) + d2 * d2);
 }
 
@@ -71,7 +72,7 @@ static entry *sorted_edges(int64_t h, int64_t w, const double *img,
             for (d = 0; d < 4; d++) {
                 if (!has[d])
                     continue;
-                src[n].wgt = weight(img + 3 * a, img + 3 * (a + step[d]));
+                src[n].wgt = color_dist(img + 3 * a, img + 3 * (a + step[d]));
                 src[n].gen = (uint64_t)(4 * a + d);
                 for (pass = 0; pass < N_PASSES; pass++)
                     hist[pass][(src[n].key >> (pass * DIGIT_BITS)) & (N_BUCKETS - 1)]++;
@@ -177,20 +178,13 @@ int felz_segment(int64_t h, int64_t w, const double *img, double k,
     return failed;
 }
 
-/* Mean-color distance of regions a and b, means sums[3r + c] / counts[r].
- * The squares are summed as fma(d2, d2, fma(d1, d1, d0 * d0)): numpy's
- * matmul of a 1x3 by a 3x1 row, and np.linalg.norm of a 3-vector, go to
- * OpenBLAS's ddot (0.3.31, under numpy 2.4), whose Haswell kernel fuses the
- * multiply-adds. A plain sum rounds differently on about a tenth of rows
- * and can flip a merge whose distance equals the threshold. fma() is
- * written out, as -ffp-contract=off forbids gcc to fuse; without -mfma it is
- * libm's correctly rounded fma. */
+/* Mean-color distance of regions a and b, means sums[3r + c] / counts[r]. */
 static double mean_dist(const double *sums, const double *counts, int64_t a, int64_t b)
 {
-    double d0 = sums[3 * a] / counts[a] - sums[3 * b] / counts[b];
-    double d1 = sums[3 * a + 1] / counts[a] - sums[3 * b + 1] / counts[b];
-    double d2 = sums[3 * a + 2] / counts[a] - sums[3 * b + 2] / counts[b];
-    return sqrt(fma(d2, d2, fma(d1, d1, d0 * d0)));
+    const double *sa = sums + 3 * a, *sb = sums + 3 * b;
+    double ma[3] = {sa[0] / counts[a], sa[1] / counts[a], sa[2] / counts[a]};
+    double mb[3] = {sb[0] / counts[b], sb[1] / counts[b], sb[2] / counts[b]};
+    return color_dist(ma, mb);
 }
 
 /* Greedy merge of the n regions over the n_edges adjacent pairs

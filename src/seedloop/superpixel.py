@@ -18,11 +18,10 @@ from .errors import DimensionMismatch, InvalidParams, NativeBuildError, ShapeMis
 from .tensorio import RasterImage
 
 _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
-# -ffp-contract=off: no fused multiply-add but the explicit fma() calls, so
-# edge weights, thresholds and merge distances round as numpy's do
+# -ffp-contract=off: no fused multiply-add, so edge weights, thresholds and
+# merge distances round as numpy's do
 # -fno-math-errno: sqrt is the bare instruction
-# -lm: fma() is libm's, linked here rather than found in the loading process
-_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno", "-lm")
+_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ def _build_felz(lib):
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
         os.close(fd)
         try:
-            # the source first: gcc links as needed, so -lm must follow it
             cmd = ["gcc", str(_FELZ_SOURCE), *_FELZ_FLAGS, "-o", tmp]
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode == 0:
@@ -188,15 +186,13 @@ def rag_merge(
     a group's smallest id names its first pixel. Merged regions are unions of
     regions across 4-connected borders, so 4-connected regions stay so.
 
-    The merge loop is one call into _felzenszwalb.c. Its distance sums the
-    squares as fma(d2, d2, fma(d1, d1, d0 * d0)), because that is how
-    np.linalg.norm of the 3-vector rounds: numpy 2.4's OpenBLAS 0.3.31 runs
-    it through a Haswell ddot kernel that fuses the multiply-adds. A plain
-    sum rounds differently on about a tenth of pairs and can flip a merge
-    whose distance equals merge_thresh.
+    The merge loop is one call into _felzenszwalb.c, and its distance rounds
+    as the felzenszwalb edge weight does.
     """
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("superpixel map and image dimensions differ")
+    if not 0 <= merge_thresh < np.inf:  # NaN fails every comparison, as in SegParams
+        raise InvalidParams(f"merge_thresh must be finite and >= 0, got {merge_thresh}")
     if max_regions is not None and max_regions < 1:
         raise InvalidParams(f"max_regions must be >= 1, got {max_regions}")
     n = spmap.n_regions

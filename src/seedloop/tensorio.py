@@ -247,19 +247,17 @@ _DTYPE_CODES = {dtype: code for code, dtype in _CODE_DTYPES.items()}
 def save_tensor(arr: np.ndarray, path) -> None:
     """Serialize a float32/uint16/uint8 array, ndim 1..4, bit-exactly."""
     a = np.ascontiguousarray(arr)
-    if a.dtype == np.float32:
-        a = a.astype("<f4", copy=False)
-        if not np.isfinite(a).all():
-            raise InvalidParams("f32 tensor payload must be finite")
-    elif a.dtype == np.uint16:
-        a = a.astype("<u2", copy=False)
-    elif a.dtype != np.uint8:
+    le = a.dtype.newbyteorder("<")
+    code = _DTYPE_CODES.get(le)
+    if code is None:
         raise InvalidParams(f"unsupported tensor dtype {a.dtype}")
+    a = a.astype(le, copy=False)
+    if le.kind == "f" and not np.isfinite(a).all():
+        raise InvalidParams("f32 tensor payload must be finite")
     if not 1 <= a.ndim <= 4:
         raise InvalidParams(f"tensor ndim must be 1..4, got {a.ndim}")
     if any(d > 0xFFFFFFFF for d in a.shape):
         raise DimOverflow("dimension exceeds u32")
-    code = _DTYPE_CODES[np.dtype(a.dtype.str.replace(">", "<"))]
     header = struct.pack(f"<BBB{a.ndim}I", 1, code, a.ndim, *a.shape)
     _write(path, _DFNT_MAGIC, header, a.tobytes())
 
@@ -384,6 +382,8 @@ def gen_synthetic(rng_seed: int, count: int, params: SynthParams = SynthParams()
     """
     if count < 1:
         raise InvalidParams("count must be >= 1")
+    if rng_seed < 0:
+        raise InvalidParams(f"rng_seed must be >= 0, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     h, w = params.height, params.width
     scenes = []

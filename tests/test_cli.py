@@ -293,12 +293,18 @@ def test_non_utf8_config_is_invalid_params(synth_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [["--count", "0"], ["--count", "1", "--width", "10"]], ids=["count_0", "width_10"]
+    "bad",
+    [
+        ["--seed", "7", "--count", "0"],
+        ["--seed", "7", "--count", "1", "--width", "10"],
+        ["--seed", "-1", "--count", "1"],
+    ],
+    ids=["count_0", "width_10", "negative_seed"],
 )
 def test_synth_rejected_params_leave_no_out_dir(tmp_path, capsys, bad):
     out_dir = tmp_path / "data"
-    assert main(["synth", "--seed", "7", *bad, "--out-dir", str(out_dir)]) == 1
-    assert "InvalidParams" in capsys.readouterr().err
+    assert main(["synth", *bad, "--out-dir", str(out_dir)]) == 1
+    assert "error: InvalidParams" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

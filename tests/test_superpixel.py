@@ -150,6 +150,22 @@ def test_rag_merge_rejects_max_regions_below_one(rng, max_regions):
         rag_merge(spmap, img, 0.0, max_regions=max_regions)
 
 
+@pytest.mark.parametrize("merge_thresh", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+def test_rag_merge_rejects_merge_thresh_outside_seg_params_range(merge_thresh):
+    img, _, _ = gen_synthetic(7, 1)[0]
+    spmap = felzenszwalb(img, SegParams())  # 20 regions: each of these merged them to 1
+    with pytest.raises(InvalidParams, match="merge_thresh"):
+        rag_merge(spmap, img, merge_thresh)
+
+
+def _color_dist(a, b):
+    """Euclidean distance of RGB colors a and b along the last axis, the
+    squares summed left to right as _felzenszwalb.c sums them. Elementwise
+    only, so no BLAS kernel decides how it rounds."""
+    d = a - b
+    return np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2])
+
+
 def _reference_rag_merge(spmap, image, merge_thresh, max_regions=None):
     """Pairwise-scan greedy merge over a dict-of-sets RAG: every step scans
     all alive pairs in (i, j) order and replaces the best only when a
@@ -181,7 +197,7 @@ def _reference_rag_merge(spmap, image, merge_thresh, max_regions=None):
             for j in sorted(adj[i]):
                 if j <= i:
                     continue
-                d = float(np.linalg.norm(mi - mean(j)))
+                d = float(_color_dist(mi, mean(j)))
                 if best is None or d < best[0] - 1e-12:
                     best = (d, i, j)
         if best is None:
@@ -233,23 +249,23 @@ def test_rag_merge_matches_pairwise_scan_oracle(seed):
 
 
 # One row of pixels: single-pixel regions around a three-pixel region whose
-# mean is at distance exactly 25 from each of them. np.linalg.norm of the
-# 3-vector rounds each 25 as noted; a per-row norm(axis=1) rounds some of
-# them the other way.
+# mean is at distance exactly 25 from each of them. The squares summed left
+# to right round each 25 as noted; a fused multiply-add chain rounds the
+# at_thresh and below_thresh rows the other way.
 _ROUNDING_CASES = [
     # d(0, 1) = 25.000000000000004 and d(1, 2) = 25.0: the forced merge
     # takes the first pair, not the smaller second one
     (
-        [(3, 4, 25), (1, 1, 1), (1, 1, 0), (0, 0, 0), (4, 8, 24)],
+        [(4, 8, 24), (1, 1, 1), (1, 1, 0), (0, 0, 0), (3, 4, 25)],
         [0, 1, 1, 1, 2],
         0,
         2,
         [0, 0, 0, 0, 1],
     ),
     # d = 25.0: not below the threshold, no merge
-    ([(4, 9, 24), (1, 1, 1), (1, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 1, 1, 1]),
+    ([(5, 25, 4), (1, 1, 1), (0, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 1, 1, 1]),
     # d = 24.999999999999996: below the threshold, merged
-    ([(5, 25, 4), (1, 1, 1), (0, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 0, 0, 0]),
+    ([(4, 9, 24), (1, 1, 1), (1, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 0, 0, 0]),
 ]
 
 
@@ -269,30 +285,23 @@ def test_rag_merge_exact_distance_rounding(pixels, region_of, thresh, max_region
 
 def _rounding_probes(count=3000):
     """(image, spmap, d): one row of two regions, 1-5 px each in random u8
-    colors, and d = np.linalg.norm of the difference of their means."""
+    colors, and d = _color_dist of their means."""
     rng = np.random.default_rng(2024)
     for _ in range(count):
         n0, n1 = rng.integers(1, 6, size=2)
         pix = rng.integers(0, 256, size=(n0 + n1, 3))
         region_of = np.repeat(np.array([0, 1], dtype=np.int32), [n0, n1])[None, :]
         means = np.stack([pix[:n0].sum(axis=0) / n0, pix[n0:].sum(axis=0) / n1])
-        yield make_image(pix[None]), SuperpixelMap(region_of), np.linalg.norm(means[0] - means[1])
+        yield make_image(pix[None]), SuperpixelMap(region_of), _color_dist(means[0], means[1])
 
 
 # A merge happens exactly when the distance is below merge_thresh, so a
 # threshold of d keeps the pair and the next double above d merges it: the
-# native distance must round as np.linalg.norm does on every probe
-def test_rag_merge_distance_rounds_as_numpy_norm():
+# native distance must round as the left-to-right sum does on every probe
+def test_rag_merge_distance_rounds_as_left_to_right_sum():
     for img, spmap, d in _rounding_probes():
         assert rag_merge(spmap, img, d).n_regions == 2, d
         assert rag_merge(spmap, img, np.nextafter(d, np.inf)).n_regions == 1, d
-
-
-def _mean_dist(means, ea, eb):
-    """Mean-color distance of each (ea, eb) row pair: sqrt of a batched
-    matmul, which rounds as np.linalg.norm of one 3-vector does."""
-    diff = means[ea] - means[eb]
-    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
 def _reference_incremental_rag_merge(spmap, image, merge_thresh, max_regions=None):
@@ -308,7 +317,7 @@ def _reference_incremental_rag_merge(spmap, image, merge_thresh, max_regions=Non
     )
     means = sums / counts[:, None]
     ea, eb = region_edges(spmap.region_of).T.copy()
-    dist = _mean_dist(means, ea, eb)
+    dist = _color_dist(means[ea], means[eb])
     final = np.arange(n)
     n_alive = n
     while len(dist):
@@ -328,7 +337,7 @@ def _reference_incremental_rag_merge(spmap, image, merge_thresh, max_regions=Non
         keep = ea != eb
         ea, eb, dist = np.minimum(ea[keep], eb[keep]), np.maximum(ea[keep], eb[keep]), dist[keep]
         touch = np.flatnonzero((ea == i) | (eb == i))
-        dist[touch] = _mean_dist(means, ea[touch], eb[touch])
+        dist[touch] = _color_dist(means[ea[touch]], means[eb[touch]])
     new_id = np.unique(final, return_inverse=True)[1].astype(np.int32)
     return SuperpixelMap(new_id[spmap.region_of])
 
@@ -454,8 +463,9 @@ def _numpy_grid_edges(smoothed):
         x0, x1 = max(0, -dx), w - max(0, dx)
         a = idx[y0:y1, x0:x1].ravel()
         b = idx[y0 + dy : y1 + dy, x0 + dx : x1 + dx].ravel()
-        diff = smoothed[y0:y1, x0:x1] - smoothed[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-        wgt = np.sqrt((diff * diff).sum(axis=2)).ravel()
+        wgt = _color_dist(
+            smoothed[y0:y1, x0:x1], smoothed[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+        ).ravel()
         pieces.append((a, b, wgt, a * 4 + order))
     a, b, wgt, gen = (np.concatenate(p) for p in zip(*pieces))
     by_weight = np.lexsort((gen, wgt))
@@ -677,8 +687,8 @@ def test_native_build_reused_from_cache(tmp_path, monkeypatch):
 
 def test_native_source_compiles_without_warnings(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
-    # linked as _build_felz links it, source first so -lm is kept, and every
-    # symbol (fma included) must resolve
+    # linked as _build_felz links it, and every symbol must resolve: with
+    # -fno-math-errno, sqrt is an instruction and needs no libm
     flags = ["-Wall", "-Wextra", "-Werror", *superpixel._FELZ_FLAGS, "-Wl,--no-undefined"]
     cmd = ["gcc", str(superpixel._FELZ_SOURCE), *flags, "-o", str(tmp_path / "lint.so")]
     proc = subprocess.run(cmd, capture_output=True, text=True)

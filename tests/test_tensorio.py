@@ -182,6 +182,19 @@ def test_tensor_rejects_nan(tmp_path):
         save_tensor(arr, tmp_path / "t.dfnt")
 
 
+@pytest.mark.parametrize("dtype", [">f4", ">u2"])
+def test_tensor_big_endian_saved_as_little_endian(tmp_path, dtype):
+    arr = np.arange(6, dtype=dtype).reshape(2, 3)
+    save_tensor(arr, tmp_path / "be.dfnt")
+    save_tensor(arr.astype(arr.dtype.newbyteorder("<")), tmp_path / "le.dfnt")
+    assert (tmp_path / "be.dfnt").read_bytes() == (tmp_path / "le.dfnt").read_bytes()
+    assert np.array_equal(load_tensor(tmp_path / "be.dfnt"), arr)
+    if arr.dtype.kind == "f":
+        arr[1, 1] = np.nan
+        with pytest.raises(InvalidParams):
+            save_tensor(arr, tmp_path / "nan.dfnt")
+
+
 def dfnt_bytes(code, dims, payload=b""):
     """A DFNT file written field by field, bypassing save_tensor's checks."""
     return b"DFNT" + struct.pack(f"<BBB{len(dims)}I", 1, code, len(dims), *dims) + payload
