@@ -15,6 +15,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from seedloop import LoopConfig, gen_synthetic, parse_config, run_closed_loop
+from seedloop.errors import SeedloopError
 from seedloop.pipeline import (
     ablation_configs,
     format_scores,
@@ -49,10 +50,10 @@ def ablation(args):
 
 
 def sweep(args):
+    cfgs = [dataclasses.replace(LoopConfig(), w=w) for w in args.values]
     scenes = gen_synthetic(args.seed, args.count)
-    for w in args.values:
-        cfg = dataclasses.replace(LoopConfig(), w=w)
-        print(f"w={w:.2f} {format_scores(score_scenes(scenes, cfg))}")
+    for cfg in cfgs:
+        print(f"w={cfg.w:.2f} {format_scores(score_scenes(scenes, cfg))}")
 
 
 def build_parser():
@@ -74,8 +75,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except SeedloopError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

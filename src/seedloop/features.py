@@ -18,10 +18,11 @@ N_ORIENT_BINS = 8
 
 
 def standardize(values: np.ndarray) -> np.ndarray:
-    """Z-score each column; columns with zero variance become all-zero."""
+    """Z-score each column; a column of equal values becomes all-zero."""
     centered = values - values.mean(axis=0)
     std = values.std(axis=0)
-    return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
+    varies = (values.max(axis=0) > values.min(axis=0)) & (std > 0)
+    return np.divide(centered, std, out=np.zeros_like(centered), where=varies)
 
 
 def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> np.ndarray:
@@ -34,7 +35,7 @@ def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> np.ndarray:
     counts = np.bincount(flat, minlength=n).astype(np.float64)
     pix = image.data.reshape(-1, 3).astype(np.float64)
 
-    raw = np.zeros((n, 15))
+    raw = np.zeros((n, 7 + N_ORIENT_BINS))
     for c in range(3):
         s1 = np.bincount(flat, weights=pix[:, c], minlength=n)
         s2 = np.bincount(flat, weights=pix[:, c] ** 2, minlength=n)

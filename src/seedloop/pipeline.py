@@ -71,8 +71,8 @@ _CONFIG_KEYS = {
 
 
 def parse_config(path) -> LoopConfig:
-    """Parse a `key = value` config file; '#' starts a comment; unknown keys
-    are errors."""
+    """Parse a `key = value` config file; '#' starts a comment; unknown and
+    repeated keys are errors."""
     values = {sub: {} for sub in (None, *_SUB_CONFIGS)}
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -91,6 +91,8 @@ def parse_config(path) -> LoopConfig:
         if key not in _CONFIG_KEYS:
             raise InvalidParams(f"{path}:{lineno}: unknown key {key!r}")
         sub, parser = _CONFIG_KEYS[key]
+        if key in values[sub]:
+            raise InvalidParams(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             parsed = parser(value)
         except ValueError as e:
@@ -223,14 +225,14 @@ def run_closed_loop(
     Returns (final prediction LabelMap, final SeedState, LoopTrace).
     """
     scene = prepare_scene(image, initial_seeds, cfg, gt)
-    model = LinearSegmenter.zeros(
-        scene.feats.shape[1], cfg.n_categories, learning_rate=cfg.learning_rate, l2=cfg.l2
-    )
+    model = LinearSegmenter(np.zeros((scene.feats.shape[1], cfg.n_categories)))
     state, trace = scene.seeds, LoopTrace()
     for epoch in range(1, cfg.total_epochs + 1):
         n_out = predict(model, scene.feats)
         mixed = custom_walk(state, scene.rel, n_out, cfg.gates, cfg.walk_steps)
-        loss = train_epochs(model, scene.feats, mixed, cfg.epochs_per_phase)
+        loss = train_epochs(
+            model, scene.feats, mixed, cfg.epochs_per_phase, cfg.learning_rate, cfg.l2
+        )
         state = end_epoch(scene, state, n_out, loss, epoch, cfg, trace)
         if trace.stopped_at is not None:
             break

@@ -35,7 +35,7 @@ def distance_matrix(feats: np.ndarray) -> np.ndarray:
     return (d + d.T) / 2.0  # exact symmetry
 
 
-def similarity_matrix(dist: np.ndarray, m: int = 10) -> np.ndarray:
+def similarity_matrix(dist: np.ndarray, m: int) -> np.ndarray:
     """Per row, mark the min(m, N) smallest distances with 1.
 
     Ties go to the smaller column index, so a row can lose its own diagonal
@@ -67,7 +67,7 @@ def relationship_matrix(siml: np.ndarray, adj: np.ndarray) -> RelationshipMatrix
     return RelationshipMatrix(np.logical_and(siml, adj).astype(np.float64))
 
 
-def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int = 10) -> RelationshipMatrix:
+def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int) -> RelationshipMatrix:
     """Convenience wrapper: features -> distances -> top-m -> AND adjacency."""
     siml = similarity_matrix(distance_matrix(feats), m)
     return relationship_matrix(siml, adjacency_matrix(spmap))

@@ -27,7 +27,7 @@ class SeedState:
 
     def __post_init__(self):
         p = self.probs
-        if p.ndim != 2:
+        if p.ndim != 2 or p.shape[0] == 0:
             raise ShapeMismatch(f"probs must be [categories, regions], got {list(p.shape)}")
         if not ((p >= 0) & (p <= 1)).all():  # NaN fails too
             raise ShapeMismatch("probabilities must lie in [0, 1]")

@@ -14,12 +14,10 @@ from .seeds import SeedState
 @dataclass
 class LinearSegmenter:
     """weights (D, C), bias (C,), zeros when not given; sizes are read from
-    the weights. `zeros(D, C)` gives the bit-stable starting model."""
+    the weights. The training hyperparameters are the caller's."""
 
     weights: np.ndarray
     bias: np.ndarray | None = None
-    learning_rate: float = 1e-2
-    l2: float = 1e-3
 
     def __post_init__(self):
         if self.weights.ndim != 2:
@@ -34,10 +32,6 @@ class LinearSegmenter:
             )
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise InvalidParams("model parameters must be finite")
-
-    @classmethod
-    def zeros(cls, n_features: int, n_categories: int, **kwargs) -> LinearSegmenter:
-        return cls(np.zeros((n_features, n_categories)), **kwargs)
 
     @property
     def n_features(self) -> int:
@@ -64,9 +58,9 @@ def predict(model: LinearSegmenter, feats: np.ndarray) -> SeedState:
     return SeedState(_softmax_columns(logits))
 
 
-def loss_and_grad(model: LinearSegmenter, feats: np.ndarray, mixed: SeedState):
+def loss_and_grad(model: LinearSegmenter, feats: np.ndarray, mixed: SeedState, l2: float):
     """Cross-entropy over labeled columns (nonzero sum, renormalized) plus an
-    l2 penalty on the weights; returns (loss, grad_w, grad_b)."""
+    `l2` penalty on the weights; returns (loss, grad_w, grad_b)."""
     if mixed.n_regions != feats.shape[0]:
         raise ShapeMismatch("seed state and features disagree on region count")
     col_mass = mixed.probs.sum(axis=0)
@@ -80,26 +74,31 @@ def loss_and_grad(model: LinearSegmenter, feats: np.ndarray, mixed: SeedState):
     p = _softmax_columns(logits)
     loss = float(
         -(y * np.log(np.maximum(p, 1e-300))).sum() / n_lab
-        + model.l2 * (model.weights**2).sum()
+        + l2 * (model.weights**2).sum()
     )
     delta = (p - y) / n_lab  # (C, L)
-    grad_w = f.T @ delta.T + 2.0 * model.l2 * model.weights
+    grad_w = f.T @ delta.T + 2.0 * l2 * model.weights
     grad_b = delta.sum(axis=1)
     return loss, grad_w, grad_b
 
 
 def train_epochs(
-    model: LinearSegmenter, feats: np.ndarray, mixed: SeedState, epochs: int
+    model: LinearSegmenter,
+    feats: np.ndarray,
+    mixed: SeedState,
+    epochs: int,
+    learning_rate: float,
+    l2: float,
 ) -> float:
-    """Full-batch gradient descent for `epochs` steps; mutates the model and
-    returns the loss before the first step."""
+    """Full-batch gradient descent, `epochs` steps of `learning_rate` on the
+    `l2`-penalized loss; mutates the model and returns the loss before the first."""
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
     losses = []
     for _ in range(epochs):
-        loss, grad_w, grad_b = loss_and_grad(model, feats, mixed)
+        loss, grad_w, grad_b = loss_and_grad(model, feats, mixed, l2)
         losses.append(loss)
-        model.weights = model.weights - model.learning_rate * grad_w
-        model.bias = model.bias - model.learning_rate * grad_b
+        model.weights = model.weights - learning_rate * grad_w
+        model.bias = model.bias - learning_rate * grad_b
     return losses[0]
 

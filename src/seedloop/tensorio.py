@@ -290,20 +290,28 @@ def load_tensor(path) -> np.ndarray:
     return arr
 
 
+# base colors per category: background plus three foreground classes
+_BASE_COLORS = np.array(
+    [[70, 90, 75], [200, 60, 50], [60, 180, 70], [60, 80, 200]], dtype=np.float64
+)
+_N_FOREGROUND = len(_BASE_COLORS) - 1  # a scene holds up to one shape per class
+_SEED_AREA_FRACTION = 0.10  # of each shape, seeded as a central blob
+_MARGIN = 6  # keeps shapes clear of the background seed ring
+
 # size range per shape kind, [side // lo, side // hi) along each side: the box
 # side of a rectangle (kind 0) or a triangle (kind 2), the radius of an ellipse
 # (kind 1)
 _SIZE_DIVISORS = ((6, 3), (10, 6), (5, 3))
 
 
-def _side_fits(side, margin):
+def _side_fits(side):
     """Whether `_shape_mask` can draw every shape kind along a side of `side`
     pixels: each size range is non-empty and above 0, and its largest size
     (twice that for a radius) leaves a position between the two margins."""
     for kind, (lo, hi) in enumerate(_SIZE_DIVISORS):
         largest = side // hi - 1
         extent = 2 * largest if kind == 1 else largest
-        if not 1 <= side // lo <= largest or extent >= side - 2 * margin:
+        if not 1 <= side // lo <= largest or extent >= side - 2 * _MARGIN:
             return False
     return True
 
@@ -314,45 +322,30 @@ class SynthParams:
 
     width: int = 64
     height: int = 64
-    max_shapes: int = 3
-    seed_area_fraction: float = 0.10
     noise_sigma: float = 6.0
-    margin: int = 6  # keeps shapes clear of the background seed ring
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise InvalidParams("margin must be >= 0")
-        if not (_side_fits(self.width, self.margin) and _side_fits(self.height, self.margin)):
+        if not (_side_fits(self.width) and _side_fits(self.height)):
             raise InvalidParams(
                 f"a {self.width}x{self.height} scene cannot hold every shape kind "
-                f"inside margin {self.margin}"
+                f"inside margin {_MARGIN}"
             )
-        if not 1 <= self.max_shapes <= 3:
-            raise InvalidParams("max_shapes must be in 1..3")
-        if not 0 < self.seed_area_fraction < 1:
-            raise InvalidParams("seed_area_fraction must be in (0,1)")
         if not 0 <= self.noise_sigma < np.inf:  # NaN fails too
             raise InvalidParams("noise_sigma must be finite and >= 0")
 
 
-# base colors per category: background plus three foreground classes
-_BASE_COLORS = np.array(
-    [[70, 90, 75], [200, 60, 50], [60, 180, 70], [60, 80, 200]], dtype=np.float64
-)
-
-
-def _shape_mask(kind, rng, h, w, margin):
-    """Return a boolean mask for one random filled shape of `kind`."""
-    yy, xx = np.mgrid[0:h, 0:w]
+def _shape_mask(kind, rng, yy, xx):
+    """A boolean mask of one random filled shape of `kind` on the scene's grids."""
+    h, w = yy.shape
     lo, hi = _SIZE_DIVISORS[kind]
     sw = int(rng.integers(w // lo, w // hi))
     sh = int(rng.integers(h // lo, h // hi))
     if kind == 1:  # ellipse with radii sw, sh
-        cx = int(rng.integers(margin + sw, w - margin - sw))
-        cy = int(rng.integers(margin + sh, h - margin - sh))
+        cx = int(rng.integers(_MARGIN + sw, w - _MARGIN - sw))
+        cy = int(rng.integers(_MARGIN + sh, h - _MARGIN - sh))
         return ((xx - cx) / sw) ** 2 + ((yy - cy) / sh) ** 2 <= 1.0
-    x0 = int(rng.integers(margin, w - margin - sw))
-    y0 = int(rng.integers(margin, h - margin - sh))
+    x0 = int(rng.integers(_MARGIN, w - _MARGIN - sw))
+    y0 = int(rng.integers(_MARGIN, h - _MARGIN - sh))
     box = (xx >= x0) & (xx < x0 + sw) & (yy >= y0) & (yy < y0 + sh)
     if kind == 0:  # rectangle
         return box
@@ -375,8 +368,8 @@ def _central_seed_blob(mask, frac):
 def gen_synthetic(rng_seed: int, count: int, params: SynthParams = SynthParams()):
     """Generate `count` scenes of (image, ground truth, sparse initial seeds).
 
-    Each scene has a textured background (category 0) and 1-3 non-overlapping
-    shapes in distinct foreground categories. Initial seeds label a small
+    Each scene has a textured background (category 0) and non-overlapping
+    shapes, at most one per foreground category. Initial seeds label a small
     central blob per shape plus a sparse background ring; everything else is
     ignore (255). Deterministic for a fixed rng_seed.
     """
@@ -386,25 +379,25 @@ def gen_synthetic(rng_seed: int, count: int, params: SynthParams = SynthParams()
         raise InvalidParams(f"rng_seed must be >= 0, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     h, w = params.height, params.width
+    yy, xx = np.mgrid[0:h, 0:w]
     scenes = []
     for _ in range(count):
         gt = np.zeros((h, w), dtype=np.uint8)
         seeds = np.full((h, w), IGNORE, dtype=np.uint8)
 
         # textured background: base color plus low-frequency sinusoid
-        yy, xx = np.mgrid[0:h, 0:w]
         phase = rng.uniform(0, 2 * np.pi)
         tex = 12.0 * np.sin(2 * np.pi * xx / 17 + phase) * np.cos(2 * np.pi * yy / 13)
         img = _BASE_COLORS[0][None, None, :] + tex[:, :, None]
 
-        n_shapes = int(rng.integers(1, params.max_shapes + 1))
+        n_shapes = int(rng.integers(1, _N_FOREGROUND + 1))
         occupied = np.zeros((h, w), dtype=bool)
-        categories = rng.permutation(np.arange(1, 4))[:n_shapes]
+        categories = rng.permutation(np.arange(1, _N_FOREGROUND + 1))[:n_shapes]
         for cat in categories:
             mask = None
             for _attempt in range(30):
                 kind = int(rng.integers(0, 3))
-                cand = _shape_mask(kind, rng, h, w, params.margin)
+                cand = _shape_mask(kind, rng, yy, xx)
                 if cand.sum() >= 20 and not (cand & occupied).any():
                     mask = cand
                     break
@@ -414,7 +407,7 @@ def gen_synthetic(rng_seed: int, count: int, params: SynthParams = SynthParams()
             gt[mask] = cat
             jitter = rng.normal(0, 12, size=3)
             img[mask] = _BASE_COLORS[cat] + jitter
-            sy, sx = _central_seed_blob(mask, params.seed_area_fraction)
+            sy, sx = _central_seed_blob(mask, _SEED_AREA_FRACTION)
             seeds[sy, sx] = cat
 
         img = img + rng.normal(0, params.noise_sigma, size=img.shape)

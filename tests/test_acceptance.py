@@ -225,15 +225,14 @@ def test_criterion_5_gradient_check():
     h = 1e-5
     for _ in range(20):
         d, c, n = int(rng.integers(2, 8)), int(rng.integers(2, 5)), int(rng.integers(3, 10))
-        model = LinearSegmenter(rng.standard_normal((d, c)), rng.standard_normal(c), l2=1e-3)
+        model = LinearSegmenter(rng.standard_normal((d, c)), rng.standard_normal(c))
         f = rng.standard_normal((n, d))
         p = rng.random((c, n))
         mixed = SeedState(p / p.sum(axis=0, keepdims=True))
-        _, grad_w, grad_b = loss_and_grad(model, f, mixed)
+        _, grad_w, grad_b = loss_and_grad(model, f, mixed, 1e-3)
 
         def loss_at(wts, bias, f=f, mixed=mixed):
-            m = LinearSegmenter(wts, bias, l2=1e-3)
-            return loss_and_grad(m, f, mixed)[0]
+            return loss_and_grad(LinearSegmenter(wts, bias), f, mixed, 1e-3)[0]
 
         fd_w = np.zeros_like(grad_w)
         for i in range(d):

@@ -151,10 +151,11 @@ def test_walk_subcommand(stages, tmp_path, capsys):
         assert main([*args, "--rel", str(tmp_path / "bad.dfnt")]) == 1
         assert "ShapeMismatch" in capsys.readouterr().err
 
-    # seeds must be [C, N], not one flat vector
-    save_tensor(seeds[1], tmp_path / "s.dfnt")
-    assert main([*args, "--rel", rel]) == 1
-    assert "ShapeMismatch" in capsys.readouterr().err
+    # seeds must be [C, N], not one flat vector, nor C = 0
+    for bad in (seeds[1], np.zeros((0, n), dtype=np.float32)):
+        save_tensor(bad, tmp_path / "s.dfnt")
+        assert main([*args, "--rel", rel]) == 1
+        assert "error: ShapeMismatch" in capsys.readouterr().err
 
 
 def test_walk_rejects_steps_below_one(stages, tmp_path, capsys):

@@ -26,3 +26,20 @@ def test_experiment_subcommands(experiment_main, capsys, command, heads):
     assert [line.split()[0] for line in out] == heads
     scored = [line for line in out if not line.startswith("scene")]
     assert all(re.search(r" accu=[01]\.\d{4} mIoU=[01]\.\d{4} fIoU=[01]\.\d{4}$", s) for s in scored)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("sweep --count 1 --values 0.1 1.5", "InvalidParams"),
+        ("ablation --count 0", "InvalidParams"),
+        ("loop --count 1 --config {tmp}/absent.cfg", "MissingFile"),
+    ],
+    ids=["sweep_w", "ablation_count", "loop_config"],
+)
+def test_experiment_bad_input_is_one_error_line(experiment_main, capsys, tmp_path, argv, error):
+    # every config is built before a scene runs, so nothing reaches stdout
+    assert experiment_main(argv.format(tmp=tmp_path).split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1

@@ -83,6 +83,14 @@ def test_dimension_mismatch(rng):
         superpixel_features(img, spmap)
 
 
+@pytest.mark.parametrize("rows", [3, 7])
+def test_standardize_zeroes_constant_column_whose_std_rounds_above_zero(rows):
+    # the mean of 0.1 repeated does not round back to 0.1, so std > 0
+    values = np.full((rows, 1), 0.1)
+    assert values.std(axis=0)[0] > 0
+    assert np.array_equal(standardize(values), np.zeros_like(values))
+
+
 def test_standardization_idempotent(rng):
     v = rng.standard_normal((10, 5))
     v[:, 2] = 3.5  # zero variance

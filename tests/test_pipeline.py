@@ -307,6 +307,13 @@ def test_parse_config_unknown_key(tmp_path):
         parse_config(p)
 
 
+def test_parse_config_duplicate_key(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("w = 0.3\nw = 0.5\n")
+    with pytest.raises(InvalidParams, match=r"cfg\.txt:2: duplicate key 'w'"):
+        parse_config(p)
+
+
 def test_parse_config_missing_file(tmp_path):
     with pytest.raises(MissingFile):
         parse_config(tmp_path / "absent.txt")

@@ -31,8 +31,14 @@ def random_state(rng, c, n):
 
 @pytest.mark.parametrize(
     "probs",
-    [np.full((2, 3), np.nan), np.full((2, 3), -0.1), np.full((2, 3), 0.6), np.zeros(3)],
-    ids=["nan", "negative", "column_mass", "not_2d"],
+    [
+        np.full((2, 3), np.nan),
+        np.full((2, 3), -0.1),
+        np.full((2, 3), 0.6),
+        np.zeros(3),
+        np.zeros((0, 3)),
+    ],
+    ids=["nan", "negative", "column_mass", "not_2d", "no_categories"],
 )
 def test_state_rejects_bad_probs(probs):
     with pytest.raises(ShapeMismatch):

@@ -7,7 +7,7 @@ from seedloop.seeds import SeedState
 
 
 def test_zero_model_uniform_predictions(rng):
-    model = LinearSegmenter.zeros(5, 4)
+    model = LinearSegmenter(np.zeros((5, 4)))
     out = predict(model, rng.standard_normal((7, 5)))
     assert np.allclose(out.probs, 0.25)
 
@@ -30,38 +30,37 @@ def test_predict_matches_straight_line_softmax(rng):
 
 
 def test_predict_shape_mismatch(rng):
-    model = LinearSegmenter.zeros(4, 3)
+    model = LinearSegmenter(np.zeros((4, 3)))
     with pytest.raises(ShapeMismatch):
         predict(model, rng.standard_normal((5, 6)))
 
 
 def test_loss_no_labeled_regions(rng):
-    model = LinearSegmenter.zeros(3, 2)
+    model = LinearSegmenter(np.zeros((3, 2)))
     with pytest.raises(NoLabeledRegions):
-        loss_and_grad(model, rng.standard_normal((4, 3)), SeedState(np.zeros((2, 4))))
+        loss_and_grad(model, rng.standard_normal((4, 3)), SeedState(np.zeros((2, 4))), 1e-3)
 
 
 def test_perfect_predictions_near_zero_loss():
-    model = LinearSegmenter(np.zeros((2, 2)), np.array([50.0, -50.0]), l2=0.0)
+    model = LinearSegmenter(np.zeros((2, 2)), np.array([50.0, -50.0]))
     f = np.zeros((3, 2))
     mixed = SeedState(np.vstack([np.ones(3), np.zeros(3)]))
-    loss, _, _ = loss_and_grad(model, f, mixed)
+    loss, _, _ = loss_and_grad(model, f, mixed, 0.0)
     assert loss == pytest.approx(0.0, abs=1e-20)
 
 
 def test_gradient_matches_finite_differences(rng):
     h = 1e-5
     for _ in range(5):
-        model = LinearSegmenter(rng.standard_normal((4, 3)), rng.standard_normal(3), l2=1e-3)
+        model = LinearSegmenter(rng.standard_normal((4, 3)), rng.standard_normal(3))
         f = rng.standard_normal((6, 4))
         probs = rng.random((3, 6))
         probs[:, rng.integers(0, 6)] = 0.0  # keep an unlabeled column
         mixed = SeedState(probs / np.maximum(probs.sum(axis=0, keepdims=True), 1.0))
-        _, grad_w, grad_b = loss_and_grad(model, f, mixed)
+        _, grad_w, grad_b = loss_and_grad(model, f, mixed, 1e-3)
 
         def loss_at(wts, bias):
-            m = LinearSegmenter(wts, bias, l2=1e-3)
-            return loss_and_grad(m, f, mixed)[0]
+            return loss_and_grad(LinearSegmenter(wts, bias), f, mixed, 1e-3)[0]
 
         fd_w = np.zeros_like(grad_w)
         for i in range(4):
@@ -87,22 +86,22 @@ def test_training_decreases_loss_on_separable_toy(rng):
     labels[0, :10] = 1.0
     labels[1, 10:] = 1.0
     mixed = SeedState(labels)
-    model = LinearSegmenter.zeros(3, 2, learning_rate=1e-2, l2=0.0)
+    model = LinearSegmenter(np.zeros((3, 2)))
     losses = []
     for _ in range(50):
-        losses.append(loss_and_grad(model, f, mixed)[0])
+        losses.append(loss_and_grad(model, f, mixed, 0.0)[0])
         # the returned loss is the one before the step
-        assert train_epochs(model, f, mixed, 1) == losses[-1]
+        assert train_epochs(model, f, mixed, 1, 1e-2, 0.0) == losses[-1]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 
 
 def test_train_epochs_rejects_zero(rng):
-    model = LinearSegmenter.zeros(3, 2)
+    model = LinearSegmenter(np.zeros((3, 2)))
     f = rng.standard_normal((4, 3))
     mixed = SeedState(np.vstack([np.ones(4), np.zeros(4)]))
     with pytest.raises(InvalidParams):
-        train_epochs(model, f, mixed, 0)
+        train_epochs(model, f, mixed, 0, 1e-2, 1e-3)
 
 
 def test_training_deterministic(rng):
@@ -110,8 +109,8 @@ def test_training_deterministic(rng):
     mixed = SeedState(np.vstack([np.ones(6) * 0.5, np.ones(6) * 0.5]))
     runs = []
     for _ in range(2):
-        model = LinearSegmenter.zeros(4, 2)
-        train_epochs(model, f, mixed, 10)
+        model = LinearSegmenter(np.zeros((4, 2)))
+        train_epochs(model, f, mixed, 10, 1e-2, 1e-3)
         runs.append((model.weights.copy(), model.bias.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -122,8 +121,6 @@ def test_sizes_read_from_weights():
     model = LinearSegmenter(np.zeros((3, 7)))
     assert (model.n_features, model.n_categories) == (3, 7)
     assert np.array_equal(model.bias, np.zeros(7))
-    zero = LinearSegmenter.zeros(3, 7, learning_rate=0.5)
-    assert zero.weights.shape == (3, 7) and zero.learning_rate == 0.5
     with pytest.raises(AttributeError):
         model.n_categories = 4
 
