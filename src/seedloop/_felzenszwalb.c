@@ -3,8 +3,9 @@
  *
  * felz_segment builds the 8-connected grid graph of an image, sorts its
  * edges by (weight, generation index) and runs the two union-find passes
- * over the sorted edges. It allocates its own buffers and frees them before
- * it returns; it returns nonzero when an allocation fails. On success
+ * over the sorted edges; it needs h * w <= 2^30. It allocates its own
+ * buffers and frees them before it returns; it returns nonzero when an
+ * allocation fails. On success
  * root[p], for each of the h * w pixels, is the root of pixel p's component.
  * Which root names a component does not matter: the caller renumbers
  * components by first pixel in scan order.
@@ -22,17 +23,9 @@ void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
 
 #define DIGIT_BITS 11
 #define N_BUCKETS (1 << DIGIT_BITS)
-#define N_PASSES 6 /* 6 * 11 bits cover the 64-bit key */
-
-/* One sort entry: the weight, sorted on as its IEEE-754 bits, and the
- * generation index 4 * a + direction, from which both end pixels follow. */
-typedef struct {
-    union {
-        double wgt;
-        uint64_t key;
-    };
-    uint64_t gen;
-} entry;
+#define N_PASSES 3 /* 3 * 11 bits cover the top 32 bits of a record */
+#define SHORT_RUN 256 /* fix-up: merge sort up to this run length, radix above */
+#define LOW32 UINT64_C(0xffffffff)
 
 /* The Euclidean distance of two RGB colors, the squares summed left to
  * right: both the edge weights and the merge distances are this one. */
@@ -42,21 +35,126 @@ static double color_dist(const double *pa, const double *pb)
     return sqrt((d0 * d0 + d1 * d1) + d2 * d2);
 }
 
-/* The n_edges edges of an (h, w, 3) row-major image, sorted by weight;
- * equal weights keep generation order: per pixel in row-major order the
- * neighbors right, down, down-right, down-left, at step[0..3] from it.
- * Returns a malloc'd buffer the caller frees, or NULL when an allocation
- * fails (and, allowed by malloc(0), possibly when n_edges is 0).
- *
- * Every weight is +0.0 or a positive finite number, so the order of the
- * weights' bit patterns is their numeric order, and a stable LSD radix sort
- * on the bits reproduces the sort by (weight, generation index). */
-static entry *sorted_edges(int64_t h, int64_t w, const double *img,
-                           const int64_t step[4], int64_t n_edges)
+/* The IEEE-754 bits of x: for +0.0 and positive finite x, their order as
+ * integers is the numeric order of the doubles. */
+static uint64_t key_of(double x)
 {
-    entry *src = malloc((size_t)n_edges * sizeof *src);
-    entry *dst = malloc((size_t)n_edges * sizeof *dst), *tmp;
-    int64_t n = 0, y, x, i, d, pass;
+    uint64_t key;
+    memcpy(&key, &x, sizeof key);
+    return key;
+}
+
+/* Adds the N_PASSES digits of record r's top 32 bits to hist. */
+static void count_digits(uint64_t r, int64_t hist[N_PASSES][N_BUCKETS])
+{
+    int pass;
+    for (pass = 0; pass < N_PASSES; pass++)
+        hist[pass][(r >> (32 + pass * DIGIT_BITS)) & (N_BUCKETS - 1)]++;
+}
+
+/* Stable LSD radix sort of the n records of src on their top 32 bits, from
+ * the digit counts in hist (overwritten); dst is scratch of n records.
+ * Returns whichever of src and dst holds the sorted records. */
+static uint64_t *radix_sort_hi(uint64_t *src, uint64_t *dst, int64_t n,
+                               int64_t hist[N_PASSES][N_BUCKETS])
+{
+    int pass;
+    for (pass = 0; pass < N_PASSES && n > 0; pass++) {
+        int shift = 32 + pass * DIGIT_BITS;
+        int64_t *count = hist[pass], total = 0, b, i;
+        uint64_t *tmp;
+        if (count[(src[0] >> shift) & (N_BUCKETS - 1)] == n)
+            continue; /* every record shares this digit: the pass moves nothing */
+        for (b = 0; b < N_BUCKETS; b++) { /* counts -> first slot of each bucket */
+            int64_t c = count[b];
+            count[b] = total;
+            total += c;
+        }
+        /* forward scatter: equal digits keep their order, so the sort is stable */
+        for (i = 0; i < n; i++)
+            dst[count[(src[i] >> shift) & (N_BUCKETS - 1)]++] = src[i];
+        tmp = src;
+        src = dst;
+        dst = tmp;
+    }
+    return src;
+}
+
+/* Sorts the n values of v ascending; tmp is scratch of n / 2 values. */
+static void merge_sort(uint64_t *v, uint64_t *tmp, int64_t n)
+{
+    int64_t half = n / 2, i, j, o;
+    if (n <= 16) { /* insertion sort */
+        for (i = 1; i < n; i++) {
+            uint64_t x = v[i];
+            for (j = i; j > 0 && v[j - 1] > x; j--)
+                v[j] = v[j - 1];
+            v[j] = x;
+        }
+        return;
+    }
+    merge_sort(v, tmp, half);
+    merge_sort(v + half, tmp, n - half);
+    memcpy(tmp, v, (size_t)half * sizeof *v);
+    /* once tmp runs out, the rest of the right half is in place */
+    for (i = 0, j = half, o = 0; i < half; o++)
+        v[o] = j < n && v[j] < tmp[i] ? v[j++] : tmp[i++];
+}
+
+/* Puts the m records of run, which share their top 32 bits and are in
+ * generation order, in (weight, generation index) order; tmp is scratch of
+ * m records, hist scratch for the radix sort. Only the low 32 key bits can
+ * differ, so a run whose low bits never fall is left as it is. Otherwise
+ * each record becomes (low 32 key bits, generation index), a value unique
+ * to it, whose integer order is the wanted order: a merge sort for runs up
+ * to SHORT_RUN long and a 3-pass radix sort above bound the fix-up by
+ * O(n log SHORT_RUN) over all runs. The top bits go back on at the end. */
+static void fix_run(uint64_t *run, int64_t m, uint64_t *tmp, const double *wgt,
+                    int64_t hist[N_PASSES][N_BUCKETS])
+{
+    uint64_t hi = run[0] & ~LOW32, *sorted = run;
+    int64_t i;
+    for (i = 1; i < m; i++)
+        if ((key_of(wgt[run[i - 1] & LOW32]) & LOW32) > (key_of(wgt[run[i] & LOW32]) & LOW32))
+            break;
+    if (i == m)
+        return;
+    if (m > SHORT_RUN)
+        memset(hist, 0, N_PASSES * sizeof *hist);
+    for (i = 0; i < m; i++) {
+        uint64_t gen = run[i] & LOW32;
+        run[i] = key_of(wgt[gen]) << 32 | gen;
+        if (m > SHORT_RUN)
+            count_digits(run[i], hist);
+    }
+    if (m > SHORT_RUN)
+        sorted = radix_sort_hi(run, tmp, m, hist);
+    else
+        merge_sort(run, tmp, m);
+    for (i = 0; i < m; i++)
+        run[i] = hi | (sorted[i] & LOW32);
+}
+
+/* The n_edges edges of an (h, w, 3) row-major image in (weight, generation
+ * index) order, the generation index 4 * a + d of the edge from pixel a to
+ * its neighbor right, down, down-right or down-left, d = 0..3, at step[d]
+ * from it. Each weight goes to wgt[4 * a + d]; slots of edges that leave the
+ * image stay unset. Returns a malloc'd buffer of records the caller frees,
+ * or NULL when an allocation fails (and, allowed by malloc(0), possibly
+ * when n_edges is 0).
+ *
+ * A record is the top 32 bits of the weight's IEEE-754 bits over the
+ * generation index: h * w <= 2^30, so the index fits in the low 32 bits.
+ * Every weight is +0.0 or a positive finite number, so bit order is numeric
+ * order. Three stable 11-bit LSD radix passes order the records by their
+ * top bits and, within equal top bits, by generation index; fix_run then
+ * orders each run of equal top bits by the weight's full bits. */
+static uint64_t *sorted_edges(int64_t h, int64_t w, const double *img,
+                              const int64_t step[4], int64_t n_edges, double *wgt)
+{
+    uint64_t *src = malloc((size_t)n_edges * sizeof *src);
+    uint64_t *dst = malloc((size_t)n_edges * sizeof *dst), *out;
+    int64_t n = 0, y, x, i, j, d;
     int64_t hist[N_PASSES][N_BUCKETS];
 
     if (n_edges > 0 && (src == NULL || dst == NULL)) {
@@ -70,35 +168,26 @@ static entry *sorted_edges(int64_t h, int64_t w, const double *img,
             int64_t a = y * w + x;
             int has[4] = {x + 1 < w, y + 1 < h, y + 1 < h && x + 1 < w, y + 1 < h && x > 0};
             for (d = 0; d < 4; d++) {
+                uint64_t gen = (uint64_t)(4 * a + d);
                 if (!has[d])
                     continue;
-                src[n].wgt = color_dist(img + 3 * a, img + 3 * (a + step[d]));
-                src[n].gen = (uint64_t)(4 * a + d);
-                for (pass = 0; pass < N_PASSES; pass++)
-                    hist[pass][(src[n].key >> (pass * DIGIT_BITS)) & (N_BUCKETS - 1)]++;
+                wgt[gen] = color_dist(img + 3 * a, img + 3 * (a + step[d]));
+                src[n] = (key_of(wgt[gen]) & ~LOW32) | gen;
+                count_digits(src[n], hist);
                 n++;
             }
         }
     }
-    for (pass = 0; pass < N_PASSES && n_edges > 0; pass++) {
-        int shift = (int)(pass * DIGIT_BITS);
-        int64_t *count = hist[pass], total = 0, b;
-        if (count[(src[0].key >> shift) & (N_BUCKETS - 1)] == n_edges)
-            continue; /* every key shares this digit: the pass moves nothing */
-        for (b = 0; b < N_BUCKETS; b++) { /* counts -> first slot of each bucket */
-            int64_t c = count[b];
-            count[b] = total;
-            total += c;
-        }
-        /* forward scatter: equal digits keep their order, so the sort is stable */
-        for (i = 0; i < n_edges; i++)
-            dst[count[(src[i].key >> shift) & (N_BUCKETS - 1)]++] = src[i];
-        tmp = src;
-        src = dst;
-        dst = tmp;
+    out = radix_sort_hi(src, dst, n_edges, hist);
+    dst = out == src ? dst : src; /* the other buffer is the fix-up's scratch */
+    for (i = 0; i < n_edges; i = j) {
+        for (j = i + 1; j < n_edges && out[j] >> 32 == out[i] >> 32; j++)
+            ;
+        if (j - i > 1)
+            fix_run(out + i, j - i, dst, wgt, hist);
     }
     free(dst);
-    return src;
+    return out;
 }
 
 static int64_t find(int64_t *parent, int64_t x)
@@ -123,9 +212,9 @@ static int64_t link(int64_t *parent, int64_t *size, int64_t a, int64_t b)
     return a;
 }
 
-static void union_find(int64_t n_pixels, int64_t n_edges, const entry *edges,
-                       const int64_t step[4], double k, double min_size,
-                       int64_t *root, int64_t *size, double *thresh)
+static void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *edges,
+                       const double *wgt, const int64_t step[4], double k,
+                       double min_size, int64_t *root, int64_t *size, double *thresh)
 {
     int64_t p, e;
     for (p = 0; p < n_pixels; p++) {
@@ -135,19 +224,21 @@ static void union_find(int64_t n_pixels, int64_t n_edges, const entry *edges,
     }
     /* merge when w <= min(Int(Ca) + k/|Ca|, Int(Cb) + k/|Cb|) */
     for (e = 0; e < n_edges; e++) {
-        int64_t a = (int64_t)(edges[e].gen >> 2), b = a + step[edges[e].gen & 3];
+        uint64_t gen = edges[e] & LOW32;
+        int64_t a = (int64_t)(gen >> 2), b = a + step[gen & 3];
         a = find(root, a);
         b = find(root, b);
-        double wgt = edges[e].wgt;
-        if (a == b || wgt > thresh[a] || wgt > thresh[b])
+        double we = wgt[gen];
+        if (a == b || we > thresh[a] || we > thresh[b])
             continue;
         a = link(root, size, a, b);
-        thresh[a] = wgt + k / (double)size[a];
+        thresh[a] = we + k / (double)size[a];
     }
     /* absorb small components; ascending edge order reaches the
      * lowest-weight neighbor of each small component first */
     for (e = 0; e < n_edges; e++) {
-        int64_t a = (int64_t)(edges[e].gen >> 2), b = a + step[edges[e].gen & 3];
+        uint64_t gen = edges[e] & LOW32;
+        int64_t a = (int64_t)(gen >> 2), b = a + step[gen & 3];
         a = find(root, a);
         b = find(root, b);
         if (a == b || ((double)size[a] >= min_size && (double)size[b] >= min_size))
@@ -164,14 +255,16 @@ int felz_segment(int64_t h, int64_t w, const double *img, double k,
     const int64_t step[4] = {1, w, w + 1, w - 1};
     int64_t n_pixels = h * w;
     int64_t n_edges = h * (w - 1) + (h - 1) * w + 2 * (h - 1) * (w - 1);
-    entry *edges = sorted_edges(h, w, img, step, n_edges);
+    double *wgt = malloc((size_t)(4 * n_pixels) * sizeof *wgt);
+    uint64_t *edges = wgt == NULL ? NULL : sorted_edges(h, w, img, step, n_edges, wgt);
     int64_t *size = malloc((size_t)n_pixels * sizeof *size);
     double *thresh = malloc((size_t)n_pixels * sizeof *thresh);
     /* a 1x1 image has no edges: a NULL from malloc(0) is no failure */
-    int failed = (edges == NULL && n_edges > 0) || size == NULL || thresh == NULL;
+    int failed = wgt == NULL || (edges == NULL && n_edges > 0) || size == NULL || thresh == NULL;
 
     if (!failed)
-        union_find(n_pixels, n_edges, edges, step, k, min_size, root, size, thresh);
+        union_find(n_pixels, n_edges, edges, wgt, step, k, min_size, root, size, thresh);
+    free(wgt);
     free(edges);
     free(size);
     free(thresh);

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionMismatch, InvalidParams, NativeBuildError, ShapeMismatch
+from .errors import DimensionMismatch, DimOverflow, InvalidParams, NativeBuildError, ShapeMismatch
 from .tensorio import RasterImage
 
 _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
@@ -138,8 +138,18 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     the 4-connected components of the result, numbered in scan order. The edge
     build and sort and the two union-find passes are one call into
     _felzenszwalb.c, compiled by gcc on first call.
+
+    The sort moves 8-byte records: the top 32 bits of the weight's IEEE-754
+    bits over the 32-bit generation index 4 * pixel + direction, so images of
+    more than 2**30 pixels raise DimOverflow before any work. Three stable
+    11-bit radix passes order the records by those top bits; each run of
+    equal top bits whose full weights are out of order is then sorted by the
+    low 32 bits, by merge sort up to 256 records and by three more radix
+    passes above, so the fix-up costs O(n log 256) at worst.
     """
     h, w = image.height, image.width
+    if h * w > 2**30:
+        raise DimOverflow(f"a {h}x{w} image has more than 2**30 pixels")
     img = image.data.astype(np.float64)
     if params.sigma > 0:  # blur each channel on its own
         img = ndimage.gaussian_filter(img, (params.sigma, params.sigma, 0))

@@ -3,14 +3,29 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from seedloop import SegParams, SynthParams, felzenszwalb, gen_synthetic, rag_merge, superpixel
-from seedloop.errors import DimensionMismatch, InvalidParams, NativeBuildError, ShapeMismatch
+from seedloop import (
+    RasterImage,
+    SegParams,
+    SynthParams,
+    felzenszwalb,
+    gen_synthetic,
+    rag_merge,
+    superpixel,
+)
+from seedloop.errors import (
+    DimensionMismatch,
+    DimOverflow,
+    InvalidParams,
+    NativeBuildError,
+    ShapeMismatch,
+)
 from seedloop.superpixel import (
     SuperpixelMap,
     _components,
@@ -453,8 +468,9 @@ class _UnionFind:
 
 
 def _numpy_grid_edges(smoothed):
-    """8-connected grid edges as (a, b, weight): numpy builds them direction
-    by direction and lexsorts them by (weight, generation index)."""
+    """8-connected grid edges as (a, b, weight, generation index): numpy
+    builds them direction by direction and lexsorts them by (weight,
+    generation index)."""
     h, w, _ = smoothed.shape
     idx = np.arange(h * w).reshape(h, w)
     pieces = []
@@ -469,7 +485,7 @@ def _numpy_grid_edges(smoothed):
         pieces.append((a, b, wgt, a * 4 + order))
     a, b, wgt, gen = (np.concatenate(p) for p in zip(*pieces))
     by_weight = np.lexsort((gen, wgt))
-    return a[by_weight], b[by_weight], wgt[by_weight]
+    return a[by_weight], b[by_weight], wgt[by_weight], gen[by_weight]
 
 
 def _smoothed(image, sigma):
@@ -481,11 +497,13 @@ def _smoothed(image, sigma):
     return img
 
 
-def _reference_felzenszwalb(image, params):
+def _reference_roots(smoothed, params):
     """Union-find object with full path compression; the min-size pass
-    rescans every grid edge."""
-    h, w = image.height, image.width
-    ea, eb, ew = _numpy_grid_edges(_smoothed(image, params.sigma))
+    rescans every grid edge. It links as felz_segment does, the smaller
+    root under the larger and the second under the first on a size tie, so
+    each pixel's root is the pixel felz_segment gives it."""
+    h, w, _ = smoothed.shape
+    ea, eb, ew, _ = _numpy_grid_edges(smoothed)
     uf = _UnionFind(h * w)
     k = params.k
     for a, b, wgt in zip(ea.tolist(), eb.tolist(), ew.tolist()):
@@ -500,8 +518,20 @@ def _reference_felzenszwalb(image, params):
         ra, rb = uf.find(a), uf.find(b)
         if ra != rb and (uf.size[ra] < params.min_size or uf.size[rb] < params.min_size):
             uf.union(ra, rb, wgt)
-    roots = np.fromiter((uf.find(i) for i in range(h * w)), dtype=np.int64, count=h * w)
-    return SuperpixelMap(_components(roots.reshape(h, w)))
+    return np.fromiter((uf.find(i) for i in range(h * w)), dtype=np.int64, count=h * w)
+
+
+def _reference_felzenszwalb(image, params):
+    roots = _reference_roots(_smoothed(image, params.sigma), params)
+    return SuperpixelMap(_components(roots.reshape(image.height, image.width)))
+
+
+def _native_roots(smoothed, params):
+    h, w, _ = smoothed.shape
+    roots = np.empty(h * w, np.int64)
+    img = np.ascontiguousarray(smoothed)
+    assert not superpixel._load_felz().felz_segment(h, w, img, params.k, params.min_size, roots)
+    return roots
 
 
 def _assert_same_segmentation(img, params):
@@ -531,6 +561,89 @@ def test_felzenszwalb_matches_union_find_oracle_many_regions():
     _assert_same_segmentation(img, SegParams(k=20, min_size=5, merge_thresh=10))
 
 
+def _ramp(h, w):
+    """A linear ramp: every edge of one direction has one weight, which the
+    blur perturbs only in its last bits."""
+    y, x = np.mgrid[:h, :w]
+    return make_image(np.stack([x, y, 255 - x], axis=2))
+
+
+def _tie_runs(smoothed):
+    """The longest run of edges whose weights share their top 32 IEEE-754
+    bits, and the longest such run whose full weights fall somewhere in
+    generation order: the runs felz_segment's sort leaves as they are and
+    the runs it sorts again."""
+    _, _, wgt, gen = _numpy_grid_edges(smoothed)
+    bits = wgt.view(np.uint64)
+    order = np.lexsort((gen, bits >> np.uint64(32)))
+    hi, lo = bits[order] >> np.uint64(32), bits[order] & np.uint64(0xFFFFFFFF)
+    starts = np.r_[True, hi[1:] != hi[:-1]]
+    run = np.cumsum(starts) - 1
+    falls = np.r_[False, (lo[1:] < lo[:-1]) & ~starts[1:]]
+    lengths = np.bincount(run)
+    return lengths.max(), lengths[np.unique(run[falls])].max(initial=0)
+
+
+# one run of equal top bits spans thousands of edges: at sigma 0 every
+# weight of a direction is exact, so the runs are in order; the blur puts the
+# ramp's weights out of order in their low bits, past the 256-record cutoff
+# where the fix-up turns from merge sort to radix sort. The roots, not only
+# the regions, must match: on the blurred ramp at k=20 or k=1 an edge order
+# that skips the fix-up links other roots
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+@pytest.mark.parametrize("kind", ["ramp", "constant"])
+def test_felzenszwalb_matches_oracle_on_long_tie_runs(kind, sigma):
+    img = _ramp(48, 80) if kind == "ramp" else make_image(np.full((48, 80, 3), 77))
+    smoothed = _smoothed(img, sigma)
+    longest, longest_unsorted = _tie_runs(smoothed)
+    assert longest > 256
+    assert (longest_unsorted > 256) == (kind == "ramp" and sigma > 0)
+    for k, min_size in ((20.0, 1), (1.0, 1), (100.0, 20)):
+        params = SegParams(k=k, sigma=sigma, min_size=min_size)
+        _assert_same_segmentation(img, params)
+        assert np.array_equal(_native_roots(smoothed, params), _reference_roots(smoothed, params))
+
+
+# colors in steps of 20 plus noise below 1e-9 give few weights, each split
+# into runs of equal top bits whose low bits fall in random places; with a
+# k this small the first pass merges nothing, so the min-size pass links in
+# exactly the sorted order, and any edge out of place moves a root. The
+# smaller image has only runs up to 256 long, the larger runs above
+@pytest.mark.parametrize("shape", [(6, 9), (48, 80)], ids=["short_runs", "long_runs"])
+def test_native_roots_match_oracle_on_near_ties(shape):
+    rng = np.random.default_rng(shape[1])
+    smoothed = rng.integers(0, 4, size=(*shape, 3)) * 20.0
+    smoothed += rng.uniform(0, 1e-9, size=smoothed.shape)
+    longest, longest_unsorted = _tie_runs(smoothed)
+    assert longest_unsorted > 1 and (longest_unsorted > 256) == (shape[0] > 6)
+    for min_size in (2, 5):
+        params = SegParams(k=1e-6, sigma=0, min_size=min_size)
+        assert np.array_equal(_native_roots(smoothed, params), _reference_roots(smoothed, params))
+
+
+def test_fixup_not_quadratic_on_ramp():
+    """A 256x256 ramp puts ~124k edges in one run of equal top bits, out of
+    order: a quadratic fix-up takes over 100x a scene's time, the radix
+    fix-up about 0.7x."""
+    ramp = _ramp(256, 256)
+    (scene, _, _), = gen_synthetic(7, 1, SynthParams(256, 256))
+    best = {}
+    for _ in range(3):
+        for name, img in (("ramp", ramp), ("scene", scene)):
+            start = time.perf_counter()
+            felzenszwalb(img, SegParams())
+            best[name] = min(best.get(name, np.inf), time.perf_counter() - start)
+    assert best["ramp"] < 5 * best["scene"], best
+
+
+def test_felzenszwalb_dim_overflow_before_any_work():
+    # zero strides: the 2**30 + 32768 pixels take no memory, and a float64
+    # copy of them would take 25 GB
+    data = np.broadcast_to(np.zeros((1, 1, 3), np.uint8), (32768, 32769, 3))
+    with pytest.raises(DimOverflow, match=r"2\*\*30"):
+        felzenszwalb(RasterImage(data), SegParams())
+
+
 _SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (3, 300), (17, 23), (40, 33)]
 
 
@@ -545,12 +658,17 @@ def _shape_images(shape, sigma):
 
 def _native_cases():
     """(image, params) pairs that exercise the native edge build and sort: the
-    tie-heavy shapes at k=20, where ties decide merges, and one 64x64 scene."""
+    tie-heavy shapes at k=20, where ties decide merges, a ramp and a constant
+    image, whose runs of equal top bits the fix-up sorts by radix or leaves,
+    and one 64x64 scene."""
     for shape in _SHAPES:
         for sigma in (0.0, 0.8):
             for img in _shape_images(shape, sigma):
                 for min_size in (1, 5):
                     yield img, SegParams(k=20, sigma=sigma, min_size=min_size)
+    for sigma in (0.0, 0.8):
+        yield _ramp(48, 80), SegParams(k=20, sigma=sigma, min_size=5)
+    yield make_image(np.full((48, 80, 3), 77)), SegParams()
     (img, _, _), = gen_synthetic(7, 1, SynthParams(64, 64))
     yield img, SegParams()
 
@@ -583,6 +701,16 @@ def _run_child(code, **env):
     )
 
 
+def _libasan():
+    """The runtime an -fsanitize=address library needs loaded first, or ""
+    when gcc is missing; gcc prints the bare name when it has no libasan."""
+    try:
+        cmd = ["gcc", "-print-file-name=libasan.so"]
+        return subprocess.run(cmd, capture_output=True, text=True).stdout.strip()
+    except OSError:
+        return ""
+
+
 def _native_merge_cases():
     """rag_merge arguments that exercise the native merge: the tie-heavy maps
     at capped and uncapped thresholds, the exact-rounding rows, and a
@@ -599,32 +727,52 @@ def _native_merge_cases():
         yield spmap, img, np.nextafter(d, np.inf), None
 
 
-def test_native_source_clean_under_ubsan(tmp_path):
-    """A build with UndefinedBehaviorSanitizer, loaded through the normal
-    _load_felz path in a fresh process, segments every native case and
-    merges every native merge case without a runtime error and as the
+def _assert_clean_under_sanitizer(home, flags, runtime, **env):
+    """A build with flags, loaded through the normal _load_felz path in a
+    fresh process with an empty cache under home, segments every native case
+    and merges every native merge case without a runtime error and as the
     production build does."""
     proc = _run_child(
         "from seedloop import felzenszwalb, rag_merge, superpixel\n"
         "from tests.test_superpixel import _digest, _native_cases, _native_merge_cases\n"
-        "superpixel._FELZ_FLAGS += ('-fsanitize=undefined', '-fno-sanitize-recover=all')\n"
+        f"superpixel._FELZ_FLAGS += {flags!r}\n"
         "for img, params in _native_cases():\n"
         "    print(_digest(felzenszwalb(img, params)))\n"
         "for case in _native_merge_cases():\n"
         "    print(_digest(rag_merge(*case)))\n",
-        HOME=str(tmp_path),
+        HOME=str(home),
+        **env,
     )
     assert proc.returncode == 0, proc.stderr
-    (lib,) = (tmp_path / ".cache" / "seedloop").iterdir()
-    assert b"libubsan" in lib.read_bytes()  # the sanitized build, not a cached one
+    (lib,) = (home / ".cache" / "seedloop").iterdir()
+    assert runtime in lib.read_bytes()  # the sanitized build, not a cached one
     want = [_digest(felzenszwalb(*case)) for case in _native_cases()]
     want += [_digest(rag_merge(*case)) for case in _native_merge_cases()]
     assert proc.stdout.split() == want
 
 
+def test_native_source_clean_under_ubsan(tmp_path):
+    flags = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+    _assert_clean_under_sanitizer(tmp_path, flags, b"libubsan")
+
+
+@pytest.mark.skipif(not os.path.isabs(_libasan()), reason="gcc has no libasan")
+def test_native_source_clean_under_asan(tmp_path):
+    # no out-of-bounds access or use after free; leaks are not checked,
+    # since the interpreter keeps memory to its exit
+    _assert_clean_under_sanitizer(
+        tmp_path,
+        ("-fsanitize=address",),
+        b"libasan",
+        LD_PRELOAD=_libasan(),
+        ASAN_OPTIONS="detect_leaks=0",
+    )
+
+
 def test_native_allocation_failure_raises_memory_error():
     # the address space left after the image and roots of a 1024x1024 image
-    # cannot hold the 67 MB sort buffer of its 4.2 M edges
+    # cannot hold the 33.5 MB of gen-indexed weights plus the two 33.5 MB
+    # record buffers of its 4.2 M edges
     proc = _run_child(
         "import resource\n"
         "import numpy as np\n"
