@@ -24,7 +24,15 @@ void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
 #define DIGIT_BITS 11
 #define N_BUCKETS (1 << DIGIT_BITS)
 #define N_PASSES 3 /* 3 * 11 bits cover the top 32 bits of a record */
-#define SHORT_RUN 256 /* fix-up: merge sort up to this run length, radix above */
+/* fix_run sorts a run of up to SHORT_RUN records by merge sort and a longer
+ * one by radix_sort_hi: a radix sort's 3 * N_BUCKETS bucket sums cost more
+ * than a merge sort's log m levels on short runs and less on long ones, with
+ * the two about even near 256 records. Benchmark scenes have no run over 4
+ * records out of order; a blurred 256x256 ramp has out-of-order runs of
+ * 20k-190k records, on which felz_segment with a merge-sort-only fix-up
+ * took 1.1-1.5x the time of a plain 6-pass radix sort of the full 64-bit
+ * keys, and this split about 0.7x. */
+#define SHORT_RUN 256
 #define LOW32 UINT64_C(0xffffffff)
 
 /* The Euclidean distance of two RGB colors, the squares summed left to
@@ -44,21 +52,17 @@ static uint64_t key_of(double x)
     return key;
 }
 
-/* Adds the N_PASSES digits of record r's top 32 bits to hist. */
-static void count_digits(uint64_t r, int64_t hist[N_PASSES][N_BUCKETS])
+/* Stable LSD radix sort of the n records of src on their top 32 bits; dst
+ * is scratch of n records. Returns whichever of src and dst holds the sorted
+ * records. */
+static uint64_t *radix_sort_hi(uint64_t *src, uint64_t *dst, int64_t n)
 {
+    int64_t hist[N_PASSES][N_BUCKETS], r;
     int pass;
-    for (pass = 0; pass < N_PASSES; pass++)
-        hist[pass][(r >> (32 + pass * DIGIT_BITS)) & (N_BUCKETS - 1)]++;
-}
-
-/* Stable LSD radix sort of the n records of src on their top 32 bits, from
- * the digit counts in hist (overwritten); dst is scratch of n records.
- * Returns whichever of src and dst holds the sorted records. */
-static uint64_t *radix_sort_hi(uint64_t *src, uint64_t *dst, int64_t n,
-                               int64_t hist[N_PASSES][N_BUCKETS])
-{
-    int pass;
+    memset(hist, 0, sizeof hist);
+    for (r = 0; r < n; r++)
+        for (pass = 0; pass < N_PASSES; pass++)
+            hist[pass][(src[r] >> (32 + pass * DIGIT_BITS)) & (N_BUCKETS - 1)]++;
     for (pass = 0; pass < N_PASSES && n > 0; pass++) {
         int shift = 32 + pass * DIGIT_BITS;
         int64_t *count = hist[pass], total = 0, b, i;
@@ -103,14 +107,12 @@ static void merge_sort(uint64_t *v, uint64_t *tmp, int64_t n)
 
 /* Puts the m records of run, which share their top 32 bits and are in
  * generation order, in (weight, generation index) order; tmp is scratch of
- * m records, hist scratch for the radix sort. Only the low 32 key bits can
- * differ, so a run whose low bits never fall is left as it is. Otherwise
- * each record becomes (low 32 key bits, generation index), a value unique
- * to it, whose integer order is the wanted order: a merge sort for runs up
- * to SHORT_RUN long and a 3-pass radix sort above bound the fix-up by
- * O(n log SHORT_RUN) over all runs. The top bits go back on at the end. */
-static void fix_run(uint64_t *run, int64_t m, uint64_t *tmp, const double *wgt,
-                    int64_t hist[N_PASSES][N_BUCKETS])
+ * m records. Only the low 32 key bits can differ, so a run whose low bits
+ * never fall is left as it is. Otherwise each record becomes (low 32 key
+ * bits, generation index), a value unique to it whose integer order is the
+ * wanted order, sorted in O(m log SHORT_RUN) at worst (see SHORT_RUN). The
+ * top bits go back on at the end. */
+static void fix_run(uint64_t *run, int64_t m, uint64_t *tmp, const double *wgt)
 {
     uint64_t hi = run[0] & ~LOW32, *sorted = run;
     int64_t i;
@@ -119,18 +121,14 @@ static void fix_run(uint64_t *run, int64_t m, uint64_t *tmp, const double *wgt,
             break;
     if (i == m)
         return;
-    if (m > SHORT_RUN)
-        memset(hist, 0, N_PASSES * sizeof *hist);
     for (i = 0; i < m; i++) {
         uint64_t gen = run[i] & LOW32;
         run[i] = key_of(wgt[gen]) << 32 | gen;
-        if (m > SHORT_RUN)
-            count_digits(run[i], hist);
     }
-    if (m > SHORT_RUN)
-        sorted = radix_sort_hi(run, tmp, m, hist);
-    else
+    if (m <= SHORT_RUN)
         merge_sort(run, tmp, m);
+    else
+        sorted = radix_sort_hi(run, tmp, m);
     for (i = 0; i < m; i++)
         run[i] = hi | (sorted[i] & LOW32);
 }
@@ -155,14 +153,12 @@ static uint64_t *sorted_edges(int64_t h, int64_t w, const double *img,
     uint64_t *src = malloc((size_t)n_edges * sizeof *src);
     uint64_t *dst = malloc((size_t)n_edges * sizeof *dst), *out;
     int64_t n = 0, y, x, i, j, d;
-    int64_t hist[N_PASSES][N_BUCKETS];
 
     if (n_edges > 0 && (src == NULL || dst == NULL)) {
         free(src);
         free(dst);
         return NULL;
     }
-    memset(hist, 0, sizeof hist);
     for (y = 0; y < h; y++) {
         for (x = 0; x < w; x++) {
             int64_t a = y * w + x;
@@ -173,18 +169,17 @@ static uint64_t *sorted_edges(int64_t h, int64_t w, const double *img,
                     continue;
                 wgt[gen] = color_dist(img + 3 * a, img + 3 * (a + step[d]));
                 src[n] = (key_of(wgt[gen]) & ~LOW32) | gen;
-                count_digits(src[n], hist);
                 n++;
             }
         }
     }
-    out = radix_sort_hi(src, dst, n_edges, hist);
+    out = radix_sort_hi(src, dst, n_edges);
     dst = out == src ? dst : src; /* the other buffer is the fix-up's scratch */
     for (i = 0; i < n_edges; i = j) {
         for (j = i + 1; j < n_edges && out[j] >> 32 == out[i] >> 32; j++)
             ;
         if (j - i > 1)
-            fix_run(out + i, j - i, dst, wgt, hist);
+            fix_run(out + i, j - i, dst, wgt);
     }
     free(dst);
     return out;

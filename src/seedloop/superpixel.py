@@ -139,13 +139,8 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     build and sort and the two union-find passes are one call into
     _felzenszwalb.c, compiled by gcc on first call.
 
-    The sort moves 8-byte records: the top 32 bits of the weight's IEEE-754
-    bits over the 32-bit generation index 4 * pixel + direction, so images of
-    more than 2**30 pixels raise DimOverflow before any work. Three stable
-    11-bit radix passes order the records by those top bits; each run of
-    equal top bits whose full weights are out of order is then sorted by the
-    low 32 bits, by merge sort up to 256 records and by three more radix
-    passes above, so the fix-up costs O(n log 256) at worst.
+    The generation index is 32 bits wide in the native sort, so images of
+    more than 2**30 pixels raise DimOverflow before any work.
     """
     h, w = image.height, image.width
     if h * w > 2**30:
@@ -153,13 +148,20 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     img = image.data.astype(np.float64)
     if params.sigma > 0:  # blur each channel on its own
         img = ndimage.gaussian_filter(img, (params.sigma, params.sigma, 0))
+    # 8-connected merging can leave diagonal-only links; splitting each root's
+    # pixels into 4-connected components restores the invariant
+    return SuperpixelMap(_components(_roots(img, params).reshape(h, w)))
+
+
+def _roots(img, params):
+    """felz_segment's root of each pixel of a blurred float64 (h, w, 3)
+    image, as a flat int64 array in scan order."""
+    h, w, _ = img.shape
     roots = np.empty(h * w, np.int64)
     lib = _load_felz()
     if lib.felz_segment(h, w, np.ascontiguousarray(img), params.k, params.min_size, roots):
         raise MemoryError(f"felz_segment could not allocate its buffers for a {h}x{w} image")
-    # 8-connected merging can leave diagonal-only links; splitting each root's
-    # pixels into 4-connected components restores the invariant
-    return SuperpixelMap(_components(roots.reshape(h, w)))
+    return roots
 
 
 def region_edges(region_of):

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -526,14 +527,6 @@ def _reference_felzenszwalb(image, params):
     return SuperpixelMap(_components(roots.reshape(image.height, image.width)))
 
 
-def _native_roots(smoothed, params):
-    h, w, _ = smoothed.shape
-    roots = np.empty(h * w, np.int64)
-    img = np.ascontiguousarray(smoothed)
-    assert not superpixel._load_felz().felz_segment(h, w, img, params.k, params.min_size, roots)
-    return roots
-
-
 def _assert_same_segmentation(img, params):
     got = felzenszwalb(img, params)
     want = _reference_felzenszwalb(img, params)
@@ -568,6 +561,11 @@ def _ramp(h, w):
     return make_image(np.stack([x, y, 255 - x], axis=2))
 
 
+# the run length above which felz_segment's fix-up turns from merge sort to
+# radix sort
+_SHORT_RUN = int(re.search(r"#define SHORT_RUN (\d+)", superpixel._FELZ_SOURCE.read_text())[1])
+
+
 def _tie_runs(smoothed):
     """The longest run of edges whose weights share their top 32 IEEE-754
     bits, and the longest such run whose full weights fall somewhere in
@@ -586,8 +584,8 @@ def _tie_runs(smoothed):
 
 # one run of equal top bits spans thousands of edges: at sigma 0 every
 # weight of a direction is exact, so the runs are in order; the blur puts the
-# ramp's weights out of order in their low bits, past the 256-record cutoff
-# where the fix-up turns from merge sort to radix sort. The roots, not only
+# ramp's weights out of order in their low bits, in runs past _SHORT_RUN,
+# which the fix-up sorts by radix sort. The roots, not only
 # the regions, must match: on the blurred ramp at k=20 or k=1 an edge order
 # that skips the fix-up links other roots
 @pytest.mark.parametrize("sigma", [0.0, 0.8])
@@ -596,39 +594,43 @@ def test_felzenszwalb_matches_oracle_on_long_tie_runs(kind, sigma):
     img = _ramp(48, 80) if kind == "ramp" else make_image(np.full((48, 80, 3), 77))
     smoothed = _smoothed(img, sigma)
     longest, longest_unsorted = _tie_runs(smoothed)
-    assert longest > 256
-    assert (longest_unsorted > 256) == (kind == "ramp" and sigma > 0)
+    assert longest > _SHORT_RUN
+    assert (longest_unsorted > _SHORT_RUN) == (kind == "ramp" and sigma > 0)
     for k, min_size in ((20.0, 1), (1.0, 1), (100.0, 20)):
         params = SegParams(k=k, sigma=sigma, min_size=min_size)
         _assert_same_segmentation(img, params)
-        assert np.array_equal(_native_roots(smoothed, params), _reference_roots(smoothed, params))
+        want = _reference_roots(smoothed, params)
+        assert np.array_equal(superpixel._roots(smoothed, params), want)
 
 
 # colors in steps of 20 plus noise below 1e-9 give few weights, each split
 # into runs of equal top bits whose low bits fall in random places; with a
 # k this small the first pass merges nothing, so the min-size pass links in
 # exactly the sorted order, and any edge out of place moves a root. The
-# smaller image has only runs up to 256 long, the larger runs above
+# smaller image has only runs up to _SHORT_RUN long, the larger runs above
 @pytest.mark.parametrize("shape", [(6, 9), (48, 80)], ids=["short_runs", "long_runs"])
 def test_native_roots_match_oracle_on_near_ties(shape):
     rng = np.random.default_rng(shape[1])
     smoothed = rng.integers(0, 4, size=(*shape, 3)) * 20.0
     smoothed += rng.uniform(0, 1e-9, size=smoothed.shape)
     longest, longest_unsorted = _tie_runs(smoothed)
-    assert longest_unsorted > 1 and (longest_unsorted > 256) == (shape[0] > 6)
+    assert longest_unsorted > 1 and (longest_unsorted > _SHORT_RUN) == (shape[0] > 6)
     for min_size in (2, 5):
         params = SegParams(k=1e-6, sigma=0, min_size=min_size)
-        assert np.array_equal(_native_roots(smoothed, params), _reference_roots(smoothed, params))
+        want = _reference_roots(smoothed, params)
+        assert np.array_equal(superpixel._roots(smoothed, params), want)
 
 
 def test_fixup_not_quadratic_on_ramp():
     """A 256x256 ramp puts ~124k edges in one run of equal top bits, out of
-    order: a quadratic fix-up takes over 100x a scene's time, the radix
-    fix-up about 0.7x."""
+    order: a quadratic fix-up takes over 100x a scene's time, this one about
+    0.7x. The guard is a wall-clock ratio, so a host whose load changes
+    between the timings can still trip it; the best of five interleaved runs
+    of each and a bound seven times today's ratio keep that unlikely."""
     ramp = _ramp(256, 256)
     (scene, _, _), = gen_synthetic(7, 1, SynthParams(256, 256))
     best = {}
-    for _ in range(3):
+    for _ in range(5):
         for name, img in (("ramp", ramp), ("scene", scene)):
             start = time.perf_counter()
             felzenszwalb(img, SegParams())
@@ -769,11 +771,13 @@ def test_native_source_clean_under_asan(tmp_path):
     )
 
 
-def test_native_allocation_failure_raises_memory_error():
-    # the address space left after the image and roots of a 1024x1024 image
-    # cannot hold the 33.5 MB of gen-indexed weights plus the two 33.5 MB
-    # record buffers of its 4.2 M edges
-    proc = _run_child(
+def _segment_under_address_limit(headroom_mb):
+    """Segment a 1024x1024 image in a fresh process whose address space ends
+    headroom_mb past what it has mapped; prints the MemoryError, if any.
+    The image's float64 copy and roots take 33.6 MB, then felz_segment
+    33.5 MB of gen-indexed weights and two 33.5 MB record buffers for its
+    4.2 M edges."""
+    return _run_child(
         "import resource\n"
         "import numpy as np\n"
         "from seedloop import SegParams, felzenszwalb, superpixel\n"
@@ -781,13 +785,25 @@ def test_native_allocation_failure_raises_memory_error():
         "superpixel._load_felz()\n"
         "img = make_image(np.zeros((1024, 1024, 3)))\n"
         "vm = next(l for l in open('/proc/self/status') if l.startswith('VmSize:'))\n"
-        "limit = int(vm.split()[1]) * 1024 + 80 * 2**20\n"
+        f"limit = int(vm.split()[1]) * 1024 + {headroom_mb} * 2**20\n"
         "resource.setrlimit(resource.RLIMIT_AS, (limit, resource.RLIM_INFINITY))\n"
         "try:\n"
         "    felzenszwalb(img, SegParams(sigma=0))\n"
         "except MemoryError as e:\n"
         "    print(e)\n"
     )
+
+
+def test_native_allocation_failure_raises_memory_error():
+    # 80 MB holds the weights but not the record buffers
+    proc = _segment_under_address_limit(80)
+    assert proc.returncode == 0, proc.stderr
+    assert "felz_segment could not allocate" in proc.stdout
+
+
+def test_native_weight_allocation_failure_raises_memory_error():
+    # 50 MB does not hold the weights, so no record buffer is asked for
+    proc = _segment_under_address_limit(50)
     assert proc.returncode == 0, proc.stderr
     assert "felz_segment could not allocate" in proc.stdout
 
