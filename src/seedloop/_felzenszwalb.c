@@ -30,8 +30,8 @@ void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
  * the two about even near 256 records. Benchmark scenes have no run over 4
  * records out of order; a blurred 256x256 ramp has out-of-order runs of
  * 20k-190k records, on which felz_segment with a merge-sort-only fix-up
- * took 1.1-1.5x the time of a plain 6-pass radix sort of the full 64-bit
- * keys, and this split about 0.7x. */
+ * took up to 1.3x the time of a plain 6-pass radix sort of the full 64-bit
+ * keys, and with this split 0.65-0.9x. */
 #define SHORT_RUN 256
 #define LOW32 UINT64_C(0xffffffff)
 
