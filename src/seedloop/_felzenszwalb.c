@@ -1,5 +1,6 @@
-/* Graph-based segmentation of Felzenszwalb & Huttenlocher (IJCV 2004) and
- * its greedy region merge, called from seedloop.superpixel as two functions.
+/* Graph-based segmentation of Felzenszwalb & Huttenlocher (IJCV 2004), its
+ * greedy region merge and the per-pixel passes around them, called from
+ * seedloop.superpixel as four functions.
  *
  * felz_segment builds the 8-connected grid graph of an image, sorts its
  * edges by (weight, generation index) and runs the two union-find passes
@@ -7,8 +8,12 @@
  * buffers and frees them before it returns; it returns nonzero when an
  * allocation fails. On success
  * root[p], for each of the h * w pixels, is the root of pixel p's component.
- * Which root names a component does not matter: the caller renumbers
+ * Which root names a component does not matter: label_components renumbers
  * components by first pixel in scan order.
+ *
+ * label_components splits a label map into 4-connected components,
+ * region_sums adds up per-region pixel statistics in scan order, and
+ * rag_merge_loop merges adjacent regions greedily.
  */
 #include <math.h>
 #include <stdint.h>
@@ -20,6 +25,12 @@ int felz_segment(int64_t h, int64_t w, const double *img, double k,
 void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
                     double *sums, double *counts, int64_t *final, double *dist,
                     double merge_thresh, int64_t max_regions);
+void label_components(int64_t h, int64_t w, const int64_t *label, int64_t *parent,
+                      int32_t *id);
+void region_sums(int64_t n_pixels, const int64_t *region, const uint8_t *rgb,
+                 double *counts, double *sums, double *squares, const double *gx,
+                 const double *gy, const int64_t *bin, int64_t n_bins, double *mag,
+                 double *hist);
 
 #define DIGIT_BITS 11
 #define N_BUCKETS (1 << DIGIT_BITS)
@@ -264,6 +275,72 @@ int felz_segment(int64_t h, int64_t w, const double *img, double k,
     free(size);
     free(thresh);
     return failed;
+}
+
+/* Links the root of b under the root of a, or the other way, so that the
+ * smaller pixel index stays the root. */
+static void link_first(int64_t *parent, int64_t a, int64_t b)
+{
+    a = find(parent, a);
+    b = find(parent, b);
+    if (a < b)
+        parent[b] = a;
+    else
+        parent[a] = b;
+}
+
+/* Numbers the 4-connected components of equal labels in the h x w map
+ * label: id[p] is the component of pixel p, 0.. by first pixel in scan
+ * order; parent is scratch of h * w values. Every link keeps the smaller
+ * pixel index as the root, so a component's root is its first pixel,
+ * numbered before any pixel after it. */
+void label_components(int64_t h, int64_t w, const int64_t *label, int64_t *parent,
+                      int32_t *id)
+{
+    int64_t n = 0, y, x, p;
+    for (y = 0, p = 0; y < h; y++) {
+        for (x = 0; x < w; x++, p++) {
+            parent[p] = p;
+            if (x > 0 && label[p - 1] == label[p])
+                link_first(parent, p - 1, p);
+            if (y > 0 && label[p - w] == label[p])
+                link_first(parent, p - w, p);
+        }
+    }
+    for (p = 0; p < h * w; p++) {
+        int64_t r = find(parent, p);
+        id[p] = r == p ? (int32_t)n++ : id[r];
+    }
+}
+
+/* Per-region sums over n_pixels pixels in scan order; pixel p lies in
+ * region[p] and has color rgb[3p..3p+2]. Adds to counts[r] each pixel of
+ * region r, to sums[3r + c] its color and to squares[3r + c] the color's
+ * square. These are integers below 2^53, so they are exact in any order.
+ * When gx is not NULL, also adds hypot(gx[p], gy[p]) to mag[r], pixel by
+ * pixel in scan order as np.bincount adds its weights, and 1 to
+ * hist[n_bins * r + bin[p]], bin[p] in 0..n_bins-1. The caller zeroes every
+ * output. */
+void region_sums(int64_t n_pixels, const int64_t *region, const uint8_t *rgb,
+                 double *counts, double *sums, double *squares, const double *gx,
+                 const double *gy, const int64_t *bin, int64_t n_bins, double *mag,
+                 double *hist)
+{
+    int64_t p;
+    int c;
+    for (p = 0; p < n_pixels; p++) {
+        int64_t r = region[p];
+        counts[r] += 1.0;
+        for (c = 0; c < 3; c++) {
+            int v = rgb[3 * p + c];
+            sums[3 * r + c] += v;
+            squares[3 * r + c] += v * v;
+        }
+        if (gx != NULL) {
+            mag[r] += hypot(gx[p], gy[p]);
+            hist[n_bins * r + bin[p]] += 1.0;
+        }
+    }
 }
 
 /* Mean-color distance of regions a and b, means sums[3r + c] / counts[r]. */

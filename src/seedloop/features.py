@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .superpixel import SuperpixelMap
+from .superpixel import SuperpixelMap, _region_sums
 from .tensorio import RasterImage, load_tensor
 
 N_ORIENT_BINS = 8
@@ -30,39 +30,25 @@ def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> np.ndarray:
     8-bin gradient-orientation histogram (8), unscaled."""
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("image and superpixel map dimensions differ")
-    n = spmap.n_regions
-    flat = spmap.region_of.ravel()
-    counts = np.bincount(flat, minlength=n).astype(np.float64)
-    pix = image.data.reshape(-1, 3).astype(np.float64)
-
-    raw = np.zeros((n, 7 + N_ORIENT_BINS))
-    for c in range(3):
-        s1 = np.bincount(flat, weights=pix[:, c], minlength=n)
-        s2 = np.bincount(flat, weights=pix[:, c] ** 2, minlength=n)
-        mean = s1 / counts
-        var = np.maximum(s2 / counts - mean**2, 0.0)
-        raw[:, c] = mean
-        raw[:, 3 + c] = np.sqrt(var)
-
     # central differences of (R+G+B)/3 grayscale, one-sided at the borders;
-    # np.gradient needs two samples, so a 1-pixel side has zero gradient
-    gray = image.data.astype(np.float64).sum(axis=2) / 3.0
+    # np.gradient needs two samples, so a 1-pixel side has zero gradient.
+    # The uint16 channel sum is exact, so gray equals the float64 sum / 3
+    rgb = image.data
+    gray = (rgb[..., 0].astype(np.uint16) + rgb[..., 1] + rgb[..., 2]) / 3.0
     gy, gx = (
         np.gradient(gray, axis=a) if gray.shape[a] > 1 else np.zeros_like(gray) for a in (0, 1)
     )
-    mag = np.hypot(gx, gy).ravel()
-    raw[:, 6] = np.bincount(flat, weights=mag, minlength=n) / counts
-
-    theta = np.arctan2(gy, gx).ravel()  # [-pi, pi]
+    theta = np.arctan2(gy, gx)  # [-pi, pi]
     bins = np.clip(
         ((theta + np.pi) / (2 * np.pi) * N_ORIENT_BINS).astype(np.int64),
         0,
         N_ORIENT_BINS - 1,
     )
-    hist = np.bincount(flat * N_ORIENT_BINS + bins, minlength=n * N_ORIENT_BINS)
-    raw[:, 7:] = hist.reshape(n, N_ORIENT_BINS) / counts[:, None]
-
-    return raw
+    counts, sums, squares, mag, hist = _region_sums(spmap, image, gx, gy, bins, N_ORIENT_BINS)
+    n_px = counts[:, None]
+    mean = sums / n_px
+    std = np.sqrt(np.maximum(squares / n_px - mean**2, 0.0))
+    return np.hstack([mean, std, mag[:, None] / n_px, hist / n_px])
 
 
 def load_external_features(path, n_regions: int) -> np.ndarray:

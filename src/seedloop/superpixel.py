@@ -21,7 +21,9 @@ _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
 # -ffp-contract=off: no fused multiply-add, so edge weights, thresholds and
 # merge distances round as numpy's do
 # -fno-math-errno: sqrt is the bare instruction
-_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+# -lm: hypot is libm's, the function np.hypot calls; it goes after the
+# source, where _build_felz puts these flags
+_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno", "-lm")
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,8 @@ class SuperpixelMap:
         r = self.region_of
         if r.ndim != 2 or r.size == 0:
             raise ShapeMismatch("region map must be a non-empty [height, width] array")
+        if not np.issubdtype(r.dtype, np.integer):
+            raise ShapeMismatch(f"region ids must be integers, got {r.dtype}")
         # max < size first: it keeps bincount from allocating for a stray huge id
         if r.min() < 0 or r.max() >= r.size or not np.bincount(r.ravel()).all():
             raise ShapeMismatch(f"region ids must be exactly 0..{r.max()}")
@@ -69,20 +73,33 @@ class SegParams:
 
 
 def _components(labels):
-    """The 4-connected components of equal labels in a 2-D map, as int32 ids
-    numbered from 0 by first pixel in scan order.
+    """The 4-connected components of equal labels in a 2-D integer map, as
+    int32 ids numbered from 0 by first pixel in scan order: a union-find in
+    _felzenszwalb.c."""
+    ids = np.empty(labels.shape, np.int32)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    _load_felz().label_components(*labels.shape, labels, np.empty(labels.size, np.int64), ids)
+    return ids
 
-    ndimage.label runs on a (2h-1, 2w-1) grid: even cells are the pixels, and
-    the odd cell between two 4-neighbours is set when their labels are equal.
-    It numbers components by first cell in raster order, and a component's
-    first cell is a pixel, so the even cells minus 1 are in scan order.
-    """
-    h, w = labels.shape
-    grid = np.ones((2 * h - 1, 2 * w - 1), dtype=bool)
-    grid[1::2, 1::2] = False
-    grid[::2, 1::2] = labels[:, :-1] == labels[:, 1:]
-    grid[1::2, ::2] = labels[:-1, :] == labels[1:, :]
-    return ndimage.label(grid)[0][::2, ::2] - 1
+
+def _region_sums(spmap, image, gx=None, gy=None, bins=None, n_bins=0):
+    """Per-region pixel counts (n,), RGB sums (n, 3) and RGB sums of squares
+    (n, 3) in one scan-order pass in _felzenszwalb.c. Given the (h, w)
+    float64 gradients gx and gy and int64 bins in 0..n_bins-1, the pass also
+    gives each region's sum of hypot(gx, gy) (n,), added in scan order as
+    np.bincount adds, and its count of each bin (n, n_bins); else those two
+    are zero."""
+    n = spmap.n_regions
+    counts, sums, squares = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3))
+    mag, hist = np.zeros(n), np.zeros((n, n_bins))
+    grad = (None, None, None, n_bins, None, None)
+    if gx is not None:
+        grad = (gx.ravel(), gy.ravel(), bins.ravel(), n_bins, mag, hist.ravel())
+    region = spmap.region_of.astype(np.int64, copy=False).ravel()
+    _load_felz().region_sums(
+        region.size, region, image.data.ravel(), counts, sums.ravel(), squares.ravel(), *grad
+    )
+    return counts, sums, squares, mag, hist
 
 
 def _build_felz(lib):
@@ -118,6 +135,10 @@ def _load_felz():
     img = np.ctypeslib.ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    u8 = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
+    map_i64 = np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
+    map_i32 = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
+    opt_i64, opt_f64 = _or_null(i64), _or_null(f64)
     c_i64, c_f64 = ctypes.c_int64, ctypes.c_double
     # h, w, image, k, min_size, root (out); nonzero when an allocation failed
     lib.felz_segment.argtypes = [c_i64, c_i64, img, c_f64, c_f64, i64]
@@ -126,7 +147,23 @@ def _load_felz():
     # every array is updated in place, dist is scratch
     lib.rag_merge_loop.argtypes = [c_i64, c_i64, i64, i64, f64, f64, i64, f64, c_f64, c_i64]
     lib.rag_merge_loop.restype = None
+    # h, w, label, parent (scratch), id (out)
+    lib.label_components.argtypes = [c_i64, c_i64, map_i64, i64, map_i32]
+    lib.label_components.restype = None
+    # n_pixels, region, rgb, counts, sums, squares, gx, gy, bin, n_bins, mag, hist;
+    # the outputs are added to, and the gradient arrays may all be None
+    lib.region_sums.argtypes = [c_i64, i64, u8, f64, f64, f64, opt_f64, opt_f64, opt_i64,
+                                c_i64, opt_f64, opt_f64]
+    lib.region_sums.restype = None
     return lib
+
+
+def _or_null(ptr):
+    """The ndpointer type ptr, also taking None, which ctypes passes as NULL."""
+    def from_param(cls, obj):
+        return None if obj is None else ptr.from_param(obj)
+
+    return type(ptr.__name__, (ptr,), {"from_param": classmethod(from_param)})
 
 
 def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> SuperpixelMap:
@@ -169,9 +206,10 @@ def region_edges(region_of):
     (E, 2) int64 array in lexicographic order. Each pair is one int64 key
     i * n + j, so sorting the keys sorts the pairs."""
     n = int(region_of.max()) + 1
+    region_of = region_of.astype(np.int64, copy=False)  # int64 keys for any int dtype
     keys = np.concatenate(
         [
-            np.minimum(a, b)[a != b].astype(np.int64) * n + np.maximum(a, b)[a != b]
+            np.minimum(a, b)[a != b] * n + np.maximum(a, b)[a != b]
             for a, b in (
                 (region_of[:, :-1], region_of[:, 1:]),
                 (region_of[:-1, :], region_of[1:, :]),
@@ -208,12 +246,7 @@ def rag_merge(
     if max_regions is not None and max_regions < 1:
         raise InvalidParams(f"max_regions must be >= 1, got {max_regions}")
     n = spmap.n_regions
-    flat = spmap.region_of.ravel()
-    counts = np.bincount(flat, minlength=n).astype(np.float64)
-    pix = image.data.reshape(-1, 3).astype(np.float64)
-    sums = np.stack(
-        [np.bincount(flat, weights=pix[:, c], minlength=n) for c in range(3)], axis=1
-    )
+    counts, sums, _, _, _ = _region_sums(spmap, image)
     ea, eb = region_edges(spmap.region_of).T.copy()
     final = np.arange(n, dtype=np.int64)  # original region -> the region it was merged into
     cap = n if max_regions is None else int(max_regions)  # n alive never forces a merge

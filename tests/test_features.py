@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from seedloop import load_external_features, superpixel_features
+from perfbench.workloads import WORKLOADS
+from seedloop import (
+    SynthParams,
+    felzenszwalb,
+    gen_synthetic,
+    load_external_features,
+    rag_merge,
+    superpixel_features,
+)
 from seedloop.errors import DimensionMismatch, ShapeMismatch
 from seedloop.features import N_ORIENT_BINS, standardize
-from seedloop.superpixel import SuperpixelMap
+from seedloop.superpixel import SuperpixelMap, _region_sums
 from seedloop.tensorio import save_tensor
 from tests.conftest import make_image, random_spmap
 
@@ -44,6 +52,113 @@ def brute_force_features(image, spmap):
             hist[b] += 1
         raw[rid, 7:] = hist / hist.sum()
     return raw
+
+
+def _reference_superpixel_features(image, spmap):
+    """The vectorised numpy bank: one np.bincount per sum, the magnitude
+    from np.hypot over the whole image."""
+    n = spmap.n_regions
+    flat = spmap.region_of.ravel()
+    counts = np.bincount(flat, minlength=n).astype(np.float64)
+    pix = image.data.reshape(-1, 3).astype(np.float64)
+
+    raw = np.zeros((n, 7 + N_ORIENT_BINS))
+    for c in range(3):
+        s1 = np.bincount(flat, weights=pix[:, c], minlength=n)
+        s2 = np.bincount(flat, weights=pix[:, c] ** 2, minlength=n)
+        mean = s1 / counts
+        var = np.maximum(s2 / counts - mean**2, 0.0)
+        raw[:, c] = mean
+        raw[:, 3 + c] = np.sqrt(var)
+
+    gray = image.data.astype(np.float64).sum(axis=2) / 3.0
+    gy, gx = (
+        np.gradient(gray, axis=a) if gray.shape[a] > 1 else np.zeros_like(gray) for a in (0, 1)
+    )
+    mag = np.hypot(gx, gy).ravel()
+    raw[:, 6] = np.bincount(flat, weights=mag, minlength=n) / counts
+
+    theta = np.arctan2(gy, gx).ravel()  # [-pi, pi]
+    bins = np.clip(
+        ((theta + np.pi) / (2 * np.pi) * N_ORIENT_BINS).astype(np.int64),
+        0,
+        N_ORIENT_BINS - 1,
+    )
+    hist = np.bincount(flat * N_ORIENT_BINS + bins, minlength=n * N_ORIENT_BINS)
+    raw[:, 7:] = hist.reshape(n, N_ORIENT_BINS) / counts[:, None]
+    return raw
+
+
+def _assert_same_bytes(image, spmap):
+    got = superpixel_features(image, spmap)
+    want = _reference_superpixel_features(image, spmap)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_features_byte_identical_to_reference_on_workload_scenes(name):
+    w = WORKLOADS[name]
+    for img, _, _ in gen_synthetic(w.scene_seed, w.count, SynthParams(w.size, w.size)):
+        raw = felzenszwalb(img, w.cfg.seg)
+        merged = rag_merge(raw, img, w.cfg.seg.merge_thresh)
+        _assert_same_bytes(img, raw)
+        _assert_same_bytes(img, merged)
+
+
+def test_features_byte_identical_to_reference_on_random_images(rng):
+    for h, w in [(1, 1), (1, 9), (9, 1), (2, 2), (17, 23), (40, 33)]:
+        for n_values in (1, 3, 40):
+            img = make_image(rng.integers(0, 256, size=(h, w, 3)))
+            _assert_same_bytes(img, random_spmap(rng, h, w, n_values))
+
+
+def _edge_gradient_images():
+    """Gray ramps whose gradients lie on orientation bin edges: gx == gy,
+    gx == -gy, gx == 0 and gy == 0, and a two-level checkerboard on which
+    every interior gradient is zero; each with the (gx, gy) test it meets."""
+    y, x = np.mgrid[:9, :11]
+    for gray, holds in (
+        (10 * (x + y), lambda gx, gy: gx == gy),
+        (10 * (x - y + 10), lambda gx, gy: gx == -gy),
+        (20 * y, lambda gx, gy: gx == 0),
+        (20 * x, lambda gx, gy: gy == 0),
+        (60 * ((x + y) % 2), lambda gx, gy: (gx == 0) & (gy == 0)),
+    ):
+        yield make_image(np.repeat(gray[:, :, None], 3, axis=2)), holds
+
+
+def test_features_byte_identical_to_reference_on_bin_edges(rng):
+    for img, holds in _edge_gradient_images():
+        gray = img.data.astype(np.float64).sum(axis=2) / 3.0
+        gy, gx = np.gradient(gray)
+        assert holds(gx[1:-1, 1:-1], gy[1:-1, 1:-1]).all()
+        for n_values in (1, 4):
+            _assert_same_bytes(img, random_spmap(rng, img.height, img.width, n_values))
+        _assert_same_bytes(img, SuperpixelMap(np.arange(99, dtype=np.int32).reshape(9, 11)))
+
+
+def _reachable_gradients():
+    """Every |gx| (or |gy|) a u8 image can give: gray levels are s / 3 for s
+    in 0..765, and np.gradient takes half the difference of two of them
+    inside the image and the whole difference at a border."""
+    third = np.arange(766) / 3.0
+    d = np.unique(np.abs(third[:, None] - third[None, :]))
+    return np.unique(np.concatenate([d, d / 2]))
+
+
+def test_native_magnitude_equals_np_hypot_on_every_reachable_pair():
+    values = _reachable_gradients()
+    assert len(values) == 3436
+    rows = 256  # gx values per chunk, each against every gy value
+    for start in range(0, len(values), rows):
+        gx, gy = np.meshgrid(values[start : start + rows], values, indexing="ij")
+        m = gx.size
+        spmap = SuperpixelMap(np.arange(m).reshape(1, m))  # one region per pixel
+        image = make_image(np.zeros((1, m, 3)))
+        _, _, _, mag, hist = _region_sums(spmap, image, gx, gy, np.zeros(m, np.int64), 1)
+        assert mag.tobytes() == np.hypot(gx, gy).ravel().tobytes()
+        assert (hist == 1).all()
 
 
 def test_constant_image_all_zero(rng):

@@ -19,6 +19,7 @@ from seedloop import (
     gen_synthetic,
     rag_merge,
     superpixel,
+    superpixel_features,
 )
 from seedloop.errors import (
     DimensionMismatch,
@@ -92,6 +93,22 @@ def test_bad_params_rejected():
 def test_spmap_rejects_bad_region_map(region_of):
     with pytest.raises(ShapeMismatch):
         SuperpixelMap(np.asarray(region_of, dtype=np.int32))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+def test_spmap_rejects_non_integer_ids(dtype):
+    with pytest.raises(ShapeMismatch, match="integers"):
+        SuperpixelMap(np.array([[0, 1], [0, 1]], dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int64])
+def test_spmap_any_integer_ids_give_the_int32_results(rng, dtype):
+    img = make_image(rng.integers(0, 256, size=(6, 7, 3)))
+    base = random_spmap(rng, 6, 7, 3)
+    other = SuperpixelMap(base.region_of.astype(dtype))
+    assert superpixel_features(img, other).tobytes() == superpixel_features(img, base).tobytes()
+    merged = rag_merge(other, img, 120.0).region_of
+    assert np.array_equal(merged, rag_merge(base, img, 120.0).region_of)
 
 
 def test_rag_merge_thresh_zero_identity(rng):
@@ -729,28 +746,36 @@ def _native_merge_cases():
         yield spmap, img, np.nextafter(d, np.inf), None
 
 
+def _native_digests():
+    """Digests of every native case through each native function: the
+    segmentation, the components of the image's red channel and the
+    features of the segmentation; then of every native merge case."""
+    for img, params in _native_cases():
+        spmap = felzenszwalb(img, params)
+        yield _digest(spmap)
+        yield hashlib.sha256(_components(img.data[:, :, 0]).tobytes()).hexdigest()
+        yield hashlib.sha256(superpixel_features(img, spmap).tobytes()).hexdigest()
+    for case in _native_merge_cases():
+        yield _digest(rag_merge(*case))
+
+
 def _assert_clean_under_sanitizer(home, flags, runtime, **env):
     """A build with flags, loaded through the normal _load_felz path in a
-    fresh process with an empty cache under home, segments every native case
-    and merges every native merge case without a runtime error and as the
-    production build does."""
+    fresh process with an empty cache under home, gives every native digest
+    without a runtime error and as the production build does."""
     proc = _run_child(
-        "from seedloop import felzenszwalb, rag_merge, superpixel\n"
-        "from tests.test_superpixel import _digest, _native_cases, _native_merge_cases\n"
+        "from seedloop import superpixel\n"
+        "from tests.test_superpixel import _native_digests\n"
         f"superpixel._FELZ_FLAGS += {flags!r}\n"
-        "for img, params in _native_cases():\n"
-        "    print(_digest(felzenszwalb(img, params)))\n"
-        "for case in _native_merge_cases():\n"
-        "    print(_digest(rag_merge(*case)))\n",
+        "for d in _native_digests():\n"
+        "    print(d)\n",
         HOME=str(home),
         **env,
     )
     assert proc.returncode == 0, proc.stderr
     (lib,) = (home / ".cache" / "seedloop").iterdir()
     assert runtime in lib.read_bytes()  # the sanitized build, not a cached one
-    want = [_digest(felzenszwalb(*case)) for case in _native_cases()]
-    want += [_digest(rag_merge(*case)) for case in _native_merge_cases()]
-    assert proc.stdout.split() == want
+    assert proc.stdout.split() == list(_native_digests())
 
 
 def test_native_source_clean_under_ubsan(tmp_path):
@@ -851,8 +876,8 @@ def test_native_build_reused_from_cache(tmp_path, monkeypatch):
 
 def test_native_source_compiles_without_warnings(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
-    # linked as _build_felz links it, and every symbol must resolve: with
-    # -fno-math-errno, sqrt is an instruction and needs no libm
+    # linked as _build_felz links it, and every symbol must resolve: hypot
+    # needs the -lm among the flags, after the source
     flags = ["-Wall", "-Wextra", "-Werror", *superpixel._FELZ_FLAGS, "-Wl,--no-undefined"]
     cmd = ["gcc", str(superpixel._FELZ_SOURCE), *flags, "-o", str(tmp_path / "lint.so")]
     proc = subprocess.run(cmd, capture_output=True, text=True)
