@@ -3,17 +3,16 @@
  * seedloop.superpixel as four functions.
  *
  * felz_segment builds the 8-connected grid graph of an image, sorts its
- * edges by (weight, generation index) and runs the two union-find passes
- * over the sorted edges; it needs h * w <= 2^30. It allocates its own
- * buffers and frees them before it returns; it returns nonzero when an
- * allocation fails. On success
- * root[p], for each of the h * w pixels, is the root of pixel p's component.
- * Which root names a component does not matter: label_components renumbers
- * components by first pixel in scan order.
+ * edges by (weight, generation index), runs the two union-find passes over
+ * the sorted edges and numbers the 4-connected components of the result;
+ * it needs h * w <= 2^30. It allocates its own buffers and frees them
+ * before it returns; it returns nonzero when an allocation fails.
  *
  * label_components splits a label map into 4-connected components,
  * region_sums adds up per-region pixel statistics in scan order, and
- * rag_merge_loop merges adjacent regions greedily.
+ * rag_merge_loop merges adjacent regions greedily and numbers the
+ * survivors. These three take their scratch from the caller and cannot
+ * fail.
  */
 #include <math.h>
 #include <stdint.h>
@@ -21,7 +20,7 @@
 #include <string.h>
 
 int felz_segment(int64_t h, int64_t w, const double *img, double k,
-                 double min_size, int64_t *root);
+                 double min_size, int64_t *root, int32_t *id);
 void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
                     double *sums, double *counts, int64_t *final, double *dist,
                     double merge_thresh, int64_t max_regions);
@@ -255,8 +254,14 @@ static void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *edges,
         root[p] = find(root, p);
 }
 
+/* On success root[p], for each of the h * w pixels, is the root of pixel
+ * p's component, and id[p] its 4-connected region: 8-connected merging can
+ * leave a component whose pixels touch only diagonally, so label_components
+ * splits each root's pixels into 4-connected regions, numbered 0.. by first
+ * pixel in scan order. Which root names a component therefore does not
+ * matter. */
 int felz_segment(int64_t h, int64_t w, const double *img, double k,
-                 double min_size, int64_t *root)
+                 double min_size, int64_t *root, int32_t *id)
 {
     const int64_t step[4] = {1, w, w + 1, w - 1};
     int64_t n_pixels = h * w;
@@ -268,8 +273,10 @@ int felz_segment(int64_t h, int64_t w, const double *img, double k,
     /* a 1x1 image has no edges: a NULL from malloc(0) is no failure */
     int failed = wgt == NULL || (edges == NULL && n_edges > 0) || size == NULL || thresh == NULL;
 
-    if (!failed)
+    if (!failed) {
         union_find(n_pixels, n_edges, edges, wgt, step, k, min_size, root, size, thresh);
+        label_components(h, w, root, size, id); /* size is scratch by now */
+    }
     free(wgt);
     free(edges);
     free(size);
@@ -317,10 +324,10 @@ void label_components(int64_t h, int64_t w, const int64_t *label, int64_t *paren
  * region[p] and has color rgb[3p..3p+2]. Adds to counts[r] each pixel of
  * region r, to sums[3r + c] its color and to squares[3r + c] the color's
  * square. These are integers below 2^53, so they are exact in any order.
- * When gx is not NULL, also adds hypot(gx[p], gy[p]) to mag[r], pixel by
- * pixel in scan order as np.bincount adds its weights, and 1 to
- * hist[n_bins * r + bin[p]], bin[p] in 0..n_bins-1. The caller zeroes every
- * output. */
+ * When n_bins > 0, also adds hypot(gx[p], gy[p]) to mag[r], pixel by pixel
+ * in scan order as np.bincount adds its weights, and 1 to
+ * hist[n_bins * r + bin[p]], bin[p] in 0..n_bins-1; otherwise gx, gy, bin,
+ * mag and hist are not touched. The caller zeroes every output. */
 void region_sums(int64_t n_pixels, const int64_t *region, const uint8_t *rgb,
                  double *counts, double *sums, double *squares, const double *gx,
                  const double *gy, const int64_t *bin, int64_t n_bins, double *mag,
@@ -336,7 +343,7 @@ void region_sums(int64_t n_pixels, const int64_t *region, const uint8_t *rgb,
             sums[3 * r + c] += v;
             squares[3 * r + c] += v * v;
         }
-        if (gx != NULL) {
+        if (n_bins > 0) {
             mag[r] += hypot(gx[p], gy[p]);
             hist[n_bins * r + bin[p]] += 1.0;
         }
@@ -358,11 +365,14 @@ static double mean_dist(const double *sums, const double *counts, int64_t a, int
  * 1e-12 of the minimum; the first row wins a duplicate key. It stops when
  * that pair's distance is not below merge_thresh, unless more than
  * max_regions regions are alive. A merge of (i, j) keeps i: sums and counts
- * of j are added into i, final[r] == j becomes i, and the rows are rewritten
+ * of j are added into i, final[j] becomes i, and the rows are rewritten
  * with j as i, self-loops dropped and each pair reordered to a < b. Only
  * rows that touch i get a new distance. All arrays are the caller's: ea,
- * eb and dist (scratch, n_edges long) are compacted in place, sums (n x 3),
- * counts and final (n long) are updated in place. */
+ * eb and dist (scratch, n_edges long) are compacted in place, sums (n x 3)
+ * and counts are updated in place, and final (n long) comes in as 0..n-1.
+ * On return final[r] is the number of the survivor that holds region r,
+ * survivors numbered 0.. in id order: each merge keeps the smaller id, so
+ * one ascending pass numbers a region's parent before the region. */
 void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
                     double *sums, double *counts, int64_t *final, double *dist,
                     double merge_thresh, int64_t max_regions)
@@ -390,8 +400,7 @@ void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
         sums[3 * i + 1] += sums[3 * j + 1];
         sums[3 * i + 2] += sums[3 * j + 2];
         counts[i] += counts[j];
-        for (r = 0; r < n; r++)
-            final[r] = final[r] == j ? i : final[r];
+        final[j] = i;
         n_alive--;
         for (e = 0, m = 0; e < n_edges; e++) {
             int64_t a = ea[e] == j ? i : ea[e], b = eb[e] == j ? i : eb[e];
@@ -404,4 +413,6 @@ void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
         }
         n_edges = m;
     }
+    for (r = 0, m = 0; r < n; r++)
+        final[r] = final[r] == r ? m++ : final[final[r]];
 }

@@ -22,13 +22,21 @@ from .pipeline import (
 )
 from .relgraph import (
     RelationshipMatrix,
+    _check_top_m,
     adjacency_matrix,
     distance_matrix,
     relationship_matrix,
     similarity_matrix,
 )
 from .seeds import GateParams, SeedState, custom_walk
-from .superpixel import SegParams, SuperpixelMap, _components, felzenszwalb, rag_merge
+from .superpixel import (
+    SegParams,
+    SuperpixelMap,
+    _check_max_regions,
+    _components,
+    felzenszwalb,
+    rag_merge,
+)
 from .tensorio import (
     SynthParams,
     gen_synthetic,
@@ -73,6 +81,7 @@ def _cmd_synth(args):
 
 
 def _cmd_superpix(args):
+    _check_max_regions(args.max_regions)
     image = load_ppm(args.image)
     params = _from_args(SegParams, args)
     spmap = rag_merge(
@@ -96,6 +105,7 @@ def _cmd_features(args):
 
 
 def _cmd_relmat(args):
+    _check_top_m(args.topk)
     spmap = _spmap_from_tensor(load_tensor(args.sp))
     feats = standardize(load_external_features(args.features, spmap.n_regions))
     siml = similarity_matrix(distance_matrix(feats), args.topk)

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer check that
+parameter records share."""
+
+import numbers
+from dataclasses import fields
 
 
 class SeedloopError(Exception):
@@ -77,3 +81,18 @@ class EmptySeeds(SeedloopError):
 
 class MissingFile(SeedloopError):
     pass
+
+
+def check_int(name, value):
+    """Raise InvalidParams unless value is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+
+
+def check_int_fields(params):
+    """check_int on every field of the dataclass params whose default is an
+    int: the rule a config file or CLI flag, parsed by the default's type,
+    already applies."""
+    for f in fields(params):
+        if type(f.default) is int:
+            check_int(f.name, getattr(params, f.name))

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile
+from .errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile, check_int_fields
 from .features import standardize, superpixel_features
 from .metrics import confusion, scores
 from .relgraph import RelationshipMatrix, build_relationship
@@ -46,6 +46,7 @@ class LoopConfig:
     n_categories: int = 4
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.total_epochs < 1 or self.update_every < 1:
             raise InvalidParams("bad loop schedule")
         if not 0.0 <= self.w <= 1.0:

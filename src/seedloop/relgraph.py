@@ -35,6 +35,12 @@ def distance_matrix(feats: np.ndarray) -> np.ndarray:
     return (d + d.T) / 2.0  # exact symmetry
 
 
+def _check_top_m(m):
+    """similarity_matrix's check of m, which the CLI runs before the distances."""
+    if m < 1:
+        raise InvalidParams(f"top-m needs m >= 1, got {m}")
+
+
 def similarity_matrix(dist: np.ndarray, m: int) -> np.ndarray:
     """Per row, mark the min(m, N) smallest distances with 1.
 
@@ -42,8 +48,7 @@ def similarity_matrix(dist: np.ndarray, m: int) -> np.ndarray:
     when m smaller-index columns share its zero distance (duplicate
     feature rows). Rows are independent, so M[i, j] and M[j, i] may differ.
     """
-    if m < 1:
-        raise InvalidParams(f"top-m needs m >= 1, got {m}")
+    _check_top_m(m)
     n = dist.shape[0]
     order = np.argsort(dist, axis=1, kind="stable")
     out = np.zeros((n, n), dtype=np.uint8)

@@ -12,9 +12,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import DimensionMismatch, DimOverflow, InvalidParams, NativeBuildError, ShapeMismatch
+from .errors import (
+    DimensionMismatch,
+    DimOverflow,
+    InvalidParams,
+    NativeBuildError,
+    ShapeMismatch,
+    check_int_fields,
+)
 from .tensorio import RasterImage
 
 _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
@@ -63,6 +69,7 @@ class SegParams:
     merge_thresh: float = 25.0
 
     def __post_init__(self):
+        check_int_fields(self)
         if not (  # NaN fails every comparison
             0 < self.k < np.inf
             and 0 <= self.sigma < np.inf
@@ -82,22 +89,21 @@ def _components(labels):
     return ids
 
 
-def _region_sums(spmap, image, gx=None, gy=None, bins=None, n_bins=0):
+def _region_sums(spmap, image, gx, gy, bins, n_bins):
     """Per-region pixel counts (n,), RGB sums (n, 3) and RGB sums of squares
-    (n, 3) in one scan-order pass in _felzenszwalb.c. Given the (h, w)
-    float64 gradients gx and gy and int64 bins in 0..n_bins-1, the pass also
-    gives each region's sum of hypot(gx, gy) (n,), added in scan order as
-    np.bincount adds, and its count of each bin (n, n_bins); else those two
+    (n, 3) in one scan-order pass in _felzenszwalb.c. When n_bins > 0, given
+    the (h, w) float64 gradients gx and gy and int64 bins in 0..n_bins-1,
+    the pass also gives each region's sum of hypot(gx, gy) (n,), added in
+    scan order as np.bincount adds, and its count of each bin (n, n_bins);
+    with n_bins 0 the three gradient arrays may be empty and those two sums
     are zero."""
     n = spmap.n_regions
     counts, sums, squares = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3))
     mag, hist = np.zeros(n), np.zeros((n, n_bins))
-    grad = (None, None, None, n_bins, None, None)
-    if gx is not None:
-        grad = (gx.ravel(), gy.ravel(), bins.ravel(), n_bins, mag, hist.ravel())
     region = spmap.region_of.astype(np.int64, copy=False).ravel()
     _load_felz().region_sums(
-        region.size, region, image.data.ravel(), counts, sums.ravel(), squares.ravel(), *grad
+        region.size, region, image.data.ravel(), counts, sums.ravel(), squares.ravel(),
+        gx.ravel(), gy.ravel(), bins.ravel(), n_bins, mag, hist.ravel(),
     )
     return counts, sums, squares, mag, hist
 
@@ -138,32 +144,25 @@ def _load_felz():
     u8 = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
     map_i64 = np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
     map_i32 = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
-    opt_i64, opt_f64 = _or_null(i64), _or_null(f64)
     c_i64, c_f64 = ctypes.c_int64, ctypes.c_double
-    # h, w, image, k, min_size, root (out); nonzero when an allocation failed
-    lib.felz_segment.argtypes = [c_i64, c_i64, img, c_f64, c_f64, i64]
+    # h, w, image, k, min_size, root (out), id (out); nonzero when an
+    # allocation failed
+    lib.felz_segment.argtypes = [c_i64, c_i64, img, c_f64, c_f64, i64, map_i32]
     lib.felz_segment.restype = ctypes.c_int
     # n, n_edges, ea, eb, sums, counts, final, dist, merge_thresh, max_regions;
-    # every array is updated in place, dist is scratch
+    # every array is updated in place, dist is scratch, final goes in as
+    # 0..n-1 and comes out as each region's survivor id
     lib.rag_merge_loop.argtypes = [c_i64, c_i64, i64, i64, f64, f64, i64, f64, c_f64, c_i64]
     lib.rag_merge_loop.restype = None
     # h, w, label, parent (scratch), id (out)
     lib.label_components.argtypes = [c_i64, c_i64, map_i64, i64, map_i32]
     lib.label_components.restype = None
     # n_pixels, region, rgb, counts, sums, squares, gx, gy, bin, n_bins, mag, hist;
-    # the outputs are added to, and the gradient arrays may all be None
-    lib.region_sums.argtypes = [c_i64, i64, u8, f64, f64, f64, opt_f64, opt_f64, opt_i64,
-                                c_i64, opt_f64, opt_f64]
+    # the outputs are added to, and gx, gy, bin, mag and hist are read only
+    # when n_bins > 0
+    lib.region_sums.argtypes = [c_i64, i64, u8, f64, f64, f64, f64, f64, i64, c_i64, f64, f64]
     lib.region_sums.restype = None
     return lib
-
-
-def _or_null(ptr):
-    """The ndpointer type ptr, also taking None, which ctypes passes as NULL."""
-    def from_param(cls, obj):
-        return None if obj is None else ptr.from_param(obj)
-
-    return type(ptr.__name__, (ptr,), {"from_param": classmethod(from_param)})
 
 
 def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> SuperpixelMap:
@@ -173,8 +172,8 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     w <= min(Int(Ci) + k/|Ci|, Int(Cj) + k/|Cj|), then components smaller than
     min_size are absorbed along their lowest-weight edges. Output regions are
     the 4-connected components of the result, numbered in scan order. The edge
-    build and sort and the two union-find passes are one call into
-    _felzenszwalb.c, compiled by gcc on first call.
+    build and sort, the two union-find passes and the numbering are one call
+    into _felzenszwalb.c, compiled by gcc on first call.
 
     The generation index is 32 bits wide in the native sort, so images of
     more than 2**30 pixels raise DimOverflow before any work.
@@ -184,21 +183,21 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
         raise DimOverflow(f"a {h}x{w} image has more than 2**30 pixels")
     img = image.data.astype(np.float64)
     if params.sigma > 0:  # blur each channel on its own
+        from scipy import ndimage  # on first blur: it is most of `import seedloop`'s time
+
         img = ndimage.gaussian_filter(img, (params.sigma, params.sigma, 0))
-    # 8-connected merging can leave diagonal-only links; splitting each root's
-    # pixels into 4-connected components restores the invariant
-    return SuperpixelMap(_components(_roots(img, params).reshape(h, w)))
+    return SuperpixelMap(_segment(img, params)[1])
 
 
-def _roots(img, params):
-    """felz_segment's root of each pixel of a blurred float64 (h, w, 3)
-    image, as a flat int64 array in scan order."""
+def _segment(img, params):
+    """felz_segment on a blurred float64 (h, w, 3) image: each pixel's root,
+    as a flat int64 array in scan order, and its (h, w) int32 region id."""
     h, w, _ = img.shape
-    roots = np.empty(h * w, np.int64)
+    roots, ids = np.empty(h * w, np.int64), np.empty((h, w), np.int32)
     lib = _load_felz()
-    if lib.felz_segment(h, w, np.ascontiguousarray(img), params.k, params.min_size, roots):
+    if lib.felz_segment(h, w, np.ascontiguousarray(img), params.k, params.min_size, roots, ids):
         raise MemoryError(f"felz_segment could not allocate its buffers for a {h}x{w} image")
-    return roots
+    return roots, ids
 
 
 def region_edges(region_of):
@@ -219,6 +218,12 @@ def region_edges(region_of):
     return np.stack(np.divmod(np.unique(keys), n), axis=1)
 
 
+def _check_max_regions(max_regions):
+    """rag_merge's check of max_regions, which the CLI runs before segmenting."""
+    if max_regions is not None and max_regions < 1:
+        raise InvalidParams(f"max_regions must be >= 1, got {max_regions}")
+
+
 def rag_merge(
     spmap: SuperpixelMap,
     image: RasterImage,
@@ -231,28 +236,27 @@ def rag_merge(
     max_regions is reached, when given); mean colors are pixel-count-weighted.
     The pair merged is the first (i, j) in lexicographic order whose distance
     lies within 1e-12 of the minimum, so near-ties go to the smaller pair.
-    A merge keeps the smaller id, and survivors are renumbered 0.. in id
+    A merge keeps the smaller id, and survivors are numbered 0.. in id
     order. Ids in scan order, as `felzenszwalb` makes them, stay in scan order:
     a group's smallest id names its first pixel. Merged regions are unions of
     regions across 4-connected borders, so 4-connected regions stay so.
 
-    The merge loop is one call into _felzenszwalb.c, and its distance rounds
-    as the felzenszwalb edge weight does.
+    The merge loop and the numbering are one call into _felzenszwalb.c, and
+    its distance rounds as the felzenszwalb edge weight does.
     """
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("superpixel map and image dimensions differ")
     if not 0 <= merge_thresh < np.inf:  # NaN fails every comparison, as in SegParams
         raise InvalidParams(f"merge_thresh must be finite and >= 0, got {merge_thresh}")
-    if max_regions is not None and max_regions < 1:
-        raise InvalidParams(f"max_regions must be >= 1, got {max_regions}")
+    _check_max_regions(max_regions)
     n = spmap.n_regions
-    counts, sums, _, _, _ = _region_sums(spmap, image)
+    empty = np.empty(0)  # n_bins 0: no gradient sums
+    counts, sums, _, _, _ = _region_sums(spmap, image, empty, empty, np.empty(0, np.int64), 0)
     ea, eb = region_edges(spmap.region_of).T.copy()
-    final = np.arange(n, dtype=np.int64)  # original region -> the region it was merged into
+    final = np.arange(n, dtype=np.int64)  # becomes each region's survivor id
     cap = n if max_regions is None else int(max_regions)  # n alive never forces a merge
     dist = np.empty(len(ea))
     _load_felz().rag_merge_loop(
         n, len(ea), ea, eb, sums.ravel(), counts, final, dist, float(merge_thresh), cap
     )
-    new_id = np.unique(final, return_inverse=True)[1].astype(np.int32)  # survivor ranks
-    return SuperpixelMap(new_id[spmap.region_of])
+    return SuperpixelMap(final.astype(np.int32)[spmap.region_of])

@@ -25,6 +25,8 @@ from .errors import (
     TruncatedPayload,
     UnsupportedMaxval,
     UnsupportedVersion,
+    check_int,
+    check_int_fields,
 )
 
 IGNORE = 255  # label value excluded from supervision and evaluation
@@ -325,6 +327,7 @@ class SynthParams:
     noise_sigma: float = 6.0
 
     def __post_init__(self):
+        check_int_fields(self)
         if not (_side_fits(self.width) and _side_fits(self.height)):
             raise InvalidParams(
                 f"a {self.width}x{self.height} scene cannot hold every shape kind "
@@ -373,6 +376,8 @@ def gen_synthetic(rng_seed: int, count: int, params: SynthParams = SynthParams()
     central blob per shape plus a sparse background ring; everything else is
     ignore (255). Deterministic for a fixed rng_seed.
     """
+    check_int("rng_seed", rng_seed)
+    check_int("count", count)
     if count < 1:
         raise InvalidParams("count must be >= 1")
     if rng_seed < 0:

@@ -16,6 +16,7 @@ from seedloop import (
     similarity_matrix,
     superpixel_features,
 )
+import seedloop.cli as cli
 from seedloop.cli import _spmap_from_tensor, build_parser, main
 from seedloop.features import standardize
 from seedloop.tensorio import IGNORE, load_label_pgm, load_tensor, save_label_pgm, save_tensor
@@ -47,7 +48,11 @@ def stages(synth_dir, tmp_path):
     return sp, feats, rel
 
 
-def test_stagewise_pipeline(stages, tmp_path, capsys):
+def _no_work(*args):
+    raise AssertionError("expensive work ran before the flags were checked")
+
+
+def test_stagewise_pipeline(stages, tmp_path, capsys, monkeypatch):
     sp, feats, rel = stages
     sp_arr = load_tensor(sp)
     assert sp_arr.dtype == np.uint16 and sp_arr.ndim == 2
@@ -59,6 +64,7 @@ def test_stagewise_pipeline(stages, tmp_path, capsys):
     # entrywise product relation between the three planes
     assert np.array_equal(rel_arr[2], rel_arr[0] & rel_arr[1])
 
+    monkeypatch.setattr(cli, "distance_matrix", _no_work)
     for topk in ("0", "-1"):
         bad = tmp_path / f"rel{topk}.dfnt"
         assert main(["relmat", "--features", feats, "--sp", sp, "--topk", topk, "--out", str(bad)]) == 1
@@ -330,7 +336,10 @@ def test_superpix_rejects_more_regions_than_u16_ids(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("max_regions", ["0", "-1"])
-def test_superpix_rejects_max_regions_below_one(synth_dir, tmp_path, capsys, max_regions):
+def test_superpix_rejects_max_regions_below_one(
+    synth_dir, tmp_path, capsys, monkeypatch, max_regions
+):
+    monkeypatch.setattr(cli, "felzenszwalb", _no_work)
     out = tmp_path / "sp.dfnt"
     args = ["superpix", "--image", str(synth_dir / "0000.ppm"), "--out", str(out)]
     assert main([*args, "--max-regions", max_regions]) == 1

@@ -92,6 +92,15 @@ def test_empty_seeds_rejected():
         (lambda: LoopConfig(seg=SegParams(k=float("inf"))), None, InvalidParams),
         (lambda: LoopConfig(seg=SegParams(sigma=float("inf"))), None, InvalidParams),
         (lambda: LoopConfig(seg=SegParams(merge_thresh=float("nan"))), None, InvalidParams),
+        # an int field takes only an integer, as a config file parses it
+        (lambda: LoopConfig(total_epochs=2.5), None, InvalidParams),
+        (lambda: LoopConfig(walk_steps=1.5), None, InvalidParams),
+        (lambda: LoopConfig(epochs_per_phase=2.0), None, InvalidParams),
+        (lambda: LoopConfig(topk=2.5), None, InvalidParams),
+        (lambda: LoopConfig(n_categories=3.5), None, InvalidParams),
+        (lambda: LoopConfig(update_every=1.5), None, InvalidParams),
+        (lambda: LoopConfig(update_start_epoch=True), None, InvalidParams),
+        (lambda: LoopConfig(seg=SegParams(min_size=2.5)), None, InvalidParams),
         (LoopConfig, ("seeds", 9), DimensionMismatch),
         (LoopConfig, ("gt", 9), DimensionMismatch),
     ],
@@ -112,6 +121,14 @@ def test_empty_seeds_rejected():
         "k=inf",
         "sigma=inf",
         "merge_thresh=nan",
+        "total_epochs=2.5",
+        "walk_steps=1.5",
+        "epochs_per_phase=2.0",
+        "topk=2.5",
+        "n_categories=3.5",
+        "update_every=1.5",
+        "update_start_epoch=True",
+        "min_size=2.5",
         "seed_label=9",
         "gt_label=9",
     ],

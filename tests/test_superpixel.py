@@ -269,11 +269,21 @@ def _tie_heavy_case(seed):
     return img, felzenszwalb(img, SegParams(k=5, sigma=0, min_size=1))
 
 
+def _chain_case():
+    """One row of one-pixel regions whose merges chain: 5 into 4 at distance
+    sqrt(3), 1 into 0, then 4 into 3, so survivor 3, numbered 2, is two
+    parent links up from region 5. At threshold 30 regions 2 and 6 stay
+    alone."""
+    levels = [100, 102, 200, 0, 10, 11, 255]
+    img = make_image(np.repeat(np.array(levels)[None, :, None], 3, axis=2))
+    return img, SuperpixelMap(np.arange(len(levels), dtype=np.int32)[None, :])
+
+
 # seed 1655 is a map on which a plain argmin of the distances merges a
 # different pair than the reference does
-@pytest.mark.parametrize("seed", [*range(12), 1655])
+@pytest.mark.parametrize("seed", [*range(12), 1655, "chain"])
 def test_rag_merge_matches_pairwise_scan_oracle(seed):
-    img, spmap = _tie_heavy_case(seed)
+    img, spmap = _chain_case() if seed == "chain" else _tie_heavy_case(seed)
     for thresh, max_regions in ((30, None), (1e9, None), (0, 2), (0, 3), (25, 2), (25, 3)):
         got = rag_merge(spmap, img, thresh, max_regions)
         want = _reference_rag_merge(spmap, img, thresh, max_regions)
@@ -617,7 +627,7 @@ def test_felzenszwalb_matches_oracle_on_long_tie_runs(kind, sigma):
         params = SegParams(k=k, sigma=sigma, min_size=min_size)
         _assert_same_segmentation(img, params)
         want = _reference_roots(smoothed, params)
-        assert np.array_equal(superpixel._roots(smoothed, params), want)
+        assert np.array_equal(superpixel._segment(smoothed, params)[0], want)
 
 
 # colors in steps of 20 plus noise below 1e-9 give few weights, each split
@@ -635,7 +645,7 @@ def test_native_roots_match_oracle_on_near_ties(shape):
     for min_size in (2, 5):
         params = SegParams(k=1e-6, sigma=0, min_size=min_size)
         want = _reference_roots(smoothed, params)
-        assert np.array_equal(superpixel._roots(smoothed, params), want)
+        assert np.array_equal(superpixel._segment(smoothed, params)[0], want)
 
 
 def test_fixup_not_quadratic_on_ramp():
@@ -711,6 +721,13 @@ def test_native_edges_match_numpy_oracle_on_scenes():
         _assert_same_segmentation(img, SegParams())
 
 
+def test_segment_ids_are_the_components_of_its_roots():
+    for img, params in _native_cases():
+        roots, ids = superpixel._segment(_smoothed(img, params.sigma), params)
+        assert ids.dtype == np.int32
+        assert np.array_equal(ids, _components(roots.reshape(ids.shape)))
+
+
 def _run_child(code, **env):
     """Run Python code in a fresh process that can import seedloop and tests."""
     root = Path(__file__).resolve().parents[1]
@@ -718,6 +735,18 @@ def _run_child(code, **env):
     return subprocess.run(
         [sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True
     )
+
+
+def test_import_does_not_load_scipy():
+    # scipy.ndimage is imported on the first blur; subcommands that never
+    # blur do not pay for it
+    proc = _run_child(
+        "import sys\n"
+        "import seedloop, seedloop.cli\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _libasan():
@@ -799,9 +828,10 @@ def test_native_source_clean_under_asan(tmp_path):
 def _segment_under_address_limit(headroom_mb):
     """Segment a 1024x1024 image in a fresh process whose address space ends
     headroom_mb past what it has mapped; prints the MemoryError, if any.
-    The image's float64 copy and roots take 33.6 MB, then felz_segment
-    33.5 MB of gen-indexed weights and two 33.5 MB record buffers for its
-    4.2 M edges."""
+    The image's float64 copy, the int64 roots and the int32 ids that Python
+    allocates before the call take 37.7 MB, then felz_segment 33.5 MB of
+    gen-indexed weights and two 33.5 MB record buffers for its 4.2 M
+    edges."""
     return _run_child(
         "import resource\n"
         "import numpy as np\n"

@@ -255,8 +255,11 @@ def test_gen_synthetic_seed_precision_and_sparsity():
 
 
 def test_gen_synthetic_rejects_bad_count():
+    for count in (0, 2.0, True):
+        with pytest.raises(InvalidParams):
+            gen_synthetic(1, count)
     with pytest.raises(InvalidParams):
-        gen_synthetic(1, 0)
+        gen_synthetic(1.0, 1)
 
 
 def test_synth_params_validation():
@@ -272,8 +275,20 @@ def test_synth_params_validation():
         {"noise_sigma": -1.0},
         {"noise_sigma": float("nan")},
         {"noise_sigma": float("inf")},
+        {"width": 64.5},
+        {"height": 64.0},
+        {"width": True},
     ],
-    ids=["16x16", "height=16", "noise=-1", "noise=nan", "noise=inf"],
+    ids=[
+        "16x16",
+        "height=16",
+        "noise=-1",
+        "noise=nan",
+        "noise=inf",
+        "width=64.5",
+        "height=64.0",
+        "width=True",
+    ],
 )
 def test_synth_params_rejects_what_cannot_be_generated(kwargs):
     with pytest.raises(InvalidParams):
