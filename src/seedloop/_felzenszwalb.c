@@ -5,22 +5,20 @@
  * felz_segment builds the 8-connected grid graph of an image, sorts its
  * edges by (weight, generation index), runs the two union-find passes over
  * the sorted edges and numbers the 4-connected components of the result;
- * it needs h * w <= 2^30. It allocates its own buffers and frees them
- * before it returns; it returns nonzero when an allocation fails.
+ * it needs h * w <= 2^30.
  *
  * label_components splits a label map into 4-connected components,
  * region_sums adds up per-region pixel statistics in scan order, and
  * rag_merge_loop merges adjacent regions greedily and numbers the
- * survivors. These three take their scratch from the caller and cannot
- * fail.
+ * survivors. All four take every buffer from the caller and cannot fail.
  */
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
-int felz_segment(int64_t h, int64_t w, const double *img, double k,
-                 double min_size, int64_t *root, int32_t *id);
+void felz_segment(int64_t h, int64_t w, const double *img, double k, double min_size,
+                  double *wgt, uint64_t *rec, int64_t *size, double *thresh, int64_t *root,
+                  int32_t *id);
 void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
                     double *sums, double *counts, int64_t *final, double *dist,
                     double merge_thresh, int64_t max_regions);
@@ -147,9 +145,8 @@ static void fix_run(uint64_t *run, int64_t m, uint64_t *tmp, const double *wgt)
  * index) order, the generation index 4 * a + d of the edge from pixel a to
  * its neighbor right, down, down-right or down-left, d = 0..3, at step[d]
  * from it. Each weight goes to wgt[4 * a + d]; slots of edges that leave the
- * image stay unset. Returns a malloc'd buffer of records the caller frees,
- * or NULL when an allocation fails (and, allowed by malloc(0), possibly
- * when n_edges is 0).
+ * image stay unset. src and dst hold n_edges records each; returns whichever
+ * holds the sorted records.
  *
  * A record is the top 32 bits of the weight's IEEE-754 bits over the
  * generation index: h * w <= 2^30, so the index fits in the low 32 bits.
@@ -158,17 +155,12 @@ static void fix_run(uint64_t *run, int64_t m, uint64_t *tmp, const double *wgt)
  * top bits and, within equal top bits, by generation index; fix_run then
  * orders each run of equal top bits by the weight's full bits. */
 static uint64_t *sorted_edges(int64_t h, int64_t w, const double *img,
-                              const int64_t step[4], int64_t n_edges, double *wgt)
+                              const int64_t step[4], int64_t n_edges, double *wgt,
+                              uint64_t *src, uint64_t *dst)
 {
-    uint64_t *src = malloc((size_t)n_edges * sizeof *src);
-    uint64_t *dst = malloc((size_t)n_edges * sizeof *dst), *out;
+    uint64_t *out;
     int64_t n = 0, y, x, i, j, d;
 
-    if (n_edges > 0 && (src == NULL || dst == NULL)) {
-        free(src);
-        free(dst);
-        return NULL;
-    }
     for (y = 0; y < h; y++) {
         for (x = 0; x < w; x++) {
             int64_t a = y * w + x;
@@ -191,7 +183,6 @@ static uint64_t *sorted_edges(int64_t h, int64_t w, const double *img,
         if (j - i > 1)
             fix_run(out + i, j - i, dst, wgt);
     }
-    free(dst);
     return out;
 }
 
@@ -254,34 +245,24 @@ static void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *edges,
         root[p] = find(root, p);
 }
 
-/* On success root[p], for each of the h * w pixels, is the root of pixel
- * p's component, and id[p] its 4-connected region: 8-connected merging can
+/* root[p], for each of the h * w pixels, is the root of pixel p's
+ * component, and id[p] its 4-connected region: 8-connected merging can
  * leave a component whose pixels touch only diagonally, so label_components
  * splits each root's pixels into 4-connected regions, numbered 0.. by first
  * pixel in scan order. Which root names a component therefore does not
- * matter. */
-int felz_segment(int64_t h, int64_t w, const double *img, double k,
-                 double min_size, int64_t *root, int32_t *id)
+ * matter. The rest is scratch: wgt of 4 * h * w weights, one per generation
+ * index, rec of 8 * h * w records, the sort's two buffers of 4 * h * w each,
+ * and size and thresh of h * w values each. */
+void felz_segment(int64_t h, int64_t w, const double *img, double k, double min_size,
+                  double *wgt, uint64_t *rec, int64_t *size, double *thresh, int64_t *root,
+                  int32_t *id)
 {
     const int64_t step[4] = {1, w, w + 1, w - 1};
-    int64_t n_pixels = h * w;
     int64_t n_edges = h * (w - 1) + (h - 1) * w + 2 * (h - 1) * (w - 1);
-    double *wgt = malloc((size_t)(4 * n_pixels) * sizeof *wgt);
-    uint64_t *edges = wgt == NULL ? NULL : sorted_edges(h, w, img, step, n_edges, wgt);
-    int64_t *size = malloc((size_t)n_pixels * sizeof *size);
-    double *thresh = malloc((size_t)n_pixels * sizeof *thresh);
-    /* a 1x1 image has no edges: a NULL from malloc(0) is no failure */
-    int failed = wgt == NULL || (edges == NULL && n_edges > 0) || size == NULL || thresh == NULL;
+    uint64_t *edges = sorted_edges(h, w, img, step, n_edges, wgt, rec, rec + 4 * h * w);
 
-    if (!failed) {
-        union_find(n_pixels, n_edges, edges, wgt, step, k, min_size, root, size, thresh);
-        label_components(h, w, root, size, id); /* size is scratch by now */
-    }
-    free(wgt);
-    free(edges);
-    free(size);
-    free(thresh);
-    return failed;
+    union_find(h * w, n_edges, edges, wgt, step, k, min_size, root, size, thresh);
+    label_components(h, w, root, size, id); /* size is scratch by now */
 }
 
 /* Links the root of b under the root of a, or the other way, so that the

@@ -10,7 +10,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile, check_int_fields
+from .errors import (
+    DimensionMismatch,
+    EmptySeeds,
+    InvalidParams,
+    MissingFile,
+    check_int,
+    check_int_fields,
+)
 from .features import standardize, superpixel_features
 from .metrics import confusion, scores
 from .relgraph import RelationshipMatrix, build_relationship
@@ -264,6 +271,7 @@ def ablation_configs(cfg: LoopConfig) -> dict:
 def score_pairs(pairs, n_categories: int):
     """(accu, mIoU, fIoU) of the confusion summed over `(pred, gt)` pairs,
     or None when no pixel is scored."""
+    check_int("n_categories", n_categories)
     if not 1 <= n_categories <= IGNORE:  # uint8 ids 0..C-1 below IGNORE
         raise InvalidParams(f"n_categories must lie in [1, {IGNORE}], got {n_categories}")
     total = np.zeros((n_categories, n_categories), dtype=np.int64)

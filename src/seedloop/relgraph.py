@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, ShapeMismatch
+from .errors import InvalidParams, ShapeMismatch, check_int
 from .superpixel import SuperpixelMap, region_edges
 
 
@@ -36,7 +36,9 @@ def distance_matrix(feats: np.ndarray) -> np.ndarray:
 
 
 def _check_top_m(m):
-    """similarity_matrix's check of m, which the CLI runs before the distances."""
+    """similarity_matrix's check of m, which the CLI and build_relationship
+    run before the distances."""
+    check_int("m", m)
     if m < 1:
         raise InvalidParams(f"top-m needs m >= 1, got {m}")
 
@@ -74,5 +76,6 @@ def relationship_matrix(siml: np.ndarray, adj: np.ndarray) -> RelationshipMatrix
 
 def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int) -> RelationshipMatrix:
     """Convenience wrapper: features -> distances -> top-m -> AND adjacency."""
+    _check_top_m(m)
     siml = similarity_matrix(distance_matrix(feats), m)
     return relationship_matrix(siml, adjacency_matrix(spmap))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, ShapeMismatch, WOutOfRange
+from .errors import InvalidParams, ShapeMismatch, WOutOfRange, check_int
 from .relgraph import RelationshipMatrix
 from .superpixel import SuperpixelMap
 from .tensorio import IGNORE, LabelMap
@@ -115,6 +115,7 @@ def custom_walk(
     result so original seeds are never lost; `strict=True` returns the bare
     walk result instead. Columns exceeding unit mass are scaled down.
     """
+    check_int("steps", steps)
     if steps < 1:
         raise InvalidParams(f"steps must be >= 1, got {steps}")
     start = gate(state, gates.alpha_fg, gates.alpha_bg)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NoLabeledRegions, ShapeMismatch
+from .errors import InvalidParams, NoLabeledRegions, ShapeMismatch, check_int
 from .seeds import SeedState
 
 
@@ -92,6 +92,7 @@ def train_epochs(
 ) -> float:
     """Full-batch gradient descent, `epochs` steps of `learning_rate` on the
     `l2`-penalized loss; mutates the model and returns the loss before the first."""
+    check_int("epochs", epochs)
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
     losses = []

@@ -19,6 +19,7 @@ from .errors import (
     InvalidParams,
     NativeBuildError,
     ShapeMismatch,
+    check_int,
     check_int_fields,
 )
 from .tensorio import RasterImage
@@ -144,11 +145,12 @@ def _load_felz():
     u8 = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
     map_i64 = np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
     map_i32 = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
+    u64 = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
     c_i64, c_f64 = ctypes.c_int64, ctypes.c_double
-    # h, w, image, k, min_size, root (out), id (out); nonzero when an
-    # allocation failed
-    lib.felz_segment.argtypes = [c_i64, c_i64, img, c_f64, c_f64, i64, map_i32]
-    lib.felz_segment.restype = ctypes.c_int
+    # h, w, image, k, min_size, wgt, rec, size, thresh (the four scratch),
+    # root (out), id (out)
+    lib.felz_segment.argtypes = [c_i64, c_i64, img, c_f64, c_f64, f64, u64, i64, f64, i64, map_i32]
+    lib.felz_segment.restype = None
     # n, n_edges, ea, eb, sums, counts, final, dist, merge_thresh, max_regions;
     # every array is updated in place, dist is scratch, final goes in as
     # 0..n-1 and comes out as each region's survivor id
@@ -173,7 +175,8 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     min_size are absorbed along their lowest-weight edges. Output regions are
     the 4-connected components of the result, numbered in scan order. The edge
     build and sort, the two union-find passes and the numbering are one call
-    into _felzenszwalb.c, compiled by gcc on first call.
+    into _felzenszwalb.c, compiled by gcc on first call. It works in numpy
+    arrays only, so a lack of memory fails in numpy, before the call.
 
     The generation index is 32 bits wide in the native sort, so images of
     more than 2**30 pixels raise DimOverflow before any work.
@@ -191,12 +194,14 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
 
 def _segment(img, params):
     """felz_segment on a blurred float64 (h, w, 3) image: each pixel's root,
-    as a flat int64 array in scan order, and its (h, w) int32 region id."""
+    as a flat int64 array in scan order, and its (h, w) int32 region id. The
+    scratch is sized by 4 slots a pixel, so the edge count stays in C."""
     h, w, _ = img.shape
-    roots, ids = np.empty(h * w, np.int64), np.empty((h, w), np.int32)
-    lib = _load_felz()
-    if lib.felz_segment(h, w, np.ascontiguousarray(img), params.k, params.min_size, roots, ids):
-        raise MemoryError(f"felz_segment could not allocate its buffers for a {h}x{w} image")
+    n = h * w
+    roots, ids = np.empty(n, np.int64), np.empty((h, w), np.int32)
+    scratch = np.empty(4 * n), np.empty(8 * n, np.uint64), np.empty(n, np.int64), np.empty(n)
+    img = np.ascontiguousarray(img)
+    _load_felz().felz_segment(h, w, img, params.k, params.min_size, *scratch, roots, ids)
     return roots, ids
 
 
@@ -220,8 +225,10 @@ def region_edges(region_of):
 
 def _check_max_regions(max_regions):
     """rag_merge's check of max_regions, which the CLI runs before segmenting."""
-    if max_regions is not None and max_regions < 1:
-        raise InvalidParams(f"max_regions must be >= 1, got {max_regions}")
+    if max_regions is not None:
+        check_int("max_regions", max_regions)
+        if max_regions < 1:
+            raise InvalidParams(f"max_regions must be >= 1, got {max_regions}")
 
 
 def rag_merge(

@@ -168,6 +168,13 @@ def test_label_map_of_other_size_rejected_before_superpixels(which, monkeypatch)
         run_closed_loop(img, maps["seeds"], LoopConfig(), maps["gt"])
 
 
+# 2.5 failed as a bare TypeError and True scored one category
+@pytest.mark.parametrize("n_categories", [0, 2.5, True])
+def test_score_pairs_rejects_categories_not_an_int_in_range(n_categories):
+    with pytest.raises(InvalidParams):
+        score_pairs([], n_categories)
+
+
 def _pixel_seed_miou(state, spmap, gt, n_categories):
     """The seed mIoU as scored on pixels: render the state, mask the gt to
     the rendered pixels and score the confusion."""

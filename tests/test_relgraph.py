@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from seedloop import (
     adjacency_matrix,
+    build_relationship,
     distance_matrix,
     relationship_matrix,
     similarity_matrix,
 )
+from seedloop import relgraph
 from seedloop.errors import InvalidParams, ShapeMismatch
 from seedloop.relgraph import RelationshipMatrix
 from seedloop.superpixel import SuperpixelMap
@@ -40,11 +42,23 @@ def test_similarity_m_ge_n_all_ones(rng):
     assert (similarity_matrix(d, 10) == 1).all()
 
 
-@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("m", [0, -1, 2.5, True])
 def test_similarity_rejects_m_below_one(m):
-    # m = 0 marked no column and m = -1 all but the farthest one of each row
+    # m = 0 marked no column and m = -1 all but the farthest one of each row;
+    # 2.5 failed as a bare TypeError and True marked one column
     with pytest.raises(InvalidParams):
         similarity_matrix(np.zeros((3, 3)), m)
+
+
+@pytest.mark.parametrize("m", [0, 2.5])
+def test_build_relationship_checks_m_before_distances(monkeypatch, m):
+    def no_work(*args):
+        raise AssertionError("distances computed before m was checked")
+
+    monkeypatch.setattr(relgraph, "distance_matrix", no_work)
+    spmap = SuperpixelMap(np.array([[0, 1]], dtype=np.int32))
+    with pytest.raises(InvalidParams):
+        build_relationship(np.zeros((2, 3)), spmap, m)
 
 
 def test_similarity_row_definition():

@@ -13,7 +13,7 @@ from seedloop import (
     seed_update,
     walk_step,
 )
-from seedloop.errors import ShapeMismatch, WOutOfRange
+from seedloop.errors import InvalidParams, ShapeMismatch, WOutOfRange
 from seedloop.relgraph import RelationshipMatrix
 from seedloop.seeds import SeedState
 from seedloop.superpixel import SuperpixelMap
@@ -107,6 +107,14 @@ def test_custom_walk_support_grows_with_steps(rng):
     sup2 = custom_walk(s, rel_from(chain), n_out, gates, 2).probs > 0
     assert (sup1 <= sup2).all()
     assert sup2.sum() > sup1.sum()
+
+
+# 1.5 failed as a bare TypeError and True ran one step
+@pytest.mark.parametrize("steps", [0, 1.5, True])
+def test_custom_walk_rejects_steps_not_a_positive_int(rng, steps):
+    s = random_state(rng, 2, 3)
+    with pytest.raises(InvalidParams):
+        custom_walk(s, rel_from(np.eye(3)), s, GateParams(0.5, 0.5, 0.5, 0.5), steps)
 
 
 def test_custom_walk_zero_guidance_keeps_gated_seeds(rng):

@@ -100,8 +100,9 @@ def test_train_epochs_rejects_zero(rng):
     model = LinearSegmenter(np.zeros((3, 2)))
     f = rng.standard_normal((4, 3))
     mixed = SeedState(np.vstack([np.ones(4), np.zeros(4)]))
-    with pytest.raises(InvalidParams):
-        train_epochs(model, f, mixed, 0, 1e-2, 1e-3)
+    for epochs in (0, 2.5, True):  # 2.5 failed as a bare TypeError; True ran once
+        with pytest.raises(InvalidParams):
+            train_epochs(model, f, mixed, epochs, 1e-2, 1e-3)
 
 
 def test_training_deterministic(rng):
