@@ -1,21 +1,24 @@
 /* Graph-based segmentation of Felzenszwalb & Huttenlocher (IJCV 2004), its
  * greedy region merge and the per-pixel passes around them, called from
- * seedloop.superpixel as four functions.
+ * seedloop.superpixel as five functions.
  *
- * felz_segment builds the 8-connected grid graph of an image, sorts its
- * edges by (weight, generation index), runs the two union-find passes over
- * the sorted edges and numbers the 4-connected components of the result;
- * it needs h * w <= 2^30.
+ * gauss_blur smooths an image before its segmentation, bit for bit as
+ * scipy.ndimage.gaussian_filter does. felz_segment builds the 8-connected
+ * grid graph of the smoothed image, sorts its edges by (weight, generation
+ * index), runs the two union-find passes over the sorted edges and numbers
+ * the 4-connected components of the result; it needs h * w <= 2^30.
  *
  * label_components splits a label map into 4-connected components,
  * region_sums adds up per-region pixel statistics in scan order, and
  * rag_merge_loop merges adjacent regions greedily and numbers the
- * survivors. All four take every buffer from the caller and cannot fail.
+ * survivors. All five take every buffer from the caller and cannot fail.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
+void gauss_blur(int64_t h, int64_t w, const uint8_t *restrict rgb, int64_t r,
+                const double *restrict fw, double *restrict tmp, double *restrict out);
 void felz_segment(int64_t h, int64_t w, const double *img, double k, double min_size,
                   double *wgt, uint64_t *rec, int64_t *size, double *thresh, int64_t *root,
                   int32_t *id);
@@ -49,6 +52,75 @@ static double color_dist(const double *pa, const double *pb)
 {
     double d0 = pa[0] - pb[0], d1 = pa[1] - pb[1], d2 = pa[2] - pb[2];
     return sqrt((d0 * d0 + d1 * d1) + d2 * d2);
+}
+
+/* Index i of a line of n values under scipy.ndimage's 'reflect' extension,
+ * ...cba|abc...xyz|zyx...: the symmetric extension of period 2n, which
+ * covers any i, so a kernel may be longer than the line. */
+static int64_t reflect(int64_t i, int64_t n)
+{
+    if (i >= 0 && i < n)
+        return i;
+    i %= 2 * n;
+    if (i < 0)
+        i += 2 * n;
+    return i < n ? i : 2 * n - 1 - i;
+}
+
+/* o[3x + c] += (t[3x' + c] + t[3x'' + c]) * f for x in [x0, x1) and c in
+ * 0..2, x' and x'' the reflected indices of x - j and x + j in a row of w. */
+static void add_reflected(const double *restrict t, double *restrict o, int64_t w, int64_t j,
+                          double f, int64_t x0, int64_t x1)
+{
+    int64_t x;
+    int c;
+    for (x = x0; x < x1; x++) {
+        const double *lo = t + 3 * reflect(x - j, w), *hi = t + 3 * reflect(x + j, w);
+        for (c = 0; c < 3; c++)
+            o[3 * x + c] += (lo[c] + hi[c]) * f;
+    }
+}
+
+/* Blurs the (h, w, 3) row-major image rgb into out, (h, w, 3) values, as
+ * scipy.ndimage.gaussian_filter(rgb.astype(float64), (s, s, 0)) does with
+ * the kernel fw[-r..r], fw[-j] = fw[j], of which fw holds fw[0..r]:
+ * correlate1d's symmetric path, acc = x[0] * fw[0], then
+ * acc += (x[-j] + x[j]) * fw[j] for j = r down to 1, under the 'reflect'
+ * extension, along axis 0 into tmp (at least 3 * h * w values), then along
+ * axis 1 from tmp into out. Each pass adds one j at a time to a whole row,
+ * which keeps that order for every value. r = 0 and fw = {1.0} copy rgb,
+ * as scipy does when it skips an axis. */
+void gauss_blur(int64_t h, int64_t w, const uint8_t *restrict rgb, int64_t r,
+                const double *restrict fw, double *restrict tmp, double *restrict out)
+{
+    int64_t row = 3 * w, y, i, j;
+    for (y = 0; y < h; y++) { /* axis 0 */
+        double *o = tmp + y * row;
+        const uint8_t *mid = rgb + y * row;
+        for (i = 0; i < row; i++)
+            o[i] = mid[i] * fw[0];
+        for (j = r; j > 0; j--) {
+            const uint8_t *lo = rgb + reflect(y - j, h) * row, *hi = rgb + reflect(y + j, h) * row;
+            double f = fw[j];
+            for (i = 0; i < row; i++)
+                o[i] += ((double)lo[i] + (double)hi[i]) * f;
+        }
+    }
+    for (y = 0; y < h; y++) { /* axis 1 */
+        const double *t = tmp + y * row;
+        double *o = out + y * row;
+        for (i = 0; i < row; i++)
+            o[i] = t[i] * fw[0];
+        for (j = r; j > 0; j--) {
+            /* x - j and x + j lie in the row for x in [a, b) */
+            int64_t a = j < w ? j : w, b = w - j > a ? w - j : a;
+            double f = fw[j];
+            for (i = 3 * a; i < 3 * b; i++)
+                o[i] += (t[i - 3 * j] + t[i + 3 * j]) * f;
+            add_reflected(t, o, w, j, f, 0, a);
+            add_reflected(t, o, w, j, f, b, w);
+        }
+    }
 }
 
 /* The IEEE-754 bits of x: for +0.0 and positive finite x, their order as

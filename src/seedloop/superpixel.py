@@ -8,6 +8,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,6 +148,9 @@ def _load_felz():
     map_i32 = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
     u64 = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
     c_i64, c_f64 = ctypes.c_int64, ctypes.c_double
+    # h, w, rgb, r, fw (its r + 1 values), tmp (scratch), out
+    lib.gauss_blur.argtypes = [c_i64, c_i64, u8, c_i64, f64, f64, img]
+    lib.gauss_blur.restype = None
     # h, w, image, k, min_size, wgt, rec, size, thresh (the four scratch),
     # root (out), id (out)
     lib.felz_segment.argtypes = [c_i64, c_i64, img, c_f64, c_f64, f64, u64, i64, f64, i64, map_i32]
@@ -167,16 +171,77 @@ def _load_felz():
     return lib
 
 
+class _Workspace(threading.local):
+    """One thread's blurred image and felz_segment scratch, kept while the
+    pixel count stays the same, so a run of equal-sized scenes allocates
+    them once. Per thread: ctypes releases the GIL during a native call."""
+
+    n = -1
+    buffers = ()
+
+
+_WORKSPACE = _Workspace()
+
+
+def _buffers(n):
+    """This thread's buffers for an n-pixel image: the blurred image (3n),
+    then felz_segment's scratch, gen-indexed weights (4n, also the blur's
+    scratch), sort records (8n) and per-pixel sizes and thresholds (n each)."""
+    ws = _WORKSPACE
+    if ws.n != n:
+        ws.n, ws.buffers = -1, ()  # the old buffers go before the new ones come
+        ws.buffers = (
+            np.empty(3 * n), np.empty(4 * n), np.empty(8 * n, np.uint64),
+            np.empty(n, np.int64), np.empty(n),
+        )
+        ws.n = n
+    return ws.buffers
+
+
+@functools.lru_cache(maxsize=32)
+def _gaussian_kernel(sigma):
+    """fw[0..r], the right half of the kernel scipy.ndimage.gaussian_filter
+    correlates an axis with at this sigma: scipy's _gaussian_kernel1d at
+    truncate 4, exp(-x**2 / 2 sigma**2) over x in -r..r divided by its sum,
+    r = int(4 sigma + 0.5). scipy skips an axis whose sigma is at most
+    1e-15; the kernel [1.0] leaves it as it is."""
+    fw = np.ones(1)
+    if sigma > 1e-15:
+        radius = int(4.0 * sigma + 0.5)
+        x = np.arange(-radius, radius + 1)
+        phi_x = np.exp(-0.5 / (sigma * sigma) * x**2)
+        fw = (phi_x / phi_x.sum())[radius:].copy()
+    fw.flags.writeable = False  # shared by every call at this sigma
+    return fw
+
+
+def _blur(image, sigma):
+    """The image blurred along height and width at sigma, as the (h, w, 3)
+    float64 scipy.ndimage.gaussian_filter(image.data.astype(np.float64),
+    (sigma, sigma, 0)), bit for bit: gauss_blur in _felzenszwalb.c. The
+    result is this thread's workspace, which the next call overwrites."""
+    h, w = image.height, image.width
+    blurred, wgt = _buffers(h * w)[:2]
+    blurred = blurred.reshape(h, w, 3)
+    fw = _gaussian_kernel(float(sigma))
+    rgb = np.ascontiguousarray(image.data).ravel()
+    _load_felz().gauss_blur(h, w, rgb, len(fw) - 1, fw, wgt, blurred)
+    return blurred
+
+
 def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> SuperpixelMap:
     """Graph-based segmentation (Felzenszwalb & Huttenlocher, IJCV 2004).
 
-    Deterministic: edges sorted by (weight, generation index), merge predicate
+    Deterministic: the image is blurred at params.sigma, as
+    scipy.ndimage.gaussian_filter blurs it; edges are sorted by (weight,
+    generation index), merge predicate
     w <= min(Int(Ci) + k/|Ci|, Int(Cj) + k/|Cj|), then components smaller than
     min_size are absorbed along their lowest-weight edges. Output regions are
-    the 4-connected components of the result, numbered in scan order. The edge
-    build and sort, the two union-find passes and the numbering are one call
-    into _felzenszwalb.c, compiled by gcc on first call. It works in numpy
-    arrays only, so a lack of memory fails in numpy, before the call.
+    the 4-connected components of the result, numbered in scan order. The
+    blur is one call into _felzenszwalb.c, compiled by gcc on first call;
+    the edge build and sort, the two union-find passes and the numbering are
+    another. They work in numpy arrays only, so a lack of memory fails in
+    numpy, before either call.
 
     The generation index is 32 bits wide in the native sort, so images of
     more than 2**30 pixels raise DimOverflow before any work.
@@ -184,24 +249,21 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     h, w = image.height, image.width
     if h * w > 2**30:
         raise DimOverflow(f"a {h}x{w} image has more than 2**30 pixels")
-    img = image.data.astype(np.float64)
-    if params.sigma > 0:  # blur each channel on its own
-        from scipy import ndimage  # on first blur: it is most of `import seedloop`'s time
-
-        img = ndimage.gaussian_filter(img, (params.sigma, params.sigma, 0))
-    return SuperpixelMap(_segment(img, params)[1])
+    return SuperpixelMap(_segment(_blur(image, params.sigma), params)[1])
 
 
 def _segment(img, params):
     """felz_segment on a blurred float64 (h, w, 3) image: each pixel's root,
-    as a flat int64 array in scan order, and its (h, w) int32 region id. The
-    scratch is sized by 4 slots a pixel, so the edge count stays in C."""
+    as a flat int64 array in scan order, and its (h, w) int32 region id.
+    The scratch is this thread's workspace, 4 slots a pixel for the sort, so
+    the edge count stays in C. No component exceeds h * w pixels, so a
+    min_size above h * w + 1 acts as h * w + 1, which a double holds."""
     h, w, _ = img.shape
     n = h * w
     roots, ids = np.empty(n, np.int64), np.empty((h, w), np.int32)
-    scratch = np.empty(4 * n), np.empty(8 * n, np.uint64), np.empty(n, np.int64), np.empty(n)
-    img = np.ascontiguousarray(img)
-    _load_felz().felz_segment(h, w, img, params.k, params.min_size, *scratch, roots, ids)
+    scratch = _buffers(n)[1:]
+    img, min_size = np.ascontiguousarray(img), float(min(params.min_size, n + 1))
+    _load_felz().felz_segment(h, w, img, params.k, min_size, *scratch, roots, ids)
     return roots, ids
 
 
@@ -261,7 +323,9 @@ def rag_merge(
     counts, sums, _, _, _ = _region_sums(spmap, image, empty, empty, np.empty(0, np.int64), 0)
     ea, eb = region_edges(spmap.region_of).T.copy()
     final = np.arange(n, dtype=np.int64)  # becomes each region's survivor id
-    cap = n if max_regions is None else int(max_regions)  # n alive never forces a merge
+    # at most n regions are ever alive, so a cap of n or more forces no merge;
+    # min keeps a larger one inside the native int64
+    cap = n if max_regions is None else min(int(max_regions), n)
     dist = np.empty(len(ea))
     _load_felz().rag_merge_loop(
         n, len(ea), ea, eb, sums.ravel(), counts, final, dist, float(merge_thresh), cap

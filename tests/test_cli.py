@@ -347,6 +347,23 @@ def test_superpix_rejects_max_regions_below_one(
     assert not out.exists()
 
 
+def test_superpix_takes_caps_beyond_the_native_ints(synth_dir, tmp_path):
+    # a --max-regions of 2**64 + 2 wrapped to 2 in the native int64 and
+    # merged the scene to 2 regions; a --min-size of 10**400 ended in a
+    # ctypes traceback
+    image = str(synth_dir / "0000.ppm")
+    out = tmp_path / "sp.dfnt"
+
+    def regions(*flags):
+        assert main(["superpix", "--image", image, *flags, "--out", str(out)]) == 0
+        return load_tensor(out)
+
+    raw = regions("--merge-thresh", "0")
+    assert np.array_equal(regions("--merge-thresh", "0", "--max-regions", str(2**64 + 2)), raw)
+    whole = regions("--min-size", str(64 * 64 + 1))
+    assert np.array_equal(regions("--min-size", str(10**400)), whole)
+
+
 _GAP_IDS = np.zeros((64, 64), dtype=np.uint16)
 _GAP_IDS[:, 32:] = 2  # id 1 is missing
 

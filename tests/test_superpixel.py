@@ -4,7 +4,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +184,17 @@ def test_rag_merge_rejects_max_regions_below_one(rng, max_regions):
     spmap = felzenszwalb(img, SegParams(k=50, min_size=2))
     with pytest.raises(InvalidParams):
         rag_merge(spmap, img, 0.0, max_regions=max_regions)
+
+
+# the cap went to the native int64 as it was: 2**63 wrapped to -2**63 and
+# 2**64 + 2 to 2, which merged the 20 regions down to 1 and 2
+@pytest.mark.parametrize("max_regions", [2**63, 2**64 + 2], ids=["2**63", "2**64+2"])
+def test_rag_merge_cap_beyond_int64_forces_no_merge(max_regions):
+    img, _, _ = gen_synthetic(7, 1)[0]
+    spmap = felzenszwalb(img, SegParams())
+    assert spmap.n_regions == 20
+    merged = rag_merge(spmap, img, 0.0, max_regions=max_regions)
+    assert np.array_equal(merged.region_of, spmap.region_of)
 
 
 @pytest.mark.parametrize("merge_thresh", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
@@ -666,6 +679,52 @@ def test_fixup_not_quadratic_on_ramp():
     assert best["ramp"] < 5 * best["scene"], best
 
 
+def test_felzenszwalb_min_size_beyond_a_double_acts_as_whole_image():
+    # 10**400 does not fit the native double: it raised a bare ctypes.ArgumentError
+    img, _, _ = gen_synthetic(7, 1)[0]
+    whole = felzenszwalb(img, SegParams(min_size=img.height * img.width + 1))
+    assert np.array_equal(felzenszwalb(img, SegParams(min_size=10**400)).region_of, whole.region_of)
+
+
+def _scipy_blur(image, sigma):
+    return ndimage.gaussian_filter(image.data.astype(np.float64), (sigma, sigma, 0))
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# every line length up to 9, against kernels of radius 0 (sigma 0, 1e-16,
+# which scipy skips, and 0.1), 3, 8 and 20; most are longer than the line,
+# so the reflect extension wraps more than once
+@pytest.mark.parametrize("sigma", [0.0, 1e-16, 0.1, 0.8, 2.0, 5.0])
+def test_blur_matches_scipy_bit_for_bit_on_small_shapes(sigma):
+    rng = np.random.default_rng(int(10 * sigma))
+    for h in range(1, 10):
+        for w in range(1, 10):
+            img = make_image(rng.integers(0, 256, size=(h, w, 3)))
+            _assert_same_bits(superpixel._blur(img, sigma), _scipy_blur(img, sigma))
+
+
+# the scene sets of the three benchmark workloads; the blur felzenszwalb
+# segments is the one its thread's workspace holds after the call
+@pytest.mark.parametrize(
+    "count, size, params",
+    [
+        (20, 64, SegParams()),
+        (5, 256, SegParams()),
+        (5, 128, SegParams(k=20, min_size=5, merge_thresh=10)),
+    ],
+    ids=["pinned64", "large256", "many_regions"],
+)
+def test_blur_matches_scipy_bit_for_bit_on_workload_scenes(count, size, params):
+    for img, _, _ in gen_synthetic(7, count, SynthParams(size, size)):
+        felzenszwalb(img, params)
+        blurred = superpixel._WORKSPACE.buffers[0].reshape(size, size, 3)
+        _assert_same_bits(blurred, _scipy_blur(img, params.sigma))
+
+
 def test_felzenszwalb_dim_overflow_before_any_work():
     # zero strides: the 2**30 + 32768 pixels take no memory, and a float64
     # copy of them would take 25 GB
@@ -687,8 +746,9 @@ def _shape_images(shape, sigma):
 
 
 def _native_cases():
-    """(image, params) pairs that exercise the native edge build and sort: the
-    tie-heavy shapes at k=20, where ties decide merges, a ramp and a constant
+    """(image, params) pairs that exercise the native blur, edge build and
+    sort: the tie-heavy shapes at k=20, where ties decide merges, small
+    shapes blurred by kernels longer than their lines, a ramp and a constant
     image, whose runs of equal top bits the fix-up sorts by radix or leaves,
     and one 64x64 scene."""
     for shape in _SHAPES:
@@ -696,6 +756,10 @@ def _native_cases():
             for img in _shape_images(shape, sigma):
                 for min_size in (1, 5):
                     yield img, SegParams(k=20, sigma=sigma, min_size=min_size)
+    for shape in ((1, 1), (1, 7), (3, 5), (9, 2)):
+        for sigma in (2.0, 5.0):  # kernel radius 8 and 20
+            for img in _shape_images(shape, sigma):
+                yield img, SegParams(k=20, sigma=sigma, min_size=5)
     for sigma in (0.0, 0.8):
         yield _ramp(48, 80), SegParams(k=20, sigma=sigma, min_size=5)
     yield make_image(np.full((48, 80, 3), 77)), SegParams()
@@ -724,7 +788,7 @@ def test_native_edges_match_numpy_oracle_on_scenes():
 
 def test_segment_ids_are_the_components_of_its_roots():
     for img, params in _native_cases():
-        roots, ids = superpixel._segment(_smoothed(img, params.sigma), params)
+        roots, ids = superpixel._segment(superpixel._blur(img, params.sigma), params)
         assert ids.dtype == np.int32
         assert np.array_equal(ids, _components(roots.reshape(ids.shape)))
 
@@ -739,15 +803,55 @@ def _run_child(code, **env):
 
 
 def test_import_does_not_load_scipy():
-    # scipy.ndimage is imported on the first blur; subcommands that never
-    # blur do not pay for it
+    # the blur is native: neither the import nor a segmentation nor a run of
+    # the closed loop loads scipy
     proc = _run_child(
         "import sys\n"
         "import seedloop, seedloop.cli\n"
+        "from seedloop import SegParams, felzenszwalb, gen_synthetic, pipeline\n"
+        "(img, gt, seeds), = gen_synthetic(7, 1)\n"
+        "felzenszwalb(img, SegParams(sigma=0.8))\n"
+        "pipeline.run_closed_loop(img, seeds, gt=gt)\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _threads_match_serial():
+    """Whether two 256x256 and two 64x64 scenes, each segmented 20 times in
+    its own thread, all at once, give their serial maps every time."""
+    images = [
+        img for size in (256, 64) for img, _, _ in gen_synthetic(7, 2, SynthParams(size, size))
+    ]
+    want = [felzenszwalb(img, SegParams()).region_of for img in images]
+    start = threading.Barrier(len(images), timeout=60)
+
+    def segment(img):
+        start.wait()
+        return [felzenszwalb(img, SegParams()).region_of for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads between most bytecodes too
+    try:
+        with ThreadPoolExecutor(len(images)) as pool:
+            got = list(pool.map(segment, images, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    return all(np.array_equal(m, w) for maps, w in zip(got, want) for m in maps)
+
+
+def test_workspace_is_per_thread():
+    # ctypes releases the GIL in each native call, so the threads run at
+    # once; two threads of one size would share a module-wide workspace,
+    # and its scratch torn between two calls can crash the process: hence
+    # the child
+    proc = _run_child(
+        "from tests.test_superpixel import _threads_match_serial\n"
+        "print(_threads_match_serial())\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 def _libasan():
@@ -829,10 +933,11 @@ def test_native_source_clean_under_asan(tmp_path):
 def _segment_under_address_limit(headroom_mb):
     """Segment a 1024x1024 image in a fresh process whose address space ends
     headroom_mb past what it has mapped; prints the MemoryError, if any.
-    Python allocates every buffer felz_segment uses: the image's float64
-    copy, the int64 roots and the int32 ids (37.7 MB), then its scratch,
-    33.5 MB of gen-indexed weights, 67.1 MB of sort records and two 8.4 MB
-    per-pixel arrays."""
+    Python allocates every buffer the native calls use, the thread's
+    workspace first: the blurred image (25.2 MB), 33.5 MB of gen-indexed
+    weights, which the blur also takes as scratch, 67.1 MB of sort records
+    and two 8.4 MB per-pixel arrays; then the int64 roots and the int32 ids
+    (12.6 MB)."""
     return _run_child(
         "import resource\n"
         "import numpy as np\n"
