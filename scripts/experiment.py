@@ -15,7 +15,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from seedloop import LoopConfig, gen_synthetic, parse_config, run_closed_loop
-from seedloop.errors import SeedloopError
+from seedloop.cli import run_subcommand
 from seedloop.pipeline import (
     ablation_configs,
     format_scores,
@@ -74,13 +74,7 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    try:
-        args.func(args)
-    except SeedloopError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    return 0
+    return run_subcommand(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -3,14 +3,7 @@
 from .features import load_external_features, superpixel_features
 from .metrics import confusion, scores
 from .pipeline import LoopConfig, parse_config, run_closed_loop, run_dataset
-from .relgraph import (
-    RelationshipMatrix,
-    adjacency_matrix,
-    build_relationship,
-    distance_matrix,
-    relationship_matrix,
-    similarity_matrix,
-)
+from .relgraph import RelationshipMatrix, build_relationship, distance_matrix
 from .seeds import (
     ConvergenceParams,
     GateParams,

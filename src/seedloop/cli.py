@@ -20,14 +20,7 @@ from .pipeline import (
     run_dataset,
     score_pairs,
 )
-from .relgraph import (
-    RelationshipMatrix,
-    _check_top_m,
-    adjacency_matrix,
-    distance_matrix,
-    relationship_matrix,
-    similarity_matrix,
-)
+from .relgraph import RelationshipMatrix, _check_top_m, build_relationship
 from .seeds import GateParams, SeedState, custom_walk
 from .superpixel import (
     SegParams,
@@ -108,20 +101,18 @@ def _cmd_relmat(args):
     _check_top_m(args.topk)
     spmap = _spmap_from_tensor(load_tensor(args.sp))
     feats = standardize(load_external_features(args.features, spmap.n_regions))
-    siml = similarity_matrix(distance_matrix(feats), args.topk)
-    adj = adjacency_matrix(spmap)
-    rel = relationship_matrix(siml, adj)
-    save_tensor(np.stack([siml, adj, rel.m_rel]).astype(np.uint8), args.out)
-    print(f"relationship [3, {spmap.n_regions}, {spmap.n_regions}] -> {args.out}")
+    rel = build_relationship(feats, spmap, args.topk)
+    save_tensor(rel.m_rel.astype(np.uint8), args.out)
+    print(f"relationship [{spmap.n_regions}, {spmap.n_regions}] -> {args.out}")
 
 
 def _cmd_walk(args):
     seeds = SeedState(load_tensor(args.seeds).astype(np.float64))
     n_out = SeedState(load_tensor(args.netout).astype(np.float64))
-    stack = load_tensor(args.rel)
-    if stack.dtype != np.uint8 or stack.ndim != 3 or stack.shape[0] != 3 or (stack > 1).any():
-        raise ShapeMismatch("relationship tensor must be u8 [3, N, N] with 0/1 entries")
-    rel = RelationshipMatrix(stack[2].astype(np.float64))
+    m_rel = load_tensor(args.rel)
+    if m_rel.dtype != np.uint8:
+        raise ShapeMismatch("relationship tensor must be u8 [N, N]")
+    rel = RelationshipMatrix(m_rel.astype(np.float64))  # checks the shape and 0/1 entries
     gates = _from_args(GateParams, args)
     mixed = custom_walk(seeds, rel, n_out, gates, args.steps, strict=args.strict_eq3)
     save_tensor(mixed.probs.astype(np.float32), args.out)
@@ -234,14 +225,21 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def run_subcommand(parser, argv=None):
+    """Parse `argv` with `parser` and call the chosen subcommand's `func`; a
+    SeedloopError becomes one `error: <Class>: <message>` line on stderr.
+    Returns the exit code, 0 or 1."""
+    args = parser.parse_args(argv)
     try:
         args.func(args)
     except SeedloopError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv=None):
+    return run_subcommand(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Relationship matrix construction: feature distances, row-wise top-m
-similarity, region adjacency, and their entry-wise product."""
+"""Relationship matrix construction: feature distances, each row's top-m
+nearest regions, ANDed with region adjacency."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from .superpixel import SuperpixelMap, region_edges
 
 @dataclass(frozen=True)
 class RelationshipMatrix:
-    """The walk's (N, N) 0/1 transition structure. `relationship_matrix`
+    """The walk's (N, N) 0/1 transition structure. `build_relationship`
     builds it as float64, so each walk step multiplies by it uncast."""
 
     m_rel: np.ndarray
@@ -36,46 +36,29 @@ def distance_matrix(feats: np.ndarray) -> np.ndarray:
 
 
 def _check_top_m(m):
-    """similarity_matrix's check of m, which the CLI and build_relationship
-    run before the distances."""
+    """build_relationship's check of m, which the CLI also runs before it
+    loads anything."""
     check_int("m", m)
     if m < 1:
         raise InvalidParams(f"top-m needs m >= 1, got {m}")
 
 
-def similarity_matrix(dist: np.ndarray, m: int) -> np.ndarray:
-    """Per row, mark the min(m, N) smallest distances with 1.
+def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int) -> RelationshipMatrix:
+    """M[i, j] = 1 iff column j is among the min(m, N) nearest rows to row i
+    of `feats` and regions i, j share a 4-connected border or i == j.
 
-    Ties go to the smaller column index, so a row can lose its own diagonal
-    when m smaller-index columns share its zero distance (duplicate
-    feature rows). Rows are independent, so M[i, j] and M[j, i] may differ.
+    Nearness ties go to the smaller column index, so a row can lose its own
+    diagonal when m smaller-index columns share its zero distance (duplicate
+    feature rows). Rows rank independently, so M[i, j] and M[j, i] may differ.
     """
     _check_top_m(m)
-    n = dist.shape[0]
-    order = np.argsort(dist, axis=1, kind="stable")
-    out = np.zeros((n, n), dtype=np.uint8)
-    np.put_along_axis(out, order[:, : min(m, n)], 1, axis=1)
-    return out
-
-
-def adjacency_matrix(spmap: SuperpixelMap) -> np.ndarray:
-    """A[i, j] = 1 iff regions i, j share a 4-connected border or i == j."""
+    n = spmap.n_regions
+    if feats.shape[0] != n:
+        raise ShapeMismatch(f"{feats.shape[0]} feature rows for {n} regions")
+    order = np.argsort(distance_matrix(feats), axis=1, kind="stable")
+    near = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(near, order[:, : min(m, n)], True, axis=1)
+    adj = np.eye(n, dtype=bool)
     i, j = region_edges(spmap.region_of).T
-    adj = np.eye(spmap.n_regions, dtype=np.uint8)
-    adj[i, j] = 1
-    adj[j, i] = 1
-    return adj
-
-
-def relationship_matrix(siml: np.ndarray, adj: np.ndarray) -> RelationshipMatrix:
-    """Entry-wise AND of the similarity and adjacency factors."""
-    if siml.shape != adj.shape:
-        raise ShapeMismatch("similarity and adjacency matrices differ in shape")
-    return RelationshipMatrix(np.logical_and(siml, adj).astype(np.float64))
-
-
-def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int) -> RelationshipMatrix:
-    """Convenience wrapper: features -> distances -> top-m -> AND adjacency."""
-    _check_top_m(m)
-    siml = similarity_matrix(distance_matrix(feats), m)
-    return relationship_matrix(siml, adjacency_matrix(spmap))
+    adj[i, j] = adj[j, i] = True
+    return RelationshipMatrix((near & adj).astype(np.float64))

@@ -59,7 +59,7 @@ class GateParams:
 @dataclass(frozen=True)
 class ConvergenceParams:
     delta: float = 0.1  # per-superpixel L1 change threshold
-    rho: float = 0.95  # unchanged fraction that stops the update
+    rho: float = 0.95  # unchanged fraction that ends the closed loop, training included
 
     def __post_init__(self):
         if not self.delta > 0 or not 0 < self.rho <= 1:  # NaN fails both
@@ -140,7 +140,8 @@ def convergence_check(
     s_prev: SeedState, s_new: SeedState, params: ConvergenceParams = ConvergenceParams()
 ):
     """A superpixel is unchanged when its column L1 change is below delta;
-    the update stops once at least rho of superpixels are unchanged."""
+    once at least rho of superpixels are unchanged, `run_closed_loop` ends
+    the whole loop, segmenter training included."""
     if s_prev.probs.shape != s_new.probs.shape:
         raise ShapeMismatch("states differ in shape")
     change = np.abs(s_new.probs - s_prev.probs).sum(axis=0)

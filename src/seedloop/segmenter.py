@@ -95,11 +95,11 @@ def train_epochs(
     check_int("epochs", epochs)
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
-    losses = []
-    for _ in range(epochs):
+    for step in range(epochs):
         loss, grad_w, grad_b = loss_and_grad(model, feats, mixed, l2)
-        losses.append(loss)
+        if step == 0:
+            first = loss
         model.weights = model.weights - learning_rate * grad_w
         model.bias = model.bias - learning_rate * grad_b
-    return losses[0]
+    return first
 

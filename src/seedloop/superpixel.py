@@ -63,6 +63,12 @@ class SuperpixelMap:
         return int(self.region_of.max()) + 1
 
 
+# the blur's kernel has 2 * int(4 sigma + 0.5) + 1 taps, built in numpy before
+# the blur: sigma 1000 gives 8,001, while sigma 1e8 would take gigabytes and
+# sigma 1e20 makes np.arange fail
+MAX_SIGMA = 1000.0
+
+
 @dataclass(frozen=True)
 class SegParams:
     k: float = 100.0
@@ -74,7 +80,7 @@ class SegParams:
         check_int_fields(self)
         if not (  # NaN fails every comparison
             0 < self.k < np.inf
-            and 0 <= self.sigma < np.inf
+            and 0 <= self.sigma <= MAX_SIGMA
             and self.min_size >= 1
             and 0 <= self.merge_thresh < np.inf
         ):

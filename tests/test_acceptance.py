@@ -17,17 +17,15 @@ from seedloop import (
     IGNORE,
     LabelMap,
     LoopConfig,
-    adjacency_matrix,
+    build_relationship,
     confusion,
     custom_walk,
     distance_matrix,
     felzenszwalb,
     gate,
     gen_synthetic,
-    relationship_matrix,
     scores,
     seed_update,
-    similarity_matrix,
 )
 from seedloop.pipeline import ablation_configs, score_pairs, score_scenes, seeds_as_prediction
 from seedloop.relgraph import RelationshipMatrix
@@ -74,9 +72,7 @@ def test_criterion_1_relmat_oracle():
         m = int(rng.integers(1, 11))
         v = rng.standard_normal((n, 4))
         d = distance_matrix(v)
-        siml = similarity_matrix(d, m)
-        adj = adjacency_matrix(spmap)
-        rel = relationship_matrix(siml, adj)
+        rel = build_relationship(v, spmap, m)
 
         # brute-force constructions
         siml_bf = np.zeros((n, n), dtype=np.uint8)
@@ -97,8 +93,7 @@ def test_criterion_1_relmat_oracle():
                     adj_bf[a, b] = adj_bf[b, a] = 1
         rel_bf = siml_bf & adj_bf
 
-        assert np.array_equal(siml, siml_bf)
-        assert np.array_equal(adj, adj_bf)
+        assert rel.m_rel.dtype == np.float64
         assert np.array_equal(rel.m_rel, rel_bf)
     assert time.time() - start < 5.0
 

@@ -9,14 +9,13 @@ from seedloop import (
     LoopConfig,
     SegParams,
     SynthParams,
-    adjacency_matrix,
-    distance_matrix,
+    build_relationship,
     load_ppm,
-    relationship_matrix,
-    similarity_matrix,
     superpixel_features,
 )
 import seedloop.cli as cli
+import seedloop.relgraph as relgraph
+import seedloop.superpixel as superpixel
 from seedloop.cli import _spmap_from_tensor, build_parser, main
 from seedloop.features import standardize
 from seedloop.tensorio import IGNORE, load_label_pgm, load_tensor, save_label_pgm, save_tensor
@@ -60,11 +59,10 @@ def test_stagewise_pipeline(stages, tmp_path, capsys, monkeypatch):
     f_arr = load_tensor(feats)
     assert f_arr.shape == (n, 15) and f_arr.dtype == np.float32
     rel_arr = load_tensor(rel)
-    assert rel_arr.shape == (3, n, n) and rel_arr.dtype == np.uint8
-    # entrywise product relation between the three planes
-    assert np.array_equal(rel_arr[2], rel_arr[0] & rel_arr[1])
+    assert rel_arr.shape == (n, n) and rel_arr.dtype == np.uint8
+    assert ((rel_arr == 0) | (rel_arr == 1)).all()
 
-    monkeypatch.setattr(cli, "distance_matrix", _no_work)
+    monkeypatch.setattr(relgraph, "distance_matrix", _no_work)
     for topk in ("0", "-1"):
         bad = tmp_path / f"rel{topk}.dfnt"
         assert main(["relmat", "--features", feats, "--sp", sp, "--topk", topk, "--out", str(bad)]) == 1
@@ -102,12 +100,13 @@ def test_features_and_relmat_write_scene_z_scored_descriptors(stages, synth_dir,
     save_tensor(scaled.astype(np.float32), tmp_path / "want.dfnt")
     assert (tmp_path / "want.dfnt").read_bytes() == out.read_bytes()
 
+    # relmat writes the loop's own matrix as u8 [N, N]
     out = tmp_path / "ext_rel.dfnt"
     args = ["--features", str(tmp_path / "ext.dfnt"), "--sp", sp, "--topk", "3"]
     assert main(["relmat", *args, "--out", str(out)]) == 0
-    siml, adj = similarity_matrix(distance_matrix(scaled), 3), adjacency_matrix(spmap)
-    want = np.stack([siml, adj, relationship_matrix(siml, adj).m_rel]).astype(np.uint8)
-    assert np.array_equal(load_tensor(out), want)
+    rel = build_relationship(scaled, spmap, 3)
+    save_tensor(rel.m_rel.astype(np.uint8), tmp_path / "want.dfnt")
+    assert (tmp_path / "want.dfnt").read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -142,16 +141,18 @@ def test_walk_subcommand(stages, tmp_path, capsys):
     # uniform 0.25 output fails both beta gates, so only the seed survives
     assert mixed[1, 0] == pytest.approx(1.0)
 
-    # a relationship tensor must be [3, N, N] for N seed columns
-    save_tensor(np.zeros((3, n, n + 1), dtype=np.uint8), tmp_path / "bad.dfnt")
-    assert main([*args, "--rel", str(tmp_path / "bad.dfnt")]) == 1
-    assert "ShapeMismatch" in capsys.readouterr().err
+    # a relationship tensor must be [N, N] for N seed columns, not the old
+    # [3, N, N] planes nor a non-square matrix
+    for bad in (np.ones((3, n, n), dtype=np.uint8), np.zeros((n, n + 1), dtype=np.uint8)):
+        save_tensor(bad, tmp_path / "bad.dfnt")
+        assert main([*args, "--rel", str(tmp_path / "bad.dfnt")]) == 1
+        assert "ShapeMismatch" in capsys.readouterr().err
 
     # ... of u8 0/1 entries: these spread a scaled or unclamped walk
     for bad in (
-        np.full((3, n, n), 0.5, dtype=np.float32),
-        np.full((3, n, n), 7, dtype=np.uint8),
-        np.ones((3, n, n), dtype=np.uint16),
+        np.full((n, n), 0.5, dtype=np.float32),
+        np.full((n, n), 7, dtype=np.uint8),
+        np.ones((n, n), dtype=np.uint16),
     ):
         save_tensor(bad, tmp_path / "bad.dfnt")
         assert main([*args, "--rel", str(tmp_path / "bad.dfnt")]) == 1
@@ -362,6 +363,17 @@ def test_superpix_takes_caps_beyond_the_native_ints(synth_dir, tmp_path):
     assert np.array_equal(regions("--merge-thresh", "0", "--max-regions", str(2**64 + 2)), raw)
     whole = regions("--min-size", str(64 * 64 + 1))
     assert np.array_equal(regions("--min-size", str(10**400)), whole)
+
+
+@pytest.mark.parametrize("sigma", ["1e20", "1e300"])
+def test_superpix_rejects_an_unbounded_sigma(synth_dir, tmp_path, capsys, monkeypatch, sigma):
+    # np.arange failed on the kernel's radius with a bare ValueError traceback
+    monkeypatch.setattr(superpixel, "_gaussian_kernel", _no_work)
+    out = tmp_path / "sp.dfnt"
+    args = ["superpix", "--image", str(synth_dir / "0000.ppm"), "--sigma", sigma]
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidParams: ")
+    assert not out.exists()
 
 
 _GAP_IDS = np.zeros((64, 64), dtype=np.uint16)

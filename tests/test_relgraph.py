@@ -3,18 +3,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedloop import (
-    adjacency_matrix,
-    build_relationship,
-    distance_matrix,
-    relationship_matrix,
-    similarity_matrix,
-)
+from seedloop import build_relationship, distance_matrix
 from seedloop import relgraph
 from seedloop.errors import InvalidParams, ShapeMismatch
 from seedloop.relgraph import RelationshipMatrix
 from seedloop.superpixel import SuperpixelMap
 from tests.conftest import random_spmap
+
+# four regions, each sharing a 4-connected border with the other three, so
+# every top-m mark shows in the relationship matrix
+K4 = SuperpixelMap(np.array([[0, 0, 0, 0], [1, 2, 2, 3], [1, 1, 3, 3]], dtype=np.int32))
+
+
+def _top_m_oracle(d, m):
+    """Row i marks its min(m, N) nearest columns, ties to the smaller index."""
+    n = len(d)
+    out = np.zeros((n, n), dtype=np.uint8)
+    for i in range(n):
+        out[i, sorted(range(n), key=lambda j: (d[i, j], j))[:m]] = 1
+    return out
+
+
+def _adjacency_oracle(spmap):
+    """1 where two regions touch across a 4-connected border, and on the diagonal."""
+    adj = np.eye(spmap.n_regions, dtype=np.uint8)
+    r = spmap.region_of
+    for y in range(spmap.height):
+        for x in range(spmap.width):
+            for b in r[y, x + 1 : x + 2].tolist() + r[y + 1 : y + 2, x].tolist():
+                adj[r[y, x], b] = adj[b, r[y, x]] = 1
+    return adj
 
 
 def test_distance_identical_rows_zero():
@@ -38,8 +56,10 @@ def test_distance_matches_brute_force(rng):
 
 
 def test_similarity_m_ge_n_all_ones(rng):
-    d = distance_matrix(rng.standard_normal((3, 4)))
-    assert (similarity_matrix(d, 10) == 1).all()
+    # every pair of K4 is adjacent, so m >= N marks the whole matrix
+    for m in (4, 10):
+        rel = build_relationship(rng.standard_normal((4, 3)), K4, m)
+        assert (rel.m_rel == 1).all()
 
 
 @pytest.mark.parametrize("m", [0, -1, 2.5, True])
@@ -47,7 +67,7 @@ def test_similarity_rejects_m_below_one(m):
     # m = 0 marked no column and m = -1 all but the farthest one of each row;
     # 2.5 failed as a bare TypeError and True marked one column
     with pytest.raises(InvalidParams):
-        similarity_matrix(np.zeros((3, 3)), m)
+        build_relationship(np.zeros((4, 3)), K4, m)
 
 
 @pytest.mark.parametrize("m", [0, 2.5])
@@ -62,44 +82,36 @@ def test_build_relationship_checks_m_before_distances(monkeypatch, m):
 
 
 def test_similarity_row_definition():
-    d = np.array(
-        [
-            [0.0, 1.0, 2.0, 3.0],
-            [1.0, 0.0, 2.0, 3.0],
-            [2.0, 2.0, 0.0, 3.0],
-            [3.0, 3.0, 3.0, 0.0],
-        ]
-    )
-    s = similarity_matrix(d, 2)
-    assert list(s[0]) == [1, 1, 0, 0]  # self plus column 1
+    # 1-D descriptors 0, 1, 3, 6: row 2's nearest other row is 1 (distance 2),
+    # row 3's is 2 (distance 3)
+    rel = build_relationship(np.array([[0.0], [1.0], [3.0], [6.0]]), K4, 2)
+    assert list(rel.m_rel[0]) == [1, 1, 0, 0]  # self plus column 1
+    assert np.array_equal(rel.m_rel, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
 
 
 def test_similarity_matches_sort_oracle(rng):
-    d = distance_matrix(rng.standard_normal((12, 6)))
-    s = similarity_matrix(d, 10)
-    for i in range(12):
-        order = sorted(range(12), key=lambda j: (d[i, j], j))
-        expected = np.zeros(12, dtype=np.uint8)
-        expected[order[:10]] = 1
-        assert np.array_equal(s[i], expected)
-        assert s[i].sum() == 10
-        assert s[i, i] == 1
+    for m in range(1, 6):
+        v = rng.standard_normal((4, 6))
+        rel = build_relationship(v, K4, m)
+        assert np.array_equal(rel.m_rel, _top_m_oracle(distance_matrix(v), m))
+        assert (rel.m_rel.sum(axis=1) == min(m, 4)).all()
+        assert (np.diag(rel.m_rel) == 1).all()
 
 
 def test_adjacency_single_region():
     spmap = SuperpixelMap(np.zeros((1, 1), dtype=np.int32))
-    assert np.array_equal(adjacency_matrix(spmap), [[1]])
+    assert np.array_equal(build_relationship(np.zeros((1, 3)), spmap, 1).m_rel, [[1]])
 
 
 def test_adjacency_two_cells():
     spmap = SuperpixelMap(np.array([[0, 1]], dtype=np.int32))
-    assert np.array_equal(adjacency_matrix(spmap), [[1, 1], [1, 1]])
+    rel = build_relationship(np.array([[0.0], [1.0]]), spmap, 2)
+    assert np.array_equal(rel.m_rel, [[1, 1], [1, 1]])
 
 
-def test_adjacency_three_stripes():
-    region_of = np.repeat(np.array([[0, 1, 2]], dtype=np.int32), 3, axis=0)
-    spmap = SuperpixelMap(region_of)
-    a = adjacency_matrix(spmap)
+def test_adjacency_three_stripes(rng):
+    spmap = SuperpixelMap(np.repeat(np.array([[0, 1, 2]], dtype=np.int32), 3, axis=0))
+    a = build_relationship(rng.standard_normal((3, 2)), spmap, 3).m_rel
     assert a[0, 2] == 0 and a[2, 0] == 0
     assert a[0, 1] == 1 and a[1, 2] == 1
     assert np.array_equal(a, a.T)
@@ -107,24 +119,29 @@ def test_adjacency_three_stripes():
 
 
 def test_relationship_identity_of_product(rng):
+    # with every column near, the matrix is the adjacency factor
     spmap = random_spmap(rng)
-    adj = adjacency_matrix(spmap)
-    siml = np.ones_like(adj)
-    rel = relationship_matrix(siml, adj)
+    n = spmap.n_regions
+    rel = build_relationship(rng.standard_normal((n, 4)), spmap, n)
     assert rel.m_rel.dtype == np.float64  # what the walk multiplies by, uncast
-    assert np.array_equal(rel.m_rel, adj)
+    assert np.array_equal(rel.m_rel, _adjacency_oracle(spmap))
 
 
-def test_relationship_shape_mismatch():
+def test_relationship_shape_mismatch(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("distances computed for the wrong number of rows")
+
+    monkeypatch.setattr(relgraph, "distance_matrix", no_work)
     with pytest.raises(ShapeMismatch):
-        relationship_matrix(np.ones((3, 3), dtype=np.uint8), np.ones((4, 4), dtype=np.uint8))
+        build_relationship(np.zeros((3, 4)), K4, 2)
 
 
 def test_relationship_matches_nested_loop_oracle(rng):
-    n = 12
-    siml = (rng.random((n, n)) < 0.4).astype(np.uint8)
-    adj = (rng.random((n, n)) < 0.4).astype(np.uint8)
-    rel = relationship_matrix(siml, adj)
+    spmap = random_spmap(rng, 8, 8, 3)
+    n = spmap.n_regions
+    v = rng.standard_normal((n, 4))
+    rel = build_relationship(v, spmap, 3)
+    siml, adj = _top_m_oracle(distance_matrix(v), 3), _adjacency_oracle(spmap)
     for i in range(n):
         for j in range(n):
             assert rel.m_rel[i, j] == (1 if siml[i, j] and adj[i, j] else 0)
@@ -142,29 +159,33 @@ def test_relationship_matrix_rejects_bad_input(m_rel):
 
 def test_similarity_duplicate_rows_can_drop_the_diagonal():
     # every column ties at distance 0, so each row keeps column 0 only
-    s = similarity_matrix(np.zeros((3, 3)), 1)
-    assert np.array_equal(s, [[1, 0, 0], [1, 0, 0], [1, 0, 0]])
+    rel = build_relationship(np.zeros((4, 3)), K4, 1)
+    assert np.array_equal(rel.m_rel, [[1, 0, 0, 0]] * 4)
+    # m smaller-index duplicates push a row's own column out of its top m
+    rel = build_relationship(np.array([[0.0], [0.0], [0.0], [5.0]]), K4, 2)
+    assert list(np.diag(rel.m_rel)) == [1, 1, 0, 1]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=10))
 def test_rel_implies_both_factors(seed, m):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 12))
-    d = distance_matrix(rng.standard_normal((n, 4)))
-    siml = similarity_matrix(d, m)
-    adj = (rng.random((n, n)) < 0.5).astype(np.uint8)
-    np.fill_diagonal(adj, 1)
-    adj = np.maximum(adj, adj.T)
-    rel = relationship_matrix(siml, adj)
-    assert (rel.m_rel <= (siml & adj)).all()
+    spmap = random_spmap(rng, 5, 5, 3)
+    n = spmap.n_regions
+    v = rng.standard_normal((n, 4))
+    rel = build_relationship(v, spmap, m)
+    assert (rel.m_rel <= (_top_m_oracle(distance_matrix(v), m) & _adjacency_oracle(spmap))).all()
     assert (np.diag(rel.m_rel) == 1).all()
 
 
 def test_adjacency_relabel_invariance(rng):
     spmap = random_spmap(rng)
-    perm = rng.permutation(spmap.n_regions)
+    n = spmap.n_regions
+    perm = rng.permutation(n)
     permuted = SuperpixelMap(perm[spmap.region_of].astype(np.int32))
-    a = adjacency_matrix(spmap)
-    b = adjacency_matrix(permuted)
+    v = rng.standard_normal((n, 4))
+    w = np.empty_like(v)
+    w[perm] = v  # region r is region perm[r] of the permuted map
+    a = build_relationship(v, spmap, n).m_rel
+    b = build_relationship(w, permuted, n).m_rel
     assert np.array_equal(a, b[np.ix_(perm, perm)])

@@ -82,6 +82,20 @@ def test_bad_params_rejected():
         SegParams(k=0)
 
 
+@pytest.mark.parametrize("sigma", [1e20, 1e300, np.nextafter(1000.0, np.inf)])
+def test_sigma_above_its_bound_rejected_before_the_kernel(monkeypatch, sigma):
+    # 1e300 raised a bare ValueError from np.arange; 1e8 would build a
+    # kernel of gigabytes
+    def no_kernel(sigma):
+        raise AssertionError("blur kernel built for an unbounded sigma")
+
+    monkeypatch.setattr(superpixel, "_gaussian_kernel", no_kernel)
+    img = gen_synthetic(7, 1)[0][0]
+    with pytest.raises(InvalidParams):
+        felzenszwalb(img, SegParams(sigma=sigma))
+    SegParams(sigma=1000.0)  # the bound itself is accepted
+
+
 @pytest.mark.parametrize(
     "region_of",
     [
