@@ -208,15 +208,21 @@ def prepare_scene(
 
 def end_epoch(scene, state, n_out, loss, epoch, cfg, trace) -> SeedState:
     """End one epoch of `scene`: on the schedule, mix `n_out` into the seeds and
-    set `trace.stopped_at` if they converged; record the epoch; return the seeds."""
-    unchanged = trace.epochs[-1].unchanged if trace.epochs else 0.0
+    set `trace.stopped_at` if they converged; record the epoch; return the seeds.
+
+    The seed mIoU is scored when the seeds change (the first epoch and each
+    update); other epochs repeat the last record's, as the state is the same."""
+    last = trace.epochs[-1] if trace.epochs else None
+    unchanged, miou = (last.unchanged, last.seed_miou) if last else (0.0, None)
+    changed = last is None
     since_start = epoch - cfg.update_start_epoch
     if cfg.w > 0 and since_start >= 0 and since_start % cfg.update_every == 0:
         new_state = seed_update(state, n_out, cfg.w)
         converged, unchanged = convergence_check(state, new_state, cfg.conv)
         trace.stopped_at = epoch if converged else None
-        state = new_state
-    miou = None if scene.gt_counts is None else seed_miou(state, scene.gt_counts)
+        state, changed = new_state, True
+    if changed and scene.gt_counts is not None:
+        miou = seed_miou(state, scene.gt_counts)
     trace.epochs.append(EpochRecord(epoch, loss, unchanged, miou))
     return state
 

@@ -1,5 +1,6 @@
 """Relationship matrix construction: feature distances, each row's top-m
-nearest regions, ANDed with region adjacency."""
+nearest regions, ANDed with region adjacency and ranked on the adjacent pairs
+only."""
 
 from __future__ import annotations
 
@@ -43,6 +44,39 @@ def _check_top_m(m):
         raise InvalidParams(f"top-m needs m >= 1, got {m}")
 
 
+def _finite_distances(feats: np.ndarray) -> np.ndarray:
+    """distance_matrix(feats), or InvalidParams when the descriptors or the
+    distances (by overflow) are not finite."""
+    if not np.isfinite(feats).all():
+        raise InvalidParams("region descriptors must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        d = distance_matrix(feats)
+    if not np.isfinite(d.max()):  # NaN propagates through max
+        raise InvalidParams("descriptor distances are not finite (overflow)")
+    return d
+
+
+def _top_k_pairs(d: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Which (rows, cols) pairs a stable sort of each row of `d` puts among the
+    row's k nearest columns (ties to the smaller column index), unsorted.
+
+    With t_i row i's k-th smallest distance (np.partition), a pair is kept
+    when d[i, j] < t_i; at d[i, j] == t_i it is kept while the columns nearer
+    than t_i plus the columns at t_i with a smaller index leave a slot."""
+    part = np.partition(d, k - 1, axis=1)
+    kth = part[:, k - 1]
+    n_nearer = (part[:, : k - 1] < kth[:, None]).sum(axis=1)
+    dist, bound = d[rows, cols], kth[rows]
+    keep = dist < bound
+    tie = np.flatnonzero(dist == bound)
+    if tie.size:
+        r, c = rows[tie], cols[tie]
+        at_bound = d[r] == bound[tie, None]
+        ties_before = (at_bound & (np.arange(d.shape[1]) < c[:, None])).sum(axis=1)
+        keep[tie] = n_nearer[r] + ties_before < k
+    return keep
+
+
 def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int) -> RelationshipMatrix:
     """M[i, j] = 1 iff column j is among the min(m, N) nearest rows to row i
     of `feats` and regions i, j share a 4-connected border or i == j.
@@ -50,15 +84,20 @@ def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int) -> Relat
     Nearness ties go to the smaller column index, so a row can lose its own
     diagonal when m smaller-index columns share its zero distance (duplicate
     feature rows). Rows rank independently, so M[i, j] and M[j, i] may differ.
+    Only the pairs M can hold are ranked: the diagonal and both directions of
+    every `region_edges` pair. Non-finite descriptors or distances raise
+    InvalidParams before any rank.
     """
     _check_top_m(m)
     n = spmap.n_regions
     if feats.shape[0] != n:
         raise ShapeMismatch(f"{feats.shape[0]} feature rows for {n} regions")
-    order = np.argsort(distance_matrix(feats), axis=1, kind="stable")
-    near = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(near, order[:, : min(m, n)], True, axis=1)
-    adj = np.eye(n, dtype=bool)
-    i, j = region_edges(spmap.region_of).T
-    adj[i, j] = adj[j, i] = True
-    return RelationshipMatrix((near & adj).astype(np.float64))
+    edges = region_edges(spmap.region_of)
+    ids = np.arange(n)
+    rows = np.concatenate([ids, edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([ids, edges[:, 1], edges[:, 0]])
+    # the N² distances are freed before the N² output is built
+    keep = _top_k_pairs(_finite_distances(feats), rows, cols, min(m, n))
+    rel = np.zeros((n, n), dtype=bool)
+    rel[rows[keep], cols[keep]] = True
+    return RelationshipMatrix(rel.astype(np.float64))

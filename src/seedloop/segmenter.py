@@ -58,27 +58,38 @@ def predict(model: LinearSegmenter, feats: np.ndarray) -> SeedState:
     return SeedState(_softmax_columns(logits))
 
 
-def loss_and_grad(model: LinearSegmenter, feats: np.ndarray, mixed: SeedState, l2: float):
-    """Cross-entropy over labeled columns (nonzero sum, renormalized) plus an
-    `l2` penalty on the weights; returns (loss, grad_w, grad_b)."""
+def _labeled_targets(feats: np.ndarray, mixed: SeedState):
+    """The labeled columns' feature rows (L, D) and their targets (C, L): the
+    columns of nonzero sum, renormalized."""
     if mixed.n_regions != feats.shape[0]:
         raise ShapeMismatch("seed state and features disagree on region count")
     col_mass = mixed.probs.sum(axis=0)
     labeled = col_mass > 0
-    n_lab = int(labeled.sum())
-    if n_lab == 0:
+    if not labeled.any():
         raise NoLabeledRegions("mixed seed labels no superpixel")
     y = mixed.probs[:, labeled] / col_mass[labeled][None, :]
-    f = feats[labeled, :]  # (L, D)
+    return feats[labeled, :], y
+
+
+def _grad(model: LinearSegmenter, f: np.ndarray, y: np.ndarray, l2: float):
+    """(probabilities, grad_w, grad_b) on labeled rows `f` and targets `y`."""
     logits = model.weights.T @ f.T + model.bias[:, None]
     p = _softmax_columns(logits)
-    loss = float(
-        -(y * np.log(np.maximum(p, 1e-300))).sum() / n_lab
-        + l2 * (model.weights**2).sum()
-    )
-    delta = (p - y) / n_lab  # (C, L)
+    delta = (p - y) / y.shape[1]  # (C, L)
     grad_w = f.T @ delta.T + 2.0 * l2 * model.weights
     grad_b = delta.sum(axis=1)
+    return p, grad_w, grad_b
+
+
+def loss_and_grad(model: LinearSegmenter, feats: np.ndarray, mixed: SeedState, l2: float):
+    """Cross-entropy over labeled columns (nonzero sum, renormalized) plus an
+    `l2` penalty on the weights; returns (loss, grad_w, grad_b)."""
+    f, y = _labeled_targets(feats, mixed)
+    p, grad_w, grad_b = _grad(model, f, y, l2)
+    loss = float(
+        -(y * np.log(np.maximum(p, 1e-300))).sum() / y.shape[1]
+        + l2 * (model.weights**2).sum()
+    )
     return loss, grad_w, grad_b
 
 
@@ -91,15 +102,19 @@ def train_epochs(
     l2: float,
 ) -> float:
     """Full-batch gradient descent, `epochs` steps of `learning_rate` on the
-    `l2`-penalized loss; mutates the model and returns the loss before the first."""
+    `l2`-penalized loss; mutates the model and returns the loss before the first.
+
+    Only the first step goes through `loss_and_grad`; the later ones take the
+    gradient alone, on labeled rows and targets built once for those steps."""
     check_int("epochs", epochs)
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
+    loss, grad_w, grad_b = loss_and_grad(model, feats, mixed, l2)
+    if epochs > 1:
+        f, y = _labeled_targets(feats, mixed)
     for step in range(epochs):
-        loss, grad_w, grad_b = loss_and_grad(model, feats, mixed, l2)
-        if step == 0:
-            first = loss
+        if step > 0:
+            _, grad_w, grad_b = _grad(model, f, y, l2)
         model.weights = model.weights - learning_rate * grad_w
         model.bias = model.bias - learning_rate * grad_b
-    return first
-
+    return loss

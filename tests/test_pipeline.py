@@ -19,6 +19,7 @@ from seedloop import (
 )
 from seedloop.errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile, WOutOfRange
 from seedloop.pipeline import (
+    end_epoch,
     pixel_state_to_superpixels,
     prepare_scene,
     score_pairs,
@@ -206,18 +207,45 @@ def test_seed_mious_match_pixel_formula(cfg, ignore_frac, monkeypatch):
         scenes.append(prepare_scene(*args))
         return scenes[-1]
 
-    def spy_miou(state, gt_counts):
-        states.append(state)
-        return seed_miou(state, gt_counts)
+    def spy_end(*args):
+        states.append(end_epoch(*args))
+        return states[-1]
 
     monkeypatch.setattr(pipeline, "prepare_scene", spy_scene)
-    monkeypatch.setattr(pipeline, "seed_miou", spy_miou)
+    monkeypatch.setattr(pipeline, "end_epoch", spy_end)
     _pred, _state, trace = run_closed_loop(img, seeds, cfg, gt)
     assert len(states) == len(trace.epochs) > 0
     assert any((s.probs.sum(axis=0) == 0).any() for s in states)  # empty seed columns
     want = [_pixel_seed_miou(s, scenes[0].spmap, gt, cfg.n_categories) for s in states]
     assert [r.seed_miou for r in trace.epochs] == want
     assert (ignore_frac == 1.0) == (want[0] is None)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        LoopConfig(),
+        LoopConfig(seg=SegParams(k=20, min_size=5, merge_thresh=10), w=0.5),
+        LoopConfig(w=0.0),  # the seeds never change: one score
+    ],
+    ids=["default", "many_regions", "w_zero"],
+)
+def test_seed_miou_scored_once_per_seed_change(cfg, monkeypatch):
+    img, gt, seeds = gen_synthetic(7, 1)[0]
+    calls = {"seed_miou": 0, "seed_update": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return spy
+
+    monkeypatch.setattr(pipeline, "seed_miou", counted("seed_miou", seed_miou))
+    monkeypatch.setattr(pipeline, "seed_update", counted("seed_update", pipeline.seed_update))
+    _pred, _state, trace = run_closed_loop(img, seeds, cfg, gt)
+    assert (calls["seed_update"] > 0) == (cfg.w > 0)
+    assert calls["seed_miou"] == 1 + calls["seed_update"] < len(trace.epochs)
 
 
 def test_w_zero_keeps_initial_seeds():

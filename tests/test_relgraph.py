@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedloop import build_relationship, distance_matrix
+from perfbench.workloads import WORKLOADS
+from seedloop import SynthParams, build_relationship, distance_matrix, gen_synthetic
 from seedloop import relgraph
 from seedloop.errors import InvalidParams, ShapeMismatch
-from seedloop.relgraph import RelationshipMatrix
-from seedloop.superpixel import SuperpixelMap
+from seedloop.pipeline import prepare_scene
+from seedloop.relgraph import RelationshipMatrix, _check_top_m
+from seedloop.superpixel import SuperpixelMap, region_edges
 from tests.conftest import random_spmap
 
 # four regions, each sharing a 4-connected border with the other three, so
@@ -22,6 +24,32 @@ def _top_m_oracle(d, m):
     for i in range(n):
         out[i, sorted(range(n), key=lambda j: (d[i, j], j))[:m]] = 1
     return out
+
+
+def _reference_build_relationship(feats, spmap, m):
+    """The full-sort build: a stable argsort of every row marks its min(m, N)
+    nearest columns, ANDed with adjacency plus the diagonal."""
+    _check_top_m(m)
+    n = spmap.n_regions
+    order = np.argsort(distance_matrix(feats), axis=1, kind="stable")
+    near = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(near, order[:, : min(m, n)], True, axis=1)
+    adj = np.eye(n, dtype=bool)
+    i, j = region_edges(spmap.region_of).T
+    adj[i, j] = adj[j, i] = True
+    return RelationshipMatrix((near & adj).astype(np.float64))
+
+
+def _oracle_ms(n):
+    return sorted({1, 2, 10, max(n - 1, 1), n, n + 3})
+
+
+def _assert_matches_reference(feats, spmap):
+    for m in _oracle_ms(spmap.n_regions):
+        got = build_relationship(feats, spmap, m).m_rel
+        want = _reference_build_relationship(feats, spmap, m).m_rel
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), m
 
 
 def _adjacency_oracle(spmap):
@@ -189,3 +217,43 @@ def test_adjacency_relabel_invariance(rng):
     a = build_relationship(v, spmap, n).m_rel
     b = build_relationship(w, permuted, n).m_rel
     assert np.array_equal(a, b[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_build_relationship_matches_reference_on_workload_scenes(name):
+    w = WORKLOADS[name]
+    for img, gt, seeds in gen_synthetic(w.scene_seed, w.count, SynthParams(w.size, w.size)):
+        scene = prepare_scene(img, seeds, w.cfg, gt)
+        _assert_matches_reference(scene.feats, scene.spmap)
+
+
+def test_build_relationship_matches_reference_on_ties(rng):
+    for h, w, n_values in [(1, 1, 1), (1, 2, 2), (6, 6, 4), (12, 12, 3), (20, 20, 2)]:
+        spmap = random_spmap(rng, h, w, n_values)
+        n = spmap.n_regions
+        # small integer descriptors: many rows share a distance
+        _assert_matches_reference(rng.integers(0, 3, size=(n, 2)).astype(np.float64), spmap)
+        # continuous descriptors rounded to one decimal
+        _assert_matches_reference(np.round(rng.standard_normal((n, 3)), 1), spmap)
+        # duplicate rows: a few distinct rows repeated in a random order
+        distinct = rng.standard_normal((3, 4))
+        _assert_matches_reference(distinct[rng.integers(0, 3, size=n)], spmap)
+        # every row equal: every distance is zero
+        _assert_matches_reference(np.ones((n, 3)), spmap)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "neg_inf", "overflow"]
+)
+@pytest.mark.parametrize("m", [1, 10])
+def test_non_finite_descriptors_rejected_before_the_rank(monkeypatch, bad, m):
+    # a NaN row used to take whatever rank argsort gave NaN; 1e200 squares to
+    # inf inside the distances
+    def no_rank(*args):
+        raise AssertionError("pairs ranked on non-finite distances")
+
+    monkeypatch.setattr(relgraph, "_top_k_pairs", no_rank)
+    feats = np.random.default_rng(3).standard_normal((4, 3))
+    feats[2, 1] = bad
+    with pytest.raises(InvalidParams):
+        build_relationship(feats, K4, m)

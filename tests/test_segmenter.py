@@ -118,6 +118,36 @@ def test_training_deterministic(rng):
 
 
 
+def _reference_train_epochs(model, feats, mixed, epochs, learning_rate, l2):
+    """The per-step loop: every step rebuilds the targets and the loss."""
+    losses = []
+    for _ in range(epochs):
+        loss, grad_w, grad_b = loss_and_grad(model, feats, mixed, l2)
+        losses.append(loss)
+        model.weights = model.weights - learning_rate * grad_w
+        model.bias = model.bias - learning_rate * grad_b
+    return losses[0]
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+@pytest.mark.parametrize("epochs", [1, 2, 3, 4, 5])
+def test_train_epochs_matches_per_step_reference(rng, epochs, l2):
+    for _ in range(10):
+        n, d, c = rng.integers(1, 40), rng.integers(1, 8), rng.integers(2, 6)
+        f = rng.standard_normal((n, d)) * rng.choice([0.1, 1.0, 10.0])
+        probs = rng.random((c, n))
+        probs[:, rng.random(n) < 0.3] = 0.0  # all-zero columns: unlabeled regions
+        probs[:, rng.integers(0, n)] = rng.random(c) + 1e-3  # at least one labeled
+        mixed = SeedState(probs / np.maximum(probs.sum(axis=0, keepdims=True), 1.0))
+        w0, b0 = rng.standard_normal((d, c)), rng.standard_normal(c)
+        got, want = LinearSegmenter(w0.copy(), b0.copy()), LinearSegmenter(w0.copy(), b0.copy())
+        loss = train_epochs(got, f, mixed, epochs, 0.5, l2)
+        want_loss = _reference_train_epochs(want, f, mixed, epochs, 0.5, l2)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
 def test_sizes_read_from_weights():
     model = LinearSegmenter(np.zeros((3, 7)))
     assert (model.n_features, model.n_categories) == (3, 7)
