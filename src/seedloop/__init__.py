@@ -15,7 +15,7 @@ from .seeds import (
     seed_update,
     walk_step,
 )
-from .segmenter import LinearSegmenter, loss_and_grad, predict, train_epochs
+from .segmenter import LinearSegmenter, labeled_targets, loss_and_grad, predict, train_epochs
 from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge
 from .tensorio import (
     IGNORE,

@@ -66,16 +66,32 @@ class ConvergenceParams:
             raise WOutOfRange("bad convergence parameters")
 
 
+def _gate(p: np.ndarray, t_fg: float, t_bg: float) -> np.ndarray:
+    """`gate` on a probabilities array. The column maximum is the value at the
+    argmax, and the argmax is background exactly when row 0 holds it."""
+    top_val = p.max(axis=0)
+    return p * (top_val >= np.where(p[0] == top_val, t_bg, t_fg))
+
+
 def gate(state: SeedState, t_fg: float, t_bg: float) -> SeedState:
     """Zero every column whose dominant-category probability is below the
     threshold (t_bg when the argmax is background, t_fg otherwise); kept
     columns retain their original values. Argmax ties go to the smaller id."""
-    p = state.probs
-    top = np.argmax(p, axis=0)  # argmax already breaks ties toward smaller id
-    top_val = p[top, np.arange(state.n_regions)]
-    thresh = np.where(top == 0, t_bg, t_fg)
-    keep = top_val >= thresh
-    return SeedState(p * keep[None, :])
+    return SeedState(_gate(state.probs, t_fg, t_bg))
+
+
+def _check_walk_shapes(state: SeedState, rel: RelationshipMatrix, n_out: SeedState):
+    if state.probs.shape != n_out.probs.shape:
+        raise ShapeMismatch("seed and network-output shapes differ")
+    n = state.n_regions
+    if rel.m_rel.shape != (n, n):
+        raise ShapeMismatch(f"relationship matrix must be [{n}, {n}], got {list(rel.m_rel.shape)}")
+
+
+def _walk_step(cur: np.ndarray, m_rel: np.ndarray, guided: np.ndarray) -> np.ndarray:
+    """`walk_step` on probabilities arrays. The `clip` method is `np.clip`
+    without its dispatch."""
+    return (cur @ m_rel).clip(0.0, 1.0) * guided
 
 
 def walk_step(
@@ -83,20 +99,16 @@ def walk_step(
 ) -> SeedState:
     """One customized random-walk step: per category row s,
     clamp01(s x m_rel) entrywise-times the gated network-output row."""
-    if s_gated.probs.shape != nout_gated.probs.shape:
-        raise ShapeMismatch("seed and network-output shapes differ")
-    n = s_gated.n_regions
-    if rel.m_rel.shape != (n, n):
-        raise ShapeMismatch(f"relationship matrix must be [{n}, {n}], got {list(rel.m_rel.shape)}")
-    spread = s_gated.probs @ rel.m_rel
-    return SeedState(np.clip(spread, 0.0, 1.0) * nout_gated.probs)
+    _check_walk_shapes(s_gated, rel, nout_gated)
+    return SeedState(_walk_step(s_gated.probs, rel.m_rel, nout_gated.probs))
 
 
 def _renormalize_columns(probs: np.ndarray) -> np.ndarray:
-    """Scale down columns whose sum exceeds 1 so the state invariant holds."""
+    """Scale down columns whose sum exceeds 1 so the state invariant holds;
+    `probs` itself when none does."""
     sums = probs.sum(axis=0)
-    scale = np.where(sums > 1.0, sums, 1.0)
-    return probs / scale
+    over = sums > 1.0
+    return probs / np.where(over, sums, 1.0) if over.any() else probs
 
 
 def custom_walk(
@@ -113,17 +125,19 @@ def custom_walk(
     with the beta thresholds; the walk step is applied `steps` times. The
     mixed seed is the entrywise max of the gated original seeds and the walk
     result so original seeds are never lost; `strict=True` returns the bare
-    walk result instead. Columns exceeding unit mass are scaled down.
+    walk result instead. Columns exceeding unit mass are scaled down. The
+    walk runs on arrays; only the mixed seed is built as a checked state.
     """
     check_int("steps", steps)
     if steps < 1:
         raise InvalidParams(f"steps must be >= 1, got {steps}")
-    start = gate(state, gates.alpha_fg, gates.alpha_bg)
-    guided = gate(n_out, gates.beta_fg, gates.beta_bg)
+    _check_walk_shapes(state, rel, n_out)
+    start = _gate(state.probs, gates.alpha_fg, gates.alpha_bg)
+    guided = _gate(n_out.probs, gates.beta_fg, gates.beta_bg)
     cur = start
     for _ in range(steps):
-        cur = walk_step(cur, rel, guided)
-    mixed = cur.probs if strict else np.maximum(start.probs, cur.probs)
+        cur = _walk_step(cur, rel.m_rel, guided)
+    mixed = cur if strict else np.maximum(start, cur)
     return SeedState(_renormalize_columns(mixed))
 
 

@@ -58,7 +58,7 @@ def predict(model: LinearSegmenter, feats: np.ndarray) -> SeedState:
     return SeedState(_softmax_columns(logits))
 
 
-def _labeled_targets(feats: np.ndarray, mixed: SeedState):
+def labeled_targets(feats: np.ndarray, mixed: SeedState):
     """The labeled columns' feature rows (L, D) and their targets (C, L): the
     columns of nonzero sum, renormalized."""
     if mixed.n_regions != feats.shape[0]:
@@ -81,10 +81,17 @@ def _grad(model: LinearSegmenter, f: np.ndarray, y: np.ndarray, l2: float):
     return p, grad_w, grad_b
 
 
-def loss_and_grad(model: LinearSegmenter, feats: np.ndarray, mixed: SeedState, l2: float):
-    """Cross-entropy over labeled columns (nonzero sum, renormalized) plus an
-    `l2` penalty on the weights; returns (loss, grad_w, grad_b)."""
-    f, y = _labeled_targets(feats, mixed)
+def loss_and_grad(model: LinearSegmenter, f: np.ndarray, y: np.ndarray, l2: float):
+    """Cross-entropy of the labeled rows `f` (L, D) against their targets
+    `y` (C, L), as `labeled_targets` builds them, plus an `l2` penalty on the
+    weights; returns (loss, grad_w, grad_b)."""
+    if f.ndim != 2 or f.shape[1] != model.n_features or y.shape != (model.n_categories, len(f)):
+        raise ShapeMismatch(
+            f"labeled rows {list(f.shape)} and targets {list(y.shape)} do not fit a "
+            f"[{model.n_features}, {model.n_categories}] model"
+        )
+    if len(f) == 0:
+        raise NoLabeledRegions("no labeled rows")
     p, grad_w, grad_b = _grad(model, f, y, l2)
     loss = float(
         -(y * np.log(np.maximum(p, 1e-300))).sum() / y.shape[1]
@@ -104,14 +111,13 @@ def train_epochs(
     """Full-batch gradient descent, `epochs` steps of `learning_rate` on the
     `l2`-penalized loss; mutates the model and returns the loss before the first.
 
-    Only the first step goes through `loss_and_grad`; the later ones take the
-    gradient alone, on labeled rows and targets built once for those steps."""
+    The labeled rows and targets are built once. Only the first step goes
+    through `loss_and_grad`; the later ones take the gradient alone."""
     check_int("epochs", epochs)
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
-    loss, grad_w, grad_b = loss_and_grad(model, feats, mixed, l2)
-    if epochs > 1:
-        f, y = _labeled_targets(feats, mixed)
+    f, y = labeled_targets(feats, mixed)
+    loss, grad_w, grad_b = loss_and_grad(model, f, y, l2)
     for step in range(epochs):
         if step > 0:
             _, grad_w, grad_b = _grad(model, f, y, l2)

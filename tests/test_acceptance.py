@@ -30,7 +30,7 @@ from seedloop import (
 from seedloop.pipeline import ablation_configs, score_pairs, score_scenes, seeds_as_prediction
 from seedloop.relgraph import RelationshipMatrix
 from seedloop.seeds import ConvergenceParams, SeedState, convergence_check
-from seedloop.segmenter import LinearSegmenter, loss_and_grad
+from seedloop.segmenter import LinearSegmenter, labeled_targets, loss_and_grad
 from seedloop.superpixel import SegParams
 from tests.conftest import make_image, random_spmap
 from tests.test_superpixel import assert_valid_spmap
@@ -224,10 +224,11 @@ def test_criterion_5_gradient_check():
         f = rng.standard_normal((n, d))
         p = rng.random((c, n))
         mixed = SeedState(p / p.sum(axis=0, keepdims=True))
-        _, grad_w, grad_b = loss_and_grad(model, f, mixed, 1e-3)
+        f, y = labeled_targets(f, mixed)
+        _, grad_w, grad_b = loss_and_grad(model, f, y, 1e-3)
 
-        def loss_at(wts, bias, f=f, mixed=mixed):
-            return loss_and_grad(LinearSegmenter(wts, bias), f, mixed, 1e-3)[0]
+        def loss_at(wts, bias, f=f, y=y):
+            return loss_and_grad(LinearSegmenter(wts, bias), f, y, 1e-3)[0]
 
         fd_w = np.zeros_like(grad_w)
         for i in range(d):

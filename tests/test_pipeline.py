@@ -26,7 +26,7 @@ from seedloop.pipeline import (
     seed_miou,
     seeds_as_prediction,
 )
-from seedloop.seeds import ConvergenceParams
+from seedloop.seeds import ConvergenceParams, SeedState
 from seedloop.superpixel import SegParams, SuperpixelMap
 from seedloop.tensorio import save_label_pgm, save_ppm
 from tests.conftest import make_labels, random_spmap
@@ -246,6 +246,28 @@ def test_seed_miou_scored_once_per_seed_change(cfg, monkeypatch):
     _pred, _state, trace = run_closed_loop(img, seeds, cfg, gt)
     assert (calls["seed_update"] > 0) == (cfg.w > 0)
     assert calls["seed_miou"] == 1 + calls["seed_update"] < len(trace.epochs)
+
+
+def test_seed_states_built_per_epoch(monkeypatch):
+    # each epoch checks the prediction and the mixed seed; S_0, each seed
+    # update and the final prediction add one state each
+    img, gt, seeds = gen_synthetic(7, 1)[0]
+    built = {"states": 0, "seed_update": 0}
+    check, update = SeedState.__post_init__, pipeline.seed_update
+
+    def spy_check(self):
+        built["states"] += 1
+        check(self)
+
+    def spy_update(*args):
+        built["seed_update"] += 1
+        return update(*args)
+
+    monkeypatch.setattr(SeedState, "__post_init__", spy_check)
+    monkeypatch.setattr(pipeline, "seed_update", spy_update)
+    _pred, _state, trace = run_closed_loop(img, seeds, LoopConfig(), gt)
+    assert built["seed_update"] > 0
+    assert built["states"] <= 2 * len(trace.epochs) + built["seed_update"] + 2
 
 
 def test_w_zero_keeps_initial_seeds():

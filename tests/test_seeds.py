@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seedloop.seeds as seeds
 from seedloop import (
     ConvergenceParams,
     GateParams,
@@ -156,6 +157,31 @@ def test_custom_walk_strict_drops_unsupported_seeds(rng):
     assert (strict.probs == 0).all()
 
 
+def _reference_custom_walk(state, rel, n_out, gates, steps, strict=False):
+    """The walk as a chain of public states: gate both inputs, `walk_step`
+    `steps` times, the entrywise max with the gated seeds unless strict, then
+    every column of mass above 1 divided by its sum."""
+    start = gate(state, gates.alpha_fg, gates.alpha_bg)
+    guided = gate(n_out, gates.beta_fg, gates.beta_bg)
+    cur = start
+    for _ in range(steps):
+        cur = walk_step(cur, rel, guided)
+    mixed = cur.probs if strict else np.maximum(start.probs, cur.probs)
+    sums = mixed.sum(axis=0)
+    return SeedState(mixed / np.where(sums > 1.0, sums, 1.0)), sums
+
+
+def _walk_case(rng, c, n):
+    s = random_state(rng, c, n)
+    s = SeedState(s.probs * (rng.random(n) < 0.7))  # some ignored regions
+    # network-output columns below, at and a rounding above unit mass, so
+    # even the strict walk has columns to scale down
+    p = rng.random((c, n))
+    n_out = SeedState(p / p.sum(axis=0) * rng.choice([rng.random(), 1.0, 1 + 1e-7], size=n))
+    rel = rel_from(rng.random((n, n)) < rng.random())
+    return s, rel, n_out
+
+
 _unit = st.floats(min_value=0.0, max_value=1.0)
 
 
@@ -170,17 +196,49 @@ _unit = st.floats(min_value=0.0, max_value=1.0)
 )
 def test_custom_walk_mass_and_seed_support(seed, c, n, thresholds, steps, strict):
     rng = np.random.default_rng(seed)
-    s = random_state(rng, c, n)
-    s = SeedState(s.probs * (rng.random(n) < 0.7))  # some ignored regions
-    n_out = random_state(rng, c, n)
-    rel = rel_from(rng.random((n, n)) < rng.random())
+    s, rel, n_out = _walk_case(rng, c, n)
     gates = GateParams(*thresholds)
     mixed = custom_walk(s, rel, n_out, gates, steps, strict=strict).probs
+    want, _ = _reference_custom_walk(s, rel, n_out, gates, steps, strict)
+    assert mixed.tobytes() == want.probs.tobytes()
     assert ((mixed >= 0) & (mixed <= 1)).all()
     assert (mixed.sum(axis=0) <= 1 + 1e-6).all()
     if not strict:
         seeded = gate(s, gates.alpha_fg, gates.alpha_bg).probs.any(axis=0)
         assert mixed.any(axis=0)[seeded].all()
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
+def test_custom_walk_matches_reference_over_and_under_unit_mass(steps, strict):
+    # seeded cases, so columns both above and below unit mass before the
+    # renormalisation are compared on every run
+    rng = np.random.default_rng(100 * steps + strict)
+    over = under = 0
+    for _ in range(40):
+        c, n = int(rng.integers(2, 5)), int(rng.integers(1, 13))
+        s, rel, n_out = _walk_case(rng, c, n)
+        gates = GateParams(*rng.random(4) * 0.6)
+        got = custom_walk(s, rel, n_out, gates, steps, strict=strict)
+        want, sums = _reference_custom_walk(s, rel, n_out, gates, steps, strict)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        over += int((sums > 1.0).sum())
+        under += int((sums <= 1.0).sum())
+    assert over > 0 and under > 0
+
+
+def test_custom_walk_builds_one_state(rng, monkeypatch):
+    s, rel, n_out = _walk_case(rng, 3, 9)
+    built = []
+    check = SeedState.__post_init__
+
+    def spy(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(SeedState, "__post_init__", spy)
+    mixed = custom_walk(s, rel, n_out, GateParams(0.3, 0.3, 0.3, 0.3), 2)
+    assert len(built) == 1 and built[0] is mixed
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,7 +372,7 @@ def test_labels_from_state_rejects_categories_past_ignore():
     assert labels_from_state(SeedState(probs), spmap).labels.tolist() == [[254, 3]]
 
 
-def test_shape_mismatch_errors(rng):
+def test_shape_mismatch_errors(rng, monkeypatch):
     a = random_state(rng, 2, 4)
     b = random_state(rng, 2, 5)
     with pytest.raises(ShapeMismatch):
@@ -325,3 +383,16 @@ def test_shape_mismatch_errors(rng):
         walk_step(a, rel_from(np.eye(4)), b)
     with pytest.raises(ShapeMismatch):  # rows match the state, columns do not
         walk_step(a, rel_from(np.ones((4, 5))), a)
+
+    def no_work(*args):
+        raise AssertionError("the walk ran before its shapes were checked")
+
+    monkeypatch.setattr(seeds, "_gate", no_work)
+    gates = GateParams(0.5, 0.5, 0.5, 0.5)
+    for n_out, m_rel in [
+        (b, np.eye(4)),  # network output of another shape
+        (a, np.ones((4, 5))),  # [N, N+1]
+        (a, np.eye(5)),  # [N+1, N+1]
+    ]:
+        with pytest.raises(ShapeMismatch):
+            custom_walk(a, rel_from(m_rel), n_out, gates, 2)

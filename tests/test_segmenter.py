@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seedloop import LinearSegmenter, loss_and_grad, predict, train_epochs
+import seedloop.segmenter as segmenter
+from seedloop import LinearSegmenter, labeled_targets, loss_and_grad, predict, train_epochs
 from seedloop.errors import InvalidParams, NoLabeledRegions, ShapeMismatch
 from seedloop.seeds import SeedState
 
@@ -37,15 +38,20 @@ def test_predict_shape_mismatch(rng):
 
 def test_loss_no_labeled_regions(rng):
     model = LinearSegmenter(np.zeros((3, 2)))
+    f, unlabeled = rng.standard_normal((4, 3)), SeedState(np.zeros((2, 4)))
     with pytest.raises(NoLabeledRegions):
-        loss_and_grad(model, rng.standard_normal((4, 3)), SeedState(np.zeros((2, 4))), 1e-3)
+        labeled_targets(f, unlabeled)
+    with pytest.raises(NoLabeledRegions):
+        train_epochs(model, f, unlabeled, 1, 1e-2, 1e-3)
+    with pytest.raises(NoLabeledRegions):
+        loss_and_grad(model, f[:0], np.zeros((2, 0)), 1e-3)
 
 
 def test_perfect_predictions_near_zero_loss():
     model = LinearSegmenter(np.zeros((2, 2)), np.array([50.0, -50.0]))
     f = np.zeros((3, 2))
     mixed = SeedState(np.vstack([np.ones(3), np.zeros(3)]))
-    loss, _, _ = loss_and_grad(model, f, mixed, 0.0)
+    loss, _, _ = loss_and_grad(model, *labeled_targets(f, mixed), 0.0)
     assert loss == pytest.approx(0.0, abs=1e-20)
 
 
@@ -57,10 +63,11 @@ def test_gradient_matches_finite_differences(rng):
         probs = rng.random((3, 6))
         probs[:, rng.integers(0, 6)] = 0.0  # keep an unlabeled column
         mixed = SeedState(probs / np.maximum(probs.sum(axis=0, keepdims=True), 1.0))
-        _, grad_w, grad_b = loss_and_grad(model, f, mixed, 1e-3)
+        f_lab, y = labeled_targets(f, mixed)
+        _, grad_w, grad_b = loss_and_grad(model, f_lab, y, 1e-3)
 
         def loss_at(wts, bias):
-            return loss_and_grad(LinearSegmenter(wts, bias), f, mixed, 1e-3)[0]
+            return loss_and_grad(LinearSegmenter(wts, bias), f_lab, y, 1e-3)[0]
 
         fd_w = np.zeros_like(grad_w)
         for i in range(4):
@@ -89,7 +96,7 @@ def test_training_decreases_loss_on_separable_toy(rng):
     model = LinearSegmenter(np.zeros((3, 2)))
     losses = []
     for _ in range(50):
-        losses.append(loss_and_grad(model, f, mixed, 0.0)[0])
+        losses.append(loss_and_grad(model, *labeled_targets(f, mixed), 0.0)[0])
         # the returned loss is the one before the step
         assert train_epochs(model, f, mixed, 1, 1e-2, 0.0) == losses[-1]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -122,7 +129,7 @@ def _reference_train_epochs(model, feats, mixed, epochs, learning_rate, l2):
     """The per-step loop: every step rebuilds the targets and the loss."""
     losses = []
     for _ in range(epochs):
-        loss, grad_w, grad_b = loss_and_grad(model, feats, mixed, l2)
+        loss, grad_w, grad_b = loss_and_grad(model, *labeled_targets(feats, mixed), l2)
         losses.append(loss)
         model.weights = model.weights - learning_rate * grad_w
         model.bias = model.bias - learning_rate * grad_b
@@ -146,6 +153,36 @@ def test_train_epochs_matches_per_step_reference(rng, epochs, l2):
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.bias.tobytes() == want.bias.tobytes()
+
+
+def test_train_epochs_builds_targets_and_loss_once(rng, monkeypatch):
+    # loss_and_grad is looked up by segmenter's module name: the benchmark's
+    # tracer wraps it there
+    calls = {"labeled_targets": 0, "loss_and_grad": 0}
+
+    def counted(name):
+        fn = getattr(segmenter, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(segmenter, name, counted(name))
+    f = rng.standard_normal((6, 4))
+    mixed = SeedState(np.vstack([np.full(6, 0.5), np.full(6, 0.25)]))
+    train_epochs(LinearSegmenter(np.zeros((4, 2))), f, mixed, 5, 1e-2, 1e-3)
+    assert calls == {"labeled_targets": 1, "loss_and_grad": 1}
+
+
+def test_loss_and_grad_rejects_targets_that_do_not_fit(rng):
+    model = LinearSegmenter(np.zeros((3, 2)))
+    f, y = labeled_targets(rng.standard_normal((4, 3)), SeedState(np.full((2, 4), 0.5)))
+    for bad_f, bad_y in [(f[:, :2], y), (f[:3], y), (f, y[:1]), (f, y[:, :1]), (f[0], y)]:
+        with pytest.raises(ShapeMismatch):
+            loss_and_grad(model, bad_f, bad_y, 1e-3)
 
 
 def test_sizes_read_from_weights():
