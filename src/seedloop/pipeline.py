@@ -31,7 +31,7 @@ from .seeds import (
     region_labels,
     seed_update,
 )
-from .segmenter import LinearSegmenter, predict, train_epochs
+from .segmenter import LinearSegmenter, labeled_targets, predict, train_epochs
 from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge
 from .tensorio import IGNORE, LabelMap, RasterImage, load_scene, make_dir, save_outputs, scene_ids
 
@@ -227,32 +227,43 @@ def end_epoch(scene, state, n_out, loss, epoch, cfg, trace) -> SeedState:
     return state
 
 
+def run_epoch(model, scenes, states, traces, epoch, cfg) -> list:
+    """One epoch over `scenes` and their seed `states`: each scene predicts and
+    walks on its own `rel`, `model` trains once on every scene's labeled rows
+    and targets stacked, and each scene ends the epoch. Returns the new states."""
+    n_outs, labeled = [], []
+    for scene, state in zip(scenes, states, strict=True):
+        n_outs.append(predict(model, scene.feats))
+        mixed = custom_walk(state, scene.rel, n_outs[-1], cfg.gates, cfg.walk_steps)
+        labeled.append(labeled_targets(scene.feats, mixed))
+    rows, targets = zip(*labeled)
+    f, y = np.concatenate(rows), np.concatenate(targets, axis=1)
+    loss = train_epochs(model, f, y, cfg.epochs_per_phase, cfg.learning_rate, cfg.l2)
+    ends = zip(scenes, states, n_outs, traces, strict=True)
+    return [end_epoch(sc, st, n_out, loss, epoch, cfg, tr) for sc, st, n_out, tr in ends]
+
+
 def run_closed_loop(
     image: RasterImage,
     initial_seeds: LabelMap,
     cfg: LoopConfig = LoopConfig(),
     gt: LabelMap | None = None,
 ):
-    """Run the closed loop on one image: prepare the scene, then per epoch
-    predict, walk, train and end the epoch until the seeds converge.
+    """Run the closed loop on one image: prepare the scene, then run epochs
+    over it with its own model until the seeds converge.
 
     Returns (final prediction LabelMap, final SeedState, LoopTrace).
     """
     scene = prepare_scene(image, initial_seeds, cfg, gt)
     model = LinearSegmenter(np.zeros((scene.feats.shape[1], cfg.n_categories)))
-    state, trace = scene.seeds, LoopTrace()
+    states, trace = [scene.seeds], LoopTrace()
     for epoch in range(1, cfg.total_epochs + 1):
-        n_out = predict(model, scene.feats)
-        mixed = custom_walk(state, scene.rel, n_out, cfg.gates, cfg.walk_steps)
-        loss = train_epochs(
-            model, scene.feats, mixed, cfg.epochs_per_phase, cfg.learning_rate, cfg.l2
-        )
-        state = end_epoch(scene, state, n_out, loss, epoch, cfg, trace)
+        states = run_epoch(model, [scene], states, [trace], epoch, cfg)
         if trace.stopped_at is not None:
             break
 
     final_pred = labels_from_state(predict(model, scene.feats), scene.spmap)
-    return final_pred, state, trace
+    return final_pred, states[0], trace
 
 
 def seeds_as_prediction(seeds: LabelMap) -> LabelMap:

@@ -102,21 +102,19 @@ def loss_and_grad(model: LinearSegmenter, f: np.ndarray, y: np.ndarray, l2: floa
 
 def train_epochs(
     model: LinearSegmenter,
-    feats: np.ndarray,
-    mixed: SeedState,
+    f: np.ndarray,
+    y: np.ndarray,
     epochs: int,
     learning_rate: float,
     l2: float,
 ) -> float:
-    """Full-batch gradient descent, `epochs` steps of `learning_rate` on the
-    `l2`-penalized loss; mutates the model and returns the loss before the first.
-
-    The labeled rows and targets are built once. Only the first step goes
+    """Full-batch gradient descent on the rows `f` and targets `y` that
+    `loss_and_grad` takes: `epochs` steps of `learning_rate` on the loss; mutates
+    the model and returns the loss before the first. Only the first step goes
     through `loss_and_grad`; the later ones take the gradient alone."""
     check_int("epochs", epochs)
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
-    f, y = labeled_targets(feats, mixed)
     loss, grad_w, grad_b = loss_and_grad(model, f, y, l2)
     for step in range(epochs):
         if step > 0:
