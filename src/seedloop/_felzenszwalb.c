@@ -12,16 +12,25 @@
  * region_sums adds up per-region pixel statistics in scan order, and
  * rag_merge_loop merges adjacent regions greedily and numbers the
  * survivors. All five take every buffer from the caller and cannot fail.
+ *
+ * gauss_blur, felz_segment and region_sums take a thread count: at 2 they
+ * run part of their work on a second thread, with every value computed and
+ * added in the same order as on one thread, so every output is the same.
+ * When the second thread cannot start, the call runs on one thread.
  */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <string.h>
 
 void gauss_blur(int64_t h, int64_t w, const uint8_t *restrict rgb, int64_t r,
-                const double *restrict fw, double *restrict tmp, double *restrict out);
+                const double *restrict fw, double *restrict tmp, double *restrict out,
+                int64_t n_threads);
 void felz_segment(int64_t h, int64_t w, const double *img, double k, double min_size,
                   double *wgt, uint64_t *rec, int64_t *size, double *thresh, int64_t *root,
-                  int32_t *id);
+                  int32_t *id, int64_t n_threads);
 void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
                     double *sums, double *counts, int64_t *final, double *dist,
                     double merge_thresh, int64_t max_regions);
@@ -30,7 +39,7 @@ void label_components(int64_t h, int64_t w, const int64_t *label, int64_t *paren
 void region_sums(int64_t n_pixels, const int64_t *region, const uint8_t *rgb,
                  double *counts, double *sums, double *squares, const double *gx,
                  const double *gy, const int64_t *bin, int64_t n_bins, double *mag,
-                 double *hist);
+                 double *hist, double *scratch, int64_t n_threads);
 
 #define DIGIT_BITS 11
 #define N_BUCKETS (1 << DIGIT_BITS)
@@ -45,6 +54,28 @@ void region_sums(int64_t n_pixels, const int64_t *region, const uint8_t *rgb,
  * keys, and with this split 0.65-0.9x. */
 #define SHORT_RUN 256
 #define LOW32 UINT64_C(0xffffffff)
+/* felz_segment on two threads scatters the records into SORT_BUCKETS
+ * buckets in weight order, which one thread sorts in turn while the other
+ * merges along the sorted front (see struct felz_job) */
+#define SORT_BUCKETS 256
+/* a waiting thread polls this many times, then gives up the CPU each time */
+#define SPINS 1000
+/* for the loops that one- and two-thread calls share: inlined, a one-thread
+ * call folds its constant bounds and null pointers into them and runs as
+ * fast as the plain loops */
+#define SHARED_LOOP __attribute__((always_inline)) static inline
+
+/* Waits until *v >= want, polling, then yielding; returns *v. The acquire
+ * load makes what the writer did before its release store visible. */
+static int64_t wait_for(_Atomic int64_t *v, int64_t want)
+{
+    int64_t got;
+    int spins = 0;
+    while ((got = atomic_load_explicit(v, memory_order_acquire)) < want)
+        if (++spins > SPINS)
+            sched_yield();
+    return got;
+}
 
 /* The Euclidean distance of two RGB colors, the squares summed left to
  * right: both the edge weights and the merge distances are this one. */
@@ -81,20 +112,22 @@ static void add_reflected(const double *restrict t, double *restrict o, int64_t 
     }
 }
 
-/* Blurs the (h, w, 3) row-major image rgb into out, (h, w, 3) values, as
- * scipy.ndimage.gaussian_filter(rgb.astype(float64), (s, s, 0)) does with
- * the kernel fw[-r..r], fw[-j] = fw[j], of which fw holds fw[0..r]:
- * correlate1d's symmetric path, acc = x[0] * fw[0], then
+/* Blurs rows y0..y1-1 of the (h, w, 3) row-major image rgb into out, (h, w,
+ * 3) values, as scipy.ndimage.gaussian_filter(rgb.astype(float64),
+ * (s, s, 0)) does with the kernel fw[-r..r], fw[-j] = fw[j], of which fw
+ * holds fw[0..r]: correlate1d's symmetric path, acc = x[0] * fw[0], then
  * acc += (x[-j] + x[j]) * fw[j] for j = r down to 1, under the 'reflect'
- * extension, along axis 0 into tmp (at least 3 * h * w values), then along
- * axis 1 from tmp into out. Each pass adds one j at a time to a whole row,
- * which keeps that order for every value. r = 0 and fw = {1.0} copy rgb,
- * as scipy does when it skips an axis. */
-void gauss_blur(int64_t h, int64_t w, const uint8_t *restrict rgb, int64_t r,
-                const double *restrict fw, double *restrict tmp, double *restrict out)
+ * extension, along axis 0 into the same rows of tmp (at least 3 * h * w
+ * values), then along axis 1 from tmp into out. A row of out needs only its
+ * row of tmp, so bands of rows blur independently. Each pass adds one j at
+ * a time to a whole row, which keeps that order for every value. r = 0 and
+ * fw = {1.0} copy rgb, as scipy does when it skips an axis. */
+SHARED_LOOP void blur_rows(int64_t h, int64_t w, const uint8_t *restrict rgb, int64_t r,
+                          const double *restrict fw, double *restrict tmp,
+                          double *restrict out, int64_t y0, int64_t y1)
 {
     int64_t row = 3 * w, y, i, j;
-    for (y = 0; y < h; y++) { /* axis 0 */
+    for (y = y0; y < y1; y++) { /* axis 0 */
         double *o = tmp + y * row;
         const uint8_t *mid = rgb + y * row;
         for (i = 0; i < row; i++)
@@ -106,7 +139,7 @@ void gauss_blur(int64_t h, int64_t w, const uint8_t *restrict rgb, int64_t r,
                 o[i] += ((double)lo[i] + (double)hi[i]) * f;
         }
     }
-    for (y = 0; y < h; y++) { /* axis 1 */
+    for (y = y0; y < y1; y++) { /* axis 1 */
         const double *t = tmp + y * row;
         double *o = out + y * row;
         for (i = 0; i < row; i++)
@@ -120,6 +153,37 @@ void gauss_blur(int64_t h, int64_t w, const uint8_t *restrict rgb, int64_t r,
             add_reflected(t, o, w, j, f, 0, a);
             add_reflected(t, o, w, j, f, b, w);
         }
+    }
+}
+
+/* blur_rows' arguments, for a second thread */
+struct blur_band {
+    int64_t h, w, r, y0, y1;
+    const uint8_t *rgb;
+    const double *fw;
+    double *tmp, *out;
+};
+
+static void *blur_lower(void *arg)
+{
+    const struct blur_band *b = arg;
+    blur_rows(b->h, b->w, b->rgb, b->r, b->fw, b->tmp, b->out, b->y0, b->y1);
+    return NULL;
+}
+
+/* blur_rows over all h rows; on two threads the second blurs the lower
+ * half of the rows. */
+void gauss_blur(int64_t h, int64_t w, const uint8_t *restrict rgb, int64_t r,
+                const double *restrict fw, double *restrict tmp, double *restrict out,
+                int64_t n_threads)
+{
+    struct blur_band lower = {h, w, r, h / 2, h, rgb, fw, tmp, out};
+    pthread_t helper;
+    if (n_threads > 1 && pthread_create(&helper, NULL, blur_lower, &lower) == 0) {
+        blur_rows(h, w, rgb, r, fw, tmp, out, 0, h / 2);
+        pthread_join(helper, NULL);
+    } else {
+        blur_rows(h, w, rgb, r, fw, tmp, out, 0, h);
     }
 }
 
@@ -213,49 +277,150 @@ static void fix_run(uint64_t *run, int64_t m, uint64_t *tmp, const double *wgt)
         run[i] = hi | (sorted[i] & LOW32);
 }
 
-/* The n_edges edges of an (h, w, 3) row-major image in (weight, generation
- * index) order, the generation index 4 * a + d of the edge from pixel a to
- * its neighbor right, down, down-right or down-left, d = 0..3, at step[d]
- * from it. Each weight goes to wgt[4 * a + d]; slots of edges that leave the
- * image stay unset. src and dst hold n_edges records each; returns whichever
- * holds the sorted records.
- *
- * A record is the top 32 bits of the weight's IEEE-754 bits over the
- * generation index: h * w <= 2^30, so the index fits in the low 32 bits.
- * Every weight is +0.0 or a positive finite number, so bit order is numeric
- * order. Three stable 11-bit LSD radix passes order the records by their
- * top bits and, within equal top bits, by generation index; fix_run then
- * orders each run of equal top bits by the weight's full bits. */
-static uint64_t *sorted_edges(int64_t h, int64_t w, const double *img,
-                              const int64_t step[4], int64_t n_edges, double *wgt,
-                              uint64_t *src, uint64_t *dst)
+/* Puts each run of records with equal top 32 bits among the n sorted
+ * records of out in (weight, generation index) order; tmp is scratch of n
+ * records. */
+static void fix_runs(uint64_t *out, int64_t n, uint64_t *tmp, const double *wgt)
 {
-    uint64_t *out;
-    int64_t n = 0, y, x, i, j, d;
+    int64_t i, j;
+    for (i = 0; i < n; i = j) {
+        for (j = i + 1; j < n && out[j] >> 32 == out[i] >> 32; j++)
+            ;
+        if (j - i > 1)
+            fix_run(out + i, j - i, tmp, wgt);
+    }
+}
 
-    for (y = 0; y < h; y++) {
+/* Writes the records of the edges that leave rows y0..y1-1 of an (h, w, 3)
+ * row-major image to rec, in generation order from row y0's first record,
+ * y0 * (4w - 3): a row above the last has 4w - 3 edges. The generation
+ * index 4 * a + d is that of the edge from pixel a to its neighbor right,
+ * down, down-right or down-left, d = 0..3, at step[d] from it; its weight
+ * goes to wgt[4 * a + d], and slots of edges that leave the image stay
+ * unset. A record is the top 32 bits of the weight's IEEE-754 bits over
+ * the generation index: h * w <= 2^30, so the index fits in the low 32
+ * bits. Every weight is +0.0 or a positive finite number, so bit order is
+ * numeric order. range gets the smallest and the largest top 32 bits
+ * written, or stays as it is if the rows have no edge. */
+SHARED_LOOP void build_edges(int64_t h, int64_t w, const double *img, const int64_t step[4],
+                             int64_t y0, int64_t y1, double *wgt, uint64_t *rec,
+                             uint64_t range[2])
+{
+    int64_t n = y0 * (4 * w - 3), y, x, d;
+    uint64_t lo = range[0], top = range[1]; /* locals: a store to rec may alias range */
+    for (y = y0; y < y1; y++) {
         for (x = 0; x < w; x++) {
             int64_t a = y * w + x;
             int has[4] = {x + 1 < w, y + 1 < h, y + 1 < h && x + 1 < w, y + 1 < h && x > 0};
             for (d = 0; d < 4; d++) {
-                uint64_t gen = (uint64_t)(4 * a + d);
+                uint64_t gen = (uint64_t)(4 * a + d), hi;
                 if (!has[d])
                     continue;
                 wgt[gen] = color_dist(img + 3 * a, img + 3 * (a + step[d]));
-                src[n] = (key_of(wgt[gen]) & ~LOW32) | gen;
-                n++;
+                hi = key_of(wgt[gen]) >> 32;
+                lo = hi < lo ? hi : lo;
+                top = hi > top ? hi : top;
+                rec[n++] = hi << 32 | gen;
             }
         }
     }
+    range[0] = lo;
+    range[1] = top;
+}
+
+/* The n_edges edges of an (h, w, 3) row-major image, as build_edges makes
+ * them, in (weight, generation index) order. src and dst hold n_edges
+ * records each; returns whichever holds the sorted records. Three stable
+ * 11-bit LSD radix passes order the records by their top bits and, within
+ * equal top bits, by generation index; fix_runs then orders each run of
+ * equal top bits by the weight's full bits. */
+static uint64_t *sorted_edges(int64_t h, int64_t w, const double *img,
+                              const int64_t step[4], int64_t n_edges, double *wgt,
+                              uint64_t *src, uint64_t *dst)
+{
+    uint64_t range[2] = {UINT64_MAX, 0}, *out;
+    build_edges(h, w, img, step, 0, h, wgt, src, range);
     out = radix_sort_hi(src, dst, n_edges);
-    dst = out == src ? dst : src; /* the other buffer is the fix-up's scratch */
-    for (i = 0; i < n_edges; i = j) {
-        for (j = i + 1; j < n_edges && out[j] >> 32 == out[i] >> 32; j++)
-            ;
-        if (j - i > 1)
-            fix_run(out + i, j - i, dst, wgt);
-    }
+    fix_runs(out, n_edges, out == src ? dst : src, wgt); /* the other buffer is scratch */
     return out;
+}
+
+/* The sort of felz_segment on two threads, t = 0 and 1. Thread t builds the
+ * edges of its half of the rows into src, rows y_mid.. for t = 1. Both then
+ * scatter their records stably into SORT_BUCKETS buckets of dst, keyed on
+ * the top 8 significant bits of a record's top 32 bits less the smallest
+ * of them, so bucket order is weight order. Thread 0's records come first
+ * in each bucket, so a bucket holds its records in generation order.
+ * Thread 1 then sorts the buckets in turn, each as sorted_edges sorts all
+ * records, and after each one stores in ready the count of records at the
+ * front of dst that are in their final place, while thread 0 merges along
+ * them. */
+struct felz_job {
+    int64_t h, w, y_mid, n_edges;
+    const double *img;
+    const int64_t *step;
+    double *wgt;
+    uint64_t *src, *dst;
+    uint64_t range[2][2];              /* each half's smallest and largest top bits */
+    int64_t count[2][SORT_BUCKETS];    /* each half's records per bucket */
+    _Atomic int64_t phase[2], ready;   /* each thread's last phase done; sorted records */
+};
+
+/* Marks this thread's phase done, then waits for the other thread's. */
+static void sync_phase(struct felz_job *job, int t, int64_t phase)
+{
+    atomic_store_explicit(&job->phase[t], phase, memory_order_release);
+    wait_for(&job->phase[1 - t], phase);
+}
+
+/* Thread t's build and scatter; start[b] is where bucket b begins in dst,
+ * and start[SORT_BUCKETS] is n_edges. */
+static void scatter_half(struct felz_job *job, int t, int64_t start[SORT_BUCKETS + 1])
+{
+    int64_t y0 = t ? job->y_mid : 0, first = y0 * (4 * job->w - 3);
+    int64_t end = t ? job->n_edges : job->y_mid * (4 * job->w - 3), *count = job->count[t];
+    uint64_t lo, hi;
+    int64_t at[SORT_BUCKETS], b, i;
+    int shift = 0;
+
+    build_edges(job->h, job->w, job->img, job->step, y0, t ? job->h : job->y_mid, job->wgt,
+                job->src, job->range[t]);
+    sync_phase(job, t, 1);
+    lo = job->range[0][0] < job->range[1][0] ? job->range[0][0] : job->range[1][0];
+    hi = job->range[0][1] > job->range[1][1] ? job->range[0][1] : job->range[1][1];
+    while ((hi - lo) >> shift >= SORT_BUCKETS)
+        shift++;
+    memset(count, 0, SORT_BUCKETS * sizeof *count);
+    for (i = first; i < end; i++)
+        count[((job->src[i] >> 32) - lo) >> shift]++;
+    sync_phase(job, t, 2);
+    start[0] = 0;
+    for (b = 0; b < SORT_BUCKETS; b++) {
+        start[b + 1] = start[b] + job->count[0][b] + job->count[1][b];
+        at[b] = start[b] + (t ? job->count[0][b] : 0);
+    }
+    for (i = first; i < end; i++)
+        job->dst[at[((job->src[i] >> 32) - lo) >> shift]++] = job->src[i];
+    sync_phase(job, t, 3);
+}
+
+static void *sort_buckets(void *arg)
+{
+    struct felz_job *job = arg;
+    int64_t start[SORT_BUCKETS + 1], b;
+    scatter_half(job, 1, start);
+    for (b = 0; b < SORT_BUCKETS; b++) {
+        int64_t m = start[b + 1] - start[b];
+        uint64_t *v = job->dst + start[b], *tmp = job->src + start[b];
+        if (m <= SHORT_RUN) {
+            merge_sort(v, tmp, m); /* by value: (top bits, generation index) */
+        } else if (radix_sort_hi(v, tmp, m) != v) {
+            memcpy(v, tmp, (size_t)m * sizeof *v);
+        }
+        fix_runs(v, m, tmp, job->wgt);
+        atomic_store_explicit(&job->ready, start[b + 1], memory_order_release);
+    }
+    return NULL;
 }
 
 static int64_t find(int64_t *parent, int64_t x)
@@ -280,11 +445,15 @@ static int64_t link(int64_t *parent, int64_t *size, int64_t a, int64_t b)
     return a;
 }
 
-static void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *edges,
-                       const double *wgt, const int64_t step[4], double k,
-                       double min_size, int64_t *root, int64_t *size, double *thresh)
+/* The two union-find passes over the n_edges sorted edges, then each
+ * pixel's root into root. With ready set, only the first *ready edges are
+ * in place so far: the merge pass waits for each edge to be. */
+SHARED_LOOP void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *edges,
+                            const double *wgt, const int64_t step[4], double k,
+                            double min_size, int64_t *root, int64_t *size, double *thresh,
+                            _Atomic int64_t *ready)
 {
-    int64_t p, e;
+    int64_t p, e, in_place = ready ? 0 : n_edges;
     for (p = 0; p < n_pixels; p++) {
         root[p] = p;
         size[p] = 1;
@@ -292,6 +461,8 @@ static void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *edges,
     }
     /* merge when w <= min(Int(Ca) + k/|Ca|, Int(Cb) + k/|Cb|) */
     for (e = 0; e < n_edges; e++) {
+        if (e == in_place)
+            in_place = wait_for(ready, e + 1);
         uint64_t gen = edges[e] & LOW32;
         int64_t a = (int64_t)(gen >> 2), b = a + step[gen & 3];
         a = find(root, a);
@@ -324,16 +495,32 @@ static void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *edges,
  * pixel in scan order. Which root names a component therefore does not
  * matter. The rest is scratch: wgt of 4 * h * w weights, one per generation
  * index, rec of 8 * h * w records, the sort's two buffers of 4 * h * w each,
- * and size and thresh of h * w values each. */
+ * and size and thresh of h * w values each. On two threads the second
+ * sorts the edges bucket by bucket while this one merges along them (see
+ * struct felz_job); the edges come in the same order either way. */
 void felz_segment(int64_t h, int64_t w, const double *img, double k, double min_size,
                   double *wgt, uint64_t *rec, int64_t *size, double *thresh, int64_t *root,
-                  int32_t *id)
+                  int32_t *id, int64_t n_threads)
 {
     const int64_t step[4] = {1, w, w + 1, w - 1};
     int64_t n_edges = h * (w - 1) + (h - 1) * w + 2 * (h - 1) * (w - 1);
-    uint64_t *edges = sorted_edges(h, w, img, step, n_edges, wgt, rec, rec + 4 * h * w);
+    struct felz_job job = {
+        .h = h, .w = w, .y_mid = h / 2, .n_edges = n_edges, .img = img, .step = step,
+        .wgt = wgt, .src = rec, .dst = rec + 4 * h * w,
+        .range = {{UINT64_MAX, 0}, {UINT64_MAX, 0}},
+    };
+    pthread_t helper;
 
-    union_find(h * w, n_edges, edges, wgt, step, k, min_size, root, size, thresh);
+    if (n_threads > 1 && n_edges > 0 && pthread_create(&helper, NULL, sort_buckets, &job) == 0) {
+        int64_t start[SORT_BUCKETS + 1];
+        scatter_half(&job, 0, start);
+        union_find(h * w, n_edges, job.dst, wgt, step, k, min_size, root, size, thresh,
+                   &job.ready);
+        pthread_join(helper, NULL);
+    } else {
+        uint64_t *edges = sorted_edges(h, w, img, step, n_edges, wgt, rec, rec + 4 * h * w);
+        union_find(h * w, n_edges, edges, wgt, step, k, min_size, root, size, thresh, NULL);
+    }
     label_components(h, w, root, size, id); /* size is scratch by now */
 }
 
@@ -373,22 +560,32 @@ void label_components(int64_t h, int64_t w, const int64_t *label, int64_t *paren
     }
 }
 
-/* Per-region sums over n_pixels pixels in scan order; pixel p lies in
- * region[p] and has color rgb[3p..3p+2]. Adds to counts[r] each pixel of
- * region r, to sums[3r + c] its color and to squares[3r + c] the color's
- * square. These are integers below 2^53, so they are exact in any order.
- * When n_bins > 0, also adds hypot(gx[p], gy[p]) to mag[r], pixel by pixel
- * in scan order as np.bincount adds its weights, and 1 to
- * hist[n_bins * r + bin[p]], bin[p] in 0..n_bins-1; otherwise gx, gy, bin,
- * mag and hist are not touched. The caller zeroes every output. */
-void region_sums(int64_t n_pixels, const int64_t *region, const uint8_t *rgb,
-                 double *counts, double *sums, double *squares, const double *gx,
-                 const double *gy, const int64_t *bin, int64_t n_bins, double *mag,
-                 double *hist)
+/* hypot(gx[p], gy[p]) into out[p - p0] for p in p0..p1-1, on a second thread */
+struct hypot_job {
+    int64_t p0, p1;
+    const double *gx, *gy;
+    double *out;
+};
+
+static void *hypot_range(void *arg)
+{
+    const struct hypot_job *job = arg;
+    int64_t p;
+    for (p = job->p0; p < job->p1; p++)
+        job->out[p - job->p0] = hypot(job->gx[p], job->gy[p]);
+    return NULL;
+}
+
+/* region_sums over pixels p0..p1-1; hyp, when set, holds the hypot of
+ * pixel p at hyp[p - p0]. */
+SHARED_LOOP void add_pixels(int64_t p0, int64_t p1, const int64_t *region, const uint8_t *rgb,
+                            double *counts, double *sums, double *squares, const double *gx,
+                            const double *gy, const double *hyp, const int64_t *bin,
+                            int64_t n_bins, double *mag, double *hist)
 {
     int64_t p;
     int c;
-    for (p = 0; p < n_pixels; p++) {
+    for (p = p0; p < p1; p++) {
         int64_t r = region[p];
         counts[r] += 1.0;
         for (c = 0; c < 3; c++) {
@@ -397,9 +594,39 @@ void region_sums(int64_t n_pixels, const int64_t *region, const uint8_t *rgb,
             squares[3 * r + c] += v * v;
         }
         if (n_bins > 0) {
-            mag[r] += hypot(gx[p], gy[p]);
+            mag[r] += hyp ? hyp[p - p0] : hypot(gx[p], gy[p]);
             hist[n_bins * r + bin[p]] += 1.0;
         }
+    }
+}
+
+/* Per-region sums over n_pixels pixels in scan order; pixel p lies in
+ * region[p] and has color rgb[3p..3p+2]. Adds to counts[r] each pixel of
+ * region r, to sums[3r + c] its color and to squares[3r + c] the color's
+ * square. These are integers below 2^53, so they are exact in any order.
+ * When n_bins > 0, also adds hypot(gx[p], gy[p]) to mag[r], pixel by pixel
+ * in scan order as np.bincount adds its weights, and 1 to
+ * hist[n_bins * r + bin[p]], bin[p] in 0..n_bins-1; otherwise gx, gy, bin,
+ * mag and hist are not touched. The caller zeroes every output. On two
+ * threads with n_bins > 0, the second computes the hypots of the last
+ * n_pixels - n_pixels / 2 pixels into scratch, which holds that many
+ * values, while this one adds up the pixels before them. */
+void region_sums(int64_t n_pixels, const int64_t *region, const uint8_t *rgb,
+                 double *counts, double *sums, double *squares, const double *gx,
+                 const double *gy, const int64_t *bin, int64_t n_bins, double *mag,
+                 double *hist, double *scratch, int64_t n_threads)
+{
+    struct hypot_job job = {n_pixels / 2, n_pixels, gx, gy, scratch};
+    pthread_t helper;
+    if (n_bins > 0 && n_threads > 1 && pthread_create(&helper, NULL, hypot_range, &job) == 0) {
+        add_pixels(0, job.p0, region, rgb, counts, sums, squares, gx, gy, NULL, bin, n_bins,
+                   mag, hist);
+        pthread_join(helper, NULL);
+        add_pixels(job.p0, n_pixels, region, rgb, counts, sums, squares, gx, gy, scratch, bin,
+                   n_bins, mag, hist);
+    } else {
+        add_pixels(0, n_pixels, region, rgb, counts, sums, squares, gx, gy, NULL, bin, n_bins,
+                   mag, hist);
     }
 }
 

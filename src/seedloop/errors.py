@@ -65,6 +65,10 @@ class NoLabeledRegions(SeedloopError):
     pass
 
 
+class TrainingDiverged(SeedloopError):
+    pass
+
+
 # metrics
 class UnlabeledPrediction(SeedloopError):
     pass

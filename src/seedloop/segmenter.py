@@ -3,11 +3,12 @@ trained with full-batch gradient descent on mixed seeds."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NoLabeledRegions, ShapeMismatch, check_int
+from .errors import InvalidParams, NoLabeledRegions, ShapeMismatch, TrainingDiverged, check_int
 from .seeds import SeedState
 
 
@@ -111,7 +112,13 @@ def train_epochs(
     """Full-batch gradient descent on the rows `f` and targets `y` that
     `loss_and_grad` takes: `epochs` steps of `learning_rate` on the loss; mutates
     the model and returns the loss before the first. Only the first step goes
-    through `loss_and_grad`; the later ones take the gradient alone."""
+    through `loss_and_grad`; the later ones take the gradient alone.
+
+    Raises TrainingDiverged when that loss, or the sum of the updated
+    weights and bias, is not finite: a step too large for the loss
+    overflows them. Once a value is inf or NaN, every later step and every
+    sum over it stays so, which lets one check at the end stand for every
+    step (numpy still warns of the overflow as it happens)."""
     check_int("epochs", epochs)
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
@@ -121,4 +128,9 @@ def train_epochs(
             _, grad_w, grad_b = _grad(model, f, y, l2)
         model.weights = model.weights - learning_rate * grad_w
         model.bias = model.bias - learning_rate * grad_b
+    if not math.isfinite(loss + model.weights.sum() + model.bias.sum()):
+        raise TrainingDiverged(
+            f"training diverged at learning_rate={learning_rate}, l2={l2}: "
+            f"the loss ({loss}) or the updated weights or bias are not finite"
+        )
     return loss

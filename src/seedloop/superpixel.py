@@ -29,9 +29,22 @@ _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
 # -ffp-contract=off: no fused multiply-add, so edge weights, thresholds and
 # merge distances round as numpy's do
 # -fno-math-errno: sqrt is the bare instruction
+# -falign-loops=32: loop speed stops hanging on where the code lands; the
+# blur's unchanged loops ran 11-15% slower at 64x64 after code around them
+# moved, and at par with this flag
+# -pthread: the blur, the segmentation and the region sums can take a
+# second thread
 # -lm: hypot is libm's, the function np.hypot calls; it goes after the
 # source, where _build_felz puts these flags
-_FELZ_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno", "-lm")
+_FELZ_FLAGS = (
+    "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32",
+    "-pthread", "-lm",
+)
+
+# the pixel count from which the native passes run on two threads: below it
+# the second thread costs more than it saves (64x64 and 128x128 scenes ran
+# 12% and 14% slower end to end on two threads of a 2-vCPU host)
+TWO_THREAD_PIXELS = 2**16
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,13 @@ def _components(labels):
     return ids
 
 
+def _threads(n):
+    """The thread count for the native passes over an n-pixel image: two
+    from TWO_THREAD_PIXELS pixels on when this process may run on two CPUs,
+    else one. Every count gives the same bytes."""
+    return 2 if n >= TWO_THREAD_PIXELS and len(os.sched_getaffinity(0)) >= 2 else 1
+
+
 def _region_sums(spmap, image, gx, gy, bins, n_bins):
     """Per-region pixel counts (n,), RGB sums (n, 3) and RGB sums of squares
     (n, 3) in one scan-order pass in _felzenszwalb.c. When n_bins > 0, given
@@ -104,14 +124,17 @@ def _region_sums(spmap, image, gx, gy, bins, n_bins):
     the pass also gives each region's sum of hypot(gx, gy) (n,), added in
     scan order as np.bincount adds, and its count of each bin (n, n_bins);
     with n_bins 0 the three gradient arrays may be empty and those two sums
-    are zero."""
+    are zero. On _threads' two threads, a second thread computes the hypots
+    of half the pixels into this thread's workspace."""
     n = spmap.n_regions
     counts, sums, squares = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3))
     mag, hist = np.zeros(n), np.zeros((n, n_bins))
     region = spmap.region_of.astype(np.int64, copy=False).ravel()
+    threads = _threads(region.size)
+    scratch = _buffers(region.size)[1] if n_bins > 0 and threads > 1 else np.empty(0)
     _load_felz().region_sums(
         region.size, region, image.data.ravel(), counts, sums.ravel(), squares.ravel(),
-        gx.ravel(), gy.ravel(), bins.ravel(), n_bins, mag, hist.ravel(),
+        gx.ravel(), gy.ravel(), bins.ravel(), n_bins, mag, hist.ravel(), scratch, threads,
     )
     return counts, sums, squares, mag, hist
 
@@ -154,12 +177,14 @@ def _load_felz():
     map_i32 = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
     u64 = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
     c_i64, c_f64 = ctypes.c_int64, ctypes.c_double
-    # h, w, rgb, r, fw (its r + 1 values), tmp (scratch), out
-    lib.gauss_blur.argtypes = [c_i64, c_i64, u8, c_i64, f64, f64, img]
+    # h, w, rgb, r, fw (its r + 1 values), tmp (scratch), out, threads
+    lib.gauss_blur.argtypes = [c_i64, c_i64, u8, c_i64, f64, f64, img, c_i64]
     lib.gauss_blur.restype = None
     # h, w, image, k, min_size, wgt, rec, size, thresh (the four scratch),
-    # root (out), id (out)
-    lib.felz_segment.argtypes = [c_i64, c_i64, img, c_f64, c_f64, f64, u64, i64, f64, i64, map_i32]
+    # root (out), id (out), threads
+    lib.felz_segment.argtypes = [
+        c_i64, c_i64, img, c_f64, c_f64, f64, u64, i64, f64, i64, map_i32, c_i64
+    ]
     lib.felz_segment.restype = None
     # n, n_edges, ea, eb, sums, counts, final, dist, merge_thresh, max_regions;
     # every array is updated in place, dist is scratch, final goes in as
@@ -169,10 +194,13 @@ def _load_felz():
     # h, w, label, parent (scratch), id (out)
     lib.label_components.argtypes = [c_i64, c_i64, map_i64, i64, map_i32]
     lib.label_components.restype = None
-    # n_pixels, region, rgb, counts, sums, squares, gx, gy, bin, n_bins, mag, hist;
-    # the outputs are added to, and gx, gy, bin, mag and hist are read only
-    # when n_bins > 0
-    lib.region_sums.argtypes = [c_i64, i64, u8, f64, f64, f64, f64, f64, i64, c_i64, f64, f64]
+    # n_pixels, region, rgb, counts, sums, squares, gx, gy, bin, n_bins, mag, hist,
+    # scratch, threads; the outputs are added to, gx, gy, bin, mag and hist
+    # are read only when n_bins > 0, and scratch (n_pixels - n_pixels // 2
+    # values) only then on two threads
+    lib.region_sums.argtypes = [
+        c_i64, i64, u8, f64, f64, f64, f64, f64, i64, c_i64, f64, f64, f64, c_i64
+    ]
     lib.region_sums.restype = None
     return lib
 
@@ -180,7 +208,8 @@ def _load_felz():
 class _Workspace(threading.local):
     """One thread's blurred image and felz_segment scratch, kept while the
     pixel count stays the same, so a run of equal-sized scenes allocates
-    them once. Per thread: ctypes releases the GIL during a native call."""
+    them once. Per thread: ctypes releases the GIL during a native call,
+    and a native call's second thread uses only its caller's buffers."""
 
     n = -1
     buffers = ()
@@ -192,7 +221,8 @@ _WORKSPACE = _Workspace()
 def _buffers(n):
     """This thread's buffers for an n-pixel image: the blurred image (3n),
     then felz_segment's scratch, gen-indexed weights (4n, also the blur's
-    scratch), sort records (8n) and per-pixel sizes and thresholds (n each)."""
+    and the region sums' scratch), sort records (8n) and per-pixel sizes and
+    thresholds (n each)."""
     ws = _WORKSPACE
     if ws.n != n:
         ws.n, ws.buffers = -1, ()  # the old buffers go before the new ones come
@@ -221,17 +251,19 @@ def _gaussian_kernel(sigma):
     return fw
 
 
-def _blur(image, sigma):
+def _blur(image, sigma, threads=None):
     """The image blurred along height and width at sigma, as the (h, w, 3)
     float64 scipy.ndimage.gaussian_filter(image.data.astype(np.float64),
-    (sigma, sigma, 0)), bit for bit: gauss_blur in _felzenszwalb.c. The
-    result is this thread's workspace, which the next call overwrites."""
+    (sigma, sigma, 0)), bit for bit: gauss_blur in _felzenszwalb.c, on
+    `threads` threads, _threads' count by default. The result is this
+    thread's workspace, which the next call overwrites."""
     h, w = image.height, image.width
     blurred, wgt = _buffers(h * w)[:2]
     blurred = blurred.reshape(h, w, 3)
     fw = _gaussian_kernel(float(sigma))
     rgb = np.ascontiguousarray(image.data).ravel()
-    _load_felz().gauss_blur(h, w, rgb, len(fw) - 1, fw, wgt, blurred)
+    threads = _threads(h * w) if threads is None else threads
+    _load_felz().gauss_blur(h, w, rgb, len(fw) - 1, fw, wgt, blurred, threads)
     return blurred
 
 
@@ -258,18 +290,20 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     return SuperpixelMap(_segment(_blur(image, params.sigma), params)[1])
 
 
-def _segment(img, params):
+def _segment(img, params, threads=None):
     """felz_segment on a blurred float64 (h, w, 3) image: each pixel's root,
-    as a flat int64 array in scan order, and its (h, w) int32 region id.
-    The scratch is this thread's workspace, 4 slots a pixel for the sort, so
-    the edge count stays in C. No component exceeds h * w pixels, so a
-    min_size above h * w + 1 acts as h * w + 1, which a double holds."""
+    as a flat int64 array in scan order, and its (h, w) int32 region id, on
+    `threads` threads, _threads' count by default. The scratch is this
+    thread's workspace, 4 slots a pixel for the sort, so the edge count
+    stays in C. No component exceeds h * w pixels, so a min_size above
+    h * w + 1 acts as h * w + 1, which a double holds."""
     h, w, _ = img.shape
     n = h * w
     roots, ids = np.empty(n, np.int64), np.empty((h, w), np.int32)
     scratch = _buffers(n)[1:]
     img, min_size = np.ascontiguousarray(img), float(min(params.min_size, n + 1))
-    _load_felz().felz_segment(h, w, img, params.k, min_size, *scratch, roots, ids)
+    threads = _threads(n) if threads is None else threads
+    _load_felz().felz_segment(h, w, img, params.k, min_size, *scratch, roots, ids, threads)
     return roots, ids
 
 

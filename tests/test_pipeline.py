@@ -18,7 +18,14 @@ from seedloop import (
     run_dataset,
     scores,
 )
-from seedloop.errors import DimensionMismatch, EmptySeeds, InvalidParams, MissingFile, WOutOfRange
+from seedloop.errors import (
+    DimensionMismatch,
+    EmptySeeds,
+    InvalidParams,
+    MissingFile,
+    TrainingDiverged,
+    WOutOfRange,
+)
 from seedloop.pipeline import (
     LoopTrace,
     end_epoch,
@@ -370,6 +377,20 @@ def test_frozen_segmenter_is_fixed_point(monkeypatch):
     _pred, final_seeds, trace = run_closed_loop(img, seeds, cfg)
     assert np.array_equal(final_seeds.probs, s0.probs)
     assert trace.stopped_at == cfg.update_start_epoch
+
+
+# a step of 1e300 overflows the weights, which then give NaN losses; an l2
+# of 1e300 overflows the penalty's gradient. Neither can be told from the
+# config alone, so the training itself raises, before any NaN reaches the
+# trace or predict. numpy warns of each overflow on the way
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("field", ["learning_rate", "l2"])
+def test_divergent_training_raises(field):
+    img, gt, seeds = gen_synthetic(7, 1)[0]
+    cfg = dataclasses.replace(LoopConfig(), **{field: 1e300})
+    with pytest.raises(TrainingDiverged, match="not finite"):
+        run_closed_loop(img, seeds, cfg, gt)
 
 
 def test_loop_improves_over_initial_seeds():

@@ -764,7 +764,7 @@ def _native_cases():
     sort: the tie-heavy shapes at k=20, where ties decide merges, small
     shapes blurred by kernels longer than their lines, a ramp and a constant
     image, whose runs of equal top bits the fix-up sorts by radix or leaves,
-    and one 64x64 scene."""
+    and one 64x64 and one 256x256 scene."""
     for shape in _SHAPES:
         for sigma in (0.0, 0.8):
             for img in _shape_images(shape, sigma):
@@ -777,8 +777,9 @@ def _native_cases():
     for sigma in (0.0, 0.8):
         yield _ramp(48, 80), SegParams(k=20, sigma=sigma, min_size=5)
     yield make_image(np.full((48, 80, 3), 77)), SegParams()
-    (img, _, _), = gen_synthetic(7, 1, SynthParams(64, 64))
-    yield img, SegParams()
+    for size in (64, 256):  # 256x256 takes two threads where the host has two CPUs
+        (img, _, _), = gen_synthetic(7, 1, SynthParams(size, size))
+        yield img, SegParams()
 
 
 def _digest(spmap):
@@ -868,6 +869,130 @@ def test_workspace_is_per_thread():
     assert proc.stdout.split() == ["True"]
 
 
+def _forced_threads(count):
+    """A stand-in for superpixel._threads that picks count for any image."""
+    return lambda n: count
+
+
+def test_two_threads_from_two_to_the_sixteen_pixels():
+    assert superpixel._threads(2**16 - 1) == 1
+    assert superpixel._threads(2**16) == (2 if len(os.sched_getaffinity(0)) >= 2 else 1)
+
+
+def _assert_segment_schedules_agree(smoothed, params):
+    """felz_segment gives the same roots and ids on one and on two threads;
+    returns them."""
+    (roots, ids), (roots2, ids2) = (superpixel._segment(smoothed, params, t) for t in (1, 2))
+    _assert_same_bits(roots2, roots)
+    _assert_same_bits(ids2, ids)
+    return roots, ids
+
+
+def _assert_schedules_agree(img, params, monkeypatch):
+    """The blur, the segmentation and the features of img are the same bytes
+    on one and on two threads; returns the blurred image and the roots."""
+    blurred = superpixel._blur(img, params.sigma, 1).copy()
+    _assert_same_bits(superpixel._blur(img, params.sigma, 2), blurred)
+    roots, ids = _assert_segment_schedules_agree(blurred, params)
+    spmap = SuperpixelMap(ids)
+    feats = []
+    for count in (1, 2):
+        monkeypatch.setattr(superpixel, "_threads", _forced_threads(count))
+        feats.append(superpixel_features(img, spmap))
+    _assert_same_bits(feats[1], feats[0])
+    return blurred, roots
+
+
+# the first scene's roots are also held to the union-find oracle
+def test_two_threads_match_one_on_large256_scenes(monkeypatch):
+    for i, (img, _, _) in enumerate(gen_synthetic(7, 5, SynthParams(256, 256))):
+        blurred, roots = _assert_schedules_agree(img, SegParams(), monkeypatch)
+        if i == 0:
+            assert np.array_equal(roots, _reference_roots(blurred, SegParams()))
+
+
+# the blurred ramp's out-of-order runs of equal top bits are longer than
+# _SHORT_RUN, inside one bucket, so the bucket's fix-up sorts them by radix
+# sort; the constant image puts every edge in one bucket
+@pytest.mark.parametrize("kind", ["ramp", "constant"])
+def test_two_threads_match_one_on_long_tie_runs(kind, monkeypatch):
+    img = _ramp(256, 256) if kind == "ramp" else make_image(np.full((256, 256, 3), 77))
+    if kind == "ramp":
+        assert _tie_runs(_smoothed(img, 0.8))[1] > _SHORT_RUN
+    for k, min_size in ((20.0, 1), (100.0, 20)):
+        _assert_schedules_agree(img, SegParams(k=k, sigma=0.8, min_size=min_size), monkeypatch)
+
+
+# as in test_native_roots_match_oracle_on_near_ties, the min-size pass links
+# in exactly the sorted order, so an edge out of place moves a root
+def test_two_threads_match_one_on_near_ties():
+    rng = np.random.default_rng(256)
+    smoothed = rng.integers(0, 4, size=(256, 256, 3)) * 20.0
+    smoothed += rng.uniform(0, 1e-9, size=smoothed.shape)
+    for min_size in (2, 5):
+        _assert_segment_schedules_agree(smoothed, SegParams(k=1e-6, sigma=0, min_size=min_size))
+
+
+# colors in steps of 20 make equal weights common, in both halves of the
+# rows: unblurred, their order in a bucket decides merges. A single row
+# leaves the first thread no row of edges to build; a single column has one
+# edge a row
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+@pytest.mark.parametrize("shape", [(256, 256), (1, 65536), (65536, 1), (3, 21846)])
+def test_two_threads_match_one_on_tie_heavy_shapes(shape, sigma, monkeypatch):
+    rng = np.random.default_rng(shape[0])
+    img = make_image(rng.integers(0, 13, size=(*shape, 3)) * 20)
+    for min_size in (1, 5):
+        _assert_schedules_agree(img, SegParams(k=20, sigma=sigma, min_size=min_size), monkeypatch)
+
+
+def _two_thread_digests():
+    """Digests of the blur, the roots, the ids and the features of two
+    256x256 scenes, each native call asked for the thread count that
+    superpixel._threads gives."""
+    params = SegParams()
+    for img, _, _ in gen_synthetic(7, 2, SynthParams(256, 256)):
+        blurred = superpixel._blur(img, params.sigma)
+        roots, ids = superpixel._segment(blurred, params)
+        feats = superpixel_features(img, SuperpixelMap(ids))
+        for arr in (blurred, roots, ids, feats):
+            yield hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+# every pthread_create of this build fails with EAGAIN, as when a thread's
+# stack cannot be mapped
+_NO_THREAD = """\
+#include <errno.h>
+#include <pthread.h>
+static int no_thread(pthread_t *t, const pthread_attr_t *a, void *(*f)(void *), void *arg)
+{
+    (void)t, (void)a, (void)f, (void)arg;
+    return EAGAIN;
+}
+#define pthread_create no_thread
+"""
+
+
+def test_thread_that_cannot_start_runs_on_one(tmp_path, monkeypatch):
+    header = tmp_path / "no_thread.h"
+    header.write_text(_NO_THREAD)
+    proc = _run_child(
+        "from seedloop import superpixel\n"
+        "from tests.test_superpixel import _two_thread_digests\n"
+        f"superpixel._FELZ_FLAGS += ('-include', {str(header)!r})\n"
+        "superpixel._threads = lambda n: 2\n"
+        "for d in _two_thread_digests():\n"
+        "    print(d)\n",
+        HOME=str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    (lib,) = (tmp_path / ".cache" / "seedloop").iterdir()
+    nm = subprocess.run(["nm", "-D", "--undefined-only", lib], capture_output=True, text=True)
+    assert "pthread_create" not in nm.stdout  # the build whose threads cannot start
+    monkeypatch.setattr(superpixel, "_threads", _forced_threads(2))
+    assert proc.stdout.split() == list(_two_thread_digests())
+
+
 def _libasan():
     """The runtime an -fsanitize=address library needs loaded first, or ""
     when gcc is missing; gcc prints the bare name when it has no libasan."""
@@ -942,6 +1067,33 @@ def test_native_source_clean_under_asan(tmp_path):
         LD_PRELOAD=_libasan(),
         ASAN_OPTIONS="detect_leaks=0",
     )
+
+
+def _has_libtsan():
+    try:
+        cmd = ["gcc", "-print-file-name=libtsan.so"]
+        out = subprocess.run(cmd, capture_output=True, text=True).stdout.strip()
+    except OSError:
+        return False
+    return os.path.isabs(out)
+
+
+@pytest.mark.skipif(not _has_libtsan(), reason="gcc has no libtsan")
+def test_two_threads_clean_under_tsan(tmp_path):
+    # a C driver: python3 with libtsan preloaded does not start. It runs the
+    # blur, the segmentation and the region sums of a 256x256 image on two
+    # threads and checks them against one
+    driver = Path(__file__).with_name("tsan_driver.c")
+    exe = tmp_path / "tsan_driver"
+    cmd = ["gcc", "-fsanitize=thread", "-g", "-O1", "-pthread", "-ffp-contract=off",
+           str(superpixel._FELZ_SOURCE), str(driver), "-lm", "-o", str(exe)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    env = {**os.environ, "TSAN_OPTIONS": "halt_on_error=1"}
+    proc = subprocess.run([str(exe)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "ThreadSanitizer" not in proc.stderr
+    assert proc.stdout.split() == ["same"]
 
 
 def _segment_under_address_limit(headroom_mb):
