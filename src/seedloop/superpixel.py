@@ -110,11 +110,37 @@ def _components(labels):
     return ids
 
 
+# where a container's cgroup sets its CPU bandwidth: v2's "quota period",
+# else v1's quota and period files; a quota of "max" or -1 sets no limit
+_CPU_LIMITS = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
+@functools.cache
+def _cpu_quota():
+    """How many CPUs' worth of time the first readable _CPU_LIMITS entry
+    grants per period, or inf when none sets a limit. Read once a process,
+    as a quota rarely changes under a running process."""
+    for files in _CPU_LIMITS:
+        try:
+            quota, period = map(int, " ".join(Path(f).read_text() for f in files).split())
+        except (OSError, ValueError):  # missing, or "max"
+            continue
+        return quota / period if quota > 0 and period > 0 else np.inf
+    return np.inf
+
+
 def _threads(n):
     """The thread count for the native passes over an n-pixel image: two
-    from TWO_THREAD_PIXELS pixels on when this process may run on two CPUs,
-    else one. Every count gives the same bytes."""
-    return 2 if n >= TWO_THREAD_PIXELS and len(os.sched_getaffinity(0)) >= 2 else 1
+    from TWO_THREAD_PIXELS pixels on when this process may run on two CPUs
+    and its cgroup grants it two CPUs' worth of time, else one. Under a
+    smaller quota the two threads, which spin briefly while one waits on
+    the other, would spend it waiting. Every count gives the same bytes."""
+    if n < TWO_THREAD_PIXELS:
+        return 1
+    return 2 if min(len(os.sched_getaffinity(0)), _cpu_quota()) >= 2 else 1
 
 
 def _region_sums(spmap, image, gx, gy, bins, n_bins):
@@ -251,19 +277,18 @@ def _gaussian_kernel(sigma):
     return fw
 
 
-def _blur(image, sigma, threads=None):
+def _blur(image, sigma):
     """The image blurred along height and width at sigma, as the (h, w, 3)
     float64 scipy.ndimage.gaussian_filter(image.data.astype(np.float64),
     (sigma, sigma, 0)), bit for bit: gauss_blur in _felzenszwalb.c, on
-    `threads` threads, _threads' count by default. The result is this
-    thread's workspace, which the next call overwrites."""
+    _threads' count. The result is this thread's workspace, which the next
+    call overwrites."""
     h, w = image.height, image.width
     blurred, wgt = _buffers(h * w)[:2]
     blurred = blurred.reshape(h, w, 3)
     fw = _gaussian_kernel(float(sigma))
     rgb = np.ascontiguousarray(image.data).ravel()
-    threads = _threads(h * w) if threads is None else threads
-    _load_felz().gauss_blur(h, w, rgb, len(fw) - 1, fw, wgt, blurred, threads)
+    _load_felz().gauss_blur(h, w, rgb, len(fw) - 1, fw, wgt, blurred, _threads(h * w))
     return blurred
 
 
@@ -290,20 +315,19 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     return SuperpixelMap(_segment(_blur(image, params.sigma), params)[1])
 
 
-def _segment(img, params, threads=None):
+def _segment(img, params):
     """felz_segment on a blurred float64 (h, w, 3) image: each pixel's root,
     as a flat int64 array in scan order, and its (h, w) int32 region id, on
-    `threads` threads, _threads' count by default. The scratch is this
-    thread's workspace, 4 slots a pixel for the sort, so the edge count
-    stays in C. No component exceeds h * w pixels, so a min_size above
-    h * w + 1 acts as h * w + 1, which a double holds."""
+    _threads' count. The scratch is this thread's workspace, 4 slots a pixel
+    for the sort, so the edge count stays in C. No component exceeds h * w
+    pixels, so a min_size above h * w + 1 acts as h * w + 1, which a double
+    holds."""
     h, w, _ = img.shape
     n = h * w
     roots, ids = np.empty(n, np.int64), np.empty((h, w), np.int32)
     scratch = _buffers(n)[1:]
     img, min_size = np.ascontiguousarray(img), float(min(params.min_size, n + 1))
-    threads = _threads(n) if threads is None else threads
-    _load_felz().felz_segment(h, w, img, params.k, min_size, *scratch, roots, ids, threads)
+    _load_felz().felz_segment(h, w, img, params.k, min_size, *scratch, roots, ids, _threads(n))
     return roots, ids
 
 

@@ -874,15 +874,47 @@ def _forced_threads(count):
     return lambda n: count
 
 
-def test_two_threads_from_two_to_the_sixteen_pixels():
+def test_two_threads_from_two_to_the_sixteen_pixels(monkeypatch):
     assert superpixel._threads(2**16 - 1) == 1
-    assert superpixel._threads(2**16) == (2 if len(os.sched_getaffinity(0)) >= 2 else 1)
+    cpus = min(len(os.sched_getaffinity(0)), superpixel._cpu_quota())
+    assert superpixel._threads(2**16) == (2 if cpus >= 2 else 1)
+    monkeypatch.setattr(superpixel, "_cpu_quota", lambda: 1.5)
+    assert superpixel._threads(2**16) == 1
 
 
-def _assert_segment_schedules_agree(smoothed, params):
+@pytest.mark.parametrize(
+    "v2, v1, quota",
+    [
+        ("200000 100000\n", None, 2.0),
+        ("50000 100000\n", ("-1\n", "100000\n"), 0.5),
+        ("max 100000\n", None, np.inf),
+        (None, ("150000\n", "100000\n"), 1.5),
+        (None, ("-1\n", "100000\n"), np.inf),
+        (None, None, np.inf),
+    ],
+)
+def test_cpu_quota_reads_cgroup_v2_then_v1(v2, v1, quota, tmp_path, monkeypatch):
+    files = (tmp_path / "cpu.max",), (tmp_path / "quota", tmp_path / "period")
+    for paths, texts in zip(files, ((v2,), v1 or (None, None))):
+        for path, text in zip(paths, texts):
+            if text is not None:
+                path.write_text(text)
+    monkeypatch.setattr(superpixel, "_CPU_LIMITS", files)
+    assert superpixel._cpu_quota.__wrapped__() == quota
+
+
+def _on_threads(monkeypatch, count, call, *args):
+    """call(*args) with superpixel._threads picking count for any image."""
+    monkeypatch.setattr(superpixel, "_threads", _forced_threads(count))
+    return call(*args)
+
+
+def _assert_segment_schedules_agree(smoothed, params, monkeypatch):
     """felz_segment gives the same roots and ids on one and on two threads;
     returns them."""
-    (roots, ids), (roots2, ids2) = (superpixel._segment(smoothed, params, t) for t in (1, 2))
+    (roots, ids), (roots2, ids2) = (
+        _on_threads(monkeypatch, t, superpixel._segment, smoothed, params) for t in (1, 2)
+    )
     _assert_same_bits(roots2, roots)
     _assert_same_bits(ids2, ids)
     return roots, ids
@@ -891,14 +923,11 @@ def _assert_segment_schedules_agree(smoothed, params):
 def _assert_schedules_agree(img, params, monkeypatch):
     """The blur, the segmentation and the features of img are the same bytes
     on one and on two threads; returns the blurred image and the roots."""
-    blurred = superpixel._blur(img, params.sigma, 1).copy()
-    _assert_same_bits(superpixel._blur(img, params.sigma, 2), blurred)
-    roots, ids = _assert_segment_schedules_agree(blurred, params)
+    blurred = _on_threads(monkeypatch, 1, superpixel._blur, img, params.sigma).copy()
+    _assert_same_bits(_on_threads(monkeypatch, 2, superpixel._blur, img, params.sigma), blurred)
+    roots, ids = _assert_segment_schedules_agree(blurred, params, monkeypatch)
     spmap = SuperpixelMap(ids)
-    feats = []
-    for count in (1, 2):
-        monkeypatch.setattr(superpixel, "_threads", _forced_threads(count))
-        feats.append(superpixel_features(img, spmap))
+    feats = [_on_threads(monkeypatch, t, superpixel_features, img, spmap) for t in (1, 2)]
     _assert_same_bits(feats[1], feats[0])
     return blurred, roots
 
@@ -925,12 +954,14 @@ def test_two_threads_match_one_on_long_tie_runs(kind, monkeypatch):
 
 # as in test_native_roots_match_oracle_on_near_ties, the min-size pass links
 # in exactly the sorted order, so an edge out of place moves a root
-def test_two_threads_match_one_on_near_ties():
+def test_two_threads_match_one_on_near_ties(monkeypatch):
     rng = np.random.default_rng(256)
     smoothed = rng.integers(0, 4, size=(256, 256, 3)) * 20.0
     smoothed += rng.uniform(0, 1e-9, size=smoothed.shape)
     for min_size in (2, 5):
-        _assert_segment_schedules_agree(smoothed, SegParams(k=1e-6, sigma=0, min_size=min_size))
+        _assert_segment_schedules_agree(
+            smoothed, SegParams(k=1e-6, sigma=0, min_size=min_size), monkeypatch
+        )
 
 
 # colors in steps of 20 make equal weights common, in both halves of the
