@@ -3,17 +3,15 @@
 from .features import load_external_features, superpixel_features
 from .metrics import confusion, scores
 from .pipeline import LoopConfig, parse_config, run_closed_loop, run_dataset
-from .relgraph import RelationshipMatrix, build_relationship, distance_matrix
+from .relgraph import RelationshipMatrix, build_relationship
 from .seeds import (
     ConvergenceParams,
     GateParams,
     SeedState,
     convergence_check,
     custom_walk,
-    gate,
     labels_from_state,
     seed_update,
-    walk_step,
 )
 from .segmenter import LinearSegmenter, labeled_targets, loss_and_grad, predict, train_epochs
 from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge

@@ -21,7 +21,7 @@ from .pipeline import (
     score_pairs,
 )
 from .relgraph import RelationshipMatrix, _check_top_m, build_relationship
-from .seeds import GateParams, SeedState, custom_walk
+from .seeds import GateParams, SeedState, _check_steps, custom_walk
 from .superpixel import (
     SegParams,
     SuperpixelMap,
@@ -74,9 +74,9 @@ def _cmd_synth(args):
 
 
 def _cmd_superpix(args):
+    params = _from_args(SegParams, args)
     _check_max_regions(args.max_regions)
     image = load_ppm(args.image)
-    params = _from_args(SegParams, args)
     spmap = rag_merge(
         felzenszwalb(image, params), image, params.merge_thresh, args.max_regions
     )
@@ -107,13 +107,14 @@ def _cmd_relmat(args):
 
 
 def _cmd_walk(args):
+    gates = _from_args(GateParams, args)
+    _check_steps(args.steps)
     seeds = SeedState(load_tensor(args.seeds).astype(np.float64))
     n_out = SeedState(load_tensor(args.netout).astype(np.float64))
     m_rel = load_tensor(args.rel)
     if m_rel.dtype != np.uint8:
         raise ShapeMismatch("relationship tensor must be u8 [N, N]")
     rel = RelationshipMatrix(m_rel.astype(np.float64))  # checks the shape and 0/1 entries
-    gates = _from_args(GateParams, args)
     mixed = custom_walk(seeds, rel, n_out, gates, args.steps, strict=args.strict_eq3)
     save_tensor(mixed.probs.astype(np.float32), args.out)
     print(f"mixed seed [{mixed.n_categories}, {mixed.n_regions}] -> {args.out}")

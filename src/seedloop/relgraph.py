@@ -15,7 +15,7 @@ from .superpixel import SuperpixelMap, region_edges
 @dataclass(frozen=True)
 class RelationshipMatrix:
     """The walk's (N, N) 0/1 transition structure. `build_relationship`
-    builds it as float64, so each walk step multiplies by it uncast."""
+    builds it as float64, so `spread` multiplies by it uncast."""
 
     m_rel: np.ndarray
 
@@ -25,6 +25,14 @@ class RelationshipMatrix:
             raise ShapeMismatch(f"relationship matrix must be square, got {list(r.shape)}")
         if not ((r == 0) | (r == 1)).all():
             raise ShapeMismatch("relationship entries must be 0 or 1")
+
+    @property
+    def n_regions(self) -> int:
+        return self.m_rel.shape[0]
+
+    def spread(self, cur: np.ndarray) -> np.ndarray:
+        """The walk's one product, `cur @ m_rel`, on (C, N) probabilities."""
+        return cur @ self.m_rel
 
 
 def distance_matrix(feats: np.ndarray) -> np.ndarray:

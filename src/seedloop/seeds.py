@@ -67,40 +67,26 @@ class ConvergenceParams:
 
 
 def _gate(p: np.ndarray, t_fg: float, t_bg: float) -> np.ndarray:
-    """`gate` on a probabilities array. The column maximum is the value at the
-    argmax, and the argmax is background exactly when row 0 holds it."""
+    """Zero every column of `p` whose dominant-category probability is below
+    the threshold (t_bg when the argmax is background, t_fg otherwise); kept
+    columns retain their values. Argmax ties go to the smaller id: the argmax
+    is background exactly when row 0 holds the column maximum."""
     top_val = p.max(axis=0)
     return p * (top_val >= np.where(p[0] == top_val, t_bg, t_fg))
 
 
-def gate(state: SeedState, t_fg: float, t_bg: float) -> SeedState:
-    """Zero every column whose dominant-category probability is below the
-    threshold (t_bg when the argmax is background, t_fg otherwise); kept
-    columns retain their original values. Argmax ties go to the smaller id."""
-    return SeedState(_gate(state.probs, t_fg, t_bg))
+def _check_steps(steps):
+    """custom_walk's check of steps, which the CLI runs before it loads anything."""
+    check_int("steps", steps)
+    if steps < 1:
+        raise InvalidParams(f"steps must be >= 1, got {steps}")
 
 
-def _check_walk_shapes(state: SeedState, rel: RelationshipMatrix, n_out: SeedState):
-    if state.probs.shape != n_out.probs.shape:
-        raise ShapeMismatch("seed and network-output shapes differ")
-    n = state.n_regions
-    if rel.m_rel.shape != (n, n):
-        raise ShapeMismatch(f"relationship matrix must be [{n}, {n}], got {list(rel.m_rel.shape)}")
-
-
-def _walk_step(cur: np.ndarray, m_rel: np.ndarray, guided: np.ndarray) -> np.ndarray:
-    """`walk_step` on probabilities arrays. The `clip` method is `np.clip`
-    without its dispatch."""
-    return (cur @ m_rel).clip(0.0, 1.0) * guided
-
-
-def walk_step(
-    s_gated: SeedState, rel: RelationshipMatrix, nout_gated: SeedState
-) -> SeedState:
-    """One customized random-walk step: per category row s,
-    clamp01(s x m_rel) entrywise-times the gated network-output row."""
-    _check_walk_shapes(s_gated, rel, nout_gated)
-    return SeedState(_walk_step(s_gated.probs, rel.m_rel, nout_gated.probs))
+def _walk_step(cur: np.ndarray, rel: RelationshipMatrix, guided: np.ndarray) -> np.ndarray:
+    """One customized random-walk step on probabilities arrays: per category
+    row s, clamp01(s x M) entrywise-times the gated network-output row. The
+    `clip` method is `np.clip` without its dispatch."""
+    return rel.spread(cur).clip(0.0, 1.0) * guided
 
 
 def _renormalize_columns(probs: np.ndarray) -> np.ndarray:
@@ -128,15 +114,16 @@ def custom_walk(
     walk result instead. Columns exceeding unit mass are scaled down. The
     walk runs on arrays; only the mixed seed is built as a checked state.
     """
-    check_int("steps", steps)
-    if steps < 1:
-        raise InvalidParams(f"steps must be >= 1, got {steps}")
-    _check_walk_shapes(state, rel, n_out)
+    _check_steps(steps)
+    if state.probs.shape != n_out.probs.shape:
+        raise ShapeMismatch("seed and network-output shapes differ")
+    if rel.n_regions != state.n_regions:
+        raise ShapeMismatch(f"{rel.n_regions} relationship regions for {state.n_regions} seeds")
     start = _gate(state.probs, gates.alpha_fg, gates.alpha_bg)
     guided = _gate(n_out.probs, gates.beta_fg, gates.beta_bg)
     cur = start
     for _ in range(steps):
-        cur = _walk_step(cur, rel.m_rel, guided)
+        cur = _walk_step(cur, rel, guided)
     mixed = cur if strict else np.maximum(start, cur)
     return SeedState(_renormalize_columns(mixed))
 

@@ -20,16 +20,14 @@ from seedloop import (
     build_relationship,
     confusion,
     custom_walk,
-    distance_matrix,
     felzenszwalb,
-    gate,
     gen_synthetic,
     scores,
     seed_update,
 )
 from seedloop.pipeline import ablation_configs, score_pairs, score_scenes, seeds_as_prediction
-from seedloop.relgraph import RelationshipMatrix
-from seedloop.seeds import ConvergenceParams, SeedState, convergence_check
+from seedloop.relgraph import RelationshipMatrix, distance_matrix
+from seedloop.seeds import ConvergenceParams, SeedState, _gate, convergence_check
 from seedloop.segmenter import LinearSegmenter, labeled_targets, loss_and_grad
 from seedloop.superpixel import SegParams
 from tests.conftest import make_image, random_spmap
@@ -169,8 +167,8 @@ def test_criterion_3_walk_support():
         steps = int(rng.integers(1, 4))
 
         mixed = custom_walk(s, rel, n_out, gates, steps)
-        s0 = gate(s, gates.alpha_fg, gates.alpha_bg).probs
-        g = gate(n_out, gates.beta_fg, gates.beta_bg).probs
+        s0 = _gate(s.probs, gates.alpha_fg, gates.alpha_bg)
+        g = _gate(n_out.probs, gates.beta_fg, gates.beta_bg)
         predicted = walk_support_oracle(s0, g, m_rel, steps)
         assert np.array_equal(mixed.probs > 0, predicted)
 

@@ -176,6 +176,25 @@ def test_walk_rejects_steps_below_one(stages, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["walk", "--steps", "0"], "InvalidParams"),
+        (["walk", "--alpha-fg", "2"], "WOutOfRange"),
+        (["superpix", "--k", "-1"], "InvalidParams"),
+    ],
+    ids=["walk_steps_0", "walk_alpha_fg_2", "superpix_k_-1"],
+)
+def test_stage_checks_its_parameters_before_reading_inputs(tmp_path, capsys, argv, error):
+    # every input path is missing: a read before the check fails as IoFailure
+    inputs = {"walk": ["--seeds", "--netout", "--rel"], "superpix": ["--image"]}[argv[0]]
+    missing = [arg for flag in inputs for arg in (flag, str(tmp_path / "nope"))]
+    out = tmp_path / "out.dfnt"
+    assert main([*argv, *missing, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+    assert not out.exists()
+
+
 def test_loop_and_eval(synth_dir, tmp_path, capsys):
     gt = str(synth_dir / "0000.gt.pgm")
     args = ["--image", str(synth_dir / "0000.ppm"), "--seeds", str(synth_dir / "0000.seeds.pgm")]

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench.workloads import WORKLOADS
-from seedloop import SynthParams, build_relationship, distance_matrix, gen_synthetic
+from seedloop import SynthParams, build_relationship, gen_synthetic
 from seedloop import relgraph
 from seedloop.errors import InvalidParams, ShapeMismatch
 from seedloop.pipeline import prepare_scene
-from seedloop.relgraph import RelationshipMatrix, _check_top_m
+from seedloop.relgraph import RelationshipMatrix, _check_top_m, distance_matrix
 from seedloop.superpixel import SuperpixelMap, region_edges
 from tests.conftest import random_spmap
 

@@ -1,22 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seedloop
 import seedloop.seeds as seeds
 from seedloop import (
     ConvergenceParams,
     GateParams,
     convergence_check,
     custom_walk,
-    gate,
     labels_from_state,
     seed_update,
-    walk_step,
 )
 from seedloop.errors import InvalidParams, ShapeMismatch, WOutOfRange
 from seedloop.relgraph import RelationshipMatrix
-from seedloop.seeds import SeedState
+from seedloop.seeds import SeedState, _gate
 from seedloop.superpixel import SuperpixelMap
 from seedloop.tensorio import IGNORE
 
@@ -28,6 +29,17 @@ def rel_from(m):
 def random_state(rng, c, n):
     p = rng.random((c, n))
     return SeedState(p / np.maximum(p.sum(axis=0, keepdims=True), 1.0))
+
+
+def _argmax_gate(p, t_fg, t_bg):
+    """The gate by its argmax rule: keep a column when its value at the first
+    argmax reaches t_bg (argmax 0, background) or t_fg (any other)."""
+    top = p.argmax(axis=0)
+    return p * (p[top, np.arange(p.shape[1])] >= np.where(top == 0, t_bg, t_fg))
+
+
+# zero thresholds keep every column: the walk's bare step
+_NO_GATES = GateParams(0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -47,41 +59,35 @@ def test_state_rejects_bad_probs(probs):
 
 
 def test_gate_keeps_confident_background():
-    s = SeedState(np.array([[0.95], [0.05]]))
-    out = gate(s, 0.90, 0.90)
-    assert np.array_equal(out.probs, s.probs)
+    p = np.array([[0.95], [0.05]])
+    assert np.array_equal(_gate(p, 0.90, 0.90), p)
 
 
 def test_gate_drops_unconfident_foreground():
-    s = SeedState(np.array([[0.10], [0.80]]))
-    out = gate(s, 0.90, 0.90)
-    assert (out.probs == 0).all()
+    assert (_gate(np.array([[0.10], [0.80]]), 0.90, 0.90) == 0).all()
 
 
 def test_gate_zero_thresholds_identity(rng):
-    s = random_state(rng, 3, 7)
-    out = gate(s, 0.0, 0.0)
-    assert np.array_equal(out.probs, s.probs)
+    p = random_state(rng, 3, 7).probs
+    assert np.array_equal(_gate(p, 0.0, 0.0), p)
 
 
 def test_gate_idempotent(rng):
-    s = random_state(rng, 3, 10)
-    once = gate(s, 0.4, 0.3)
-    twice = gate(once, 0.4, 0.3)
-    assert np.array_equal(once.probs, twice.probs)
+    once = _gate(random_state(rng, 3, 10).probs, 0.4, 0.3)
+    assert np.array_equal(_gate(once, 0.4, 0.3), once)
 
 
 def test_walk_step_identity_transition(rng):
     s = random_state(rng, 2, 5)
     n_out = random_state(rng, 2, 5)
-    out = walk_step(s, rel_from(np.eye(5)), n_out)
+    out = custom_walk(s, rel_from(np.eye(5)), n_out, _NO_GATES, 1, strict=True)
     assert np.allclose(out.probs, s.probs * n_out.probs)
 
 
 def test_walk_step_absorbing_zero(rng):
     z = SeedState(np.zeros((2, 5)))
     n_out = random_state(rng, 2, 5)
-    out = walk_step(z, rel_from(np.ones((5, 5))), n_out)
+    out = custom_walk(z, rel_from(np.ones((5, 5))), n_out, _NO_GATES, 1, strict=True)
     assert (out.probs == 0).all()
 
 
@@ -92,7 +98,7 @@ def test_walk_step_chain_hand_case():
         chain[i, i + 1] = chain[i + 1, i] = 1
     s = SeedState(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
     n_out = SeedState(np.array([[0.2] * 4, [0.8] * 4]))
-    out = walk_step(s, rel_from(chain), n_out)
+    out = custom_walk(s, rel_from(chain), n_out, _NO_GATES, 1, strict=True)
     assert np.allclose(out.probs[1], [0.8, 0.8, 0.0, 0.0])
 
 
@@ -123,8 +129,7 @@ def test_custom_walk_zero_guidance_keeps_gated_seeds(rng):
     n_out = SeedState(np.zeros((3, 6)))
     gates = GateParams(0.2, 0.2, 0.9, 0.9)
     mixed = custom_walk(s, rel_from(np.ones((6, 6))), n_out, gates, 2)
-    expected = gate(s, 0.2, 0.2)
-    assert np.array_equal(mixed.probs, expected.probs)
+    assert np.array_equal(mixed.probs, _argmax_gate(s.probs, 0.2, 0.2))
 
 
 def test_custom_walk_matches_brute_force_toy():
@@ -138,8 +143,8 @@ def test_custom_walk_matches_brute_force_toy():
     gates = GateParams(0.3, 0.3, 0.3, 0.3)
     got = custom_walk(s, rel_from(rel_m), n_out, gates, 2)
 
-    start = gate(s, 0.3, 0.3).probs
-    g = gate(n_out, 0.3, 0.3).probs
+    start = _argmax_gate(s.probs, 0.3, 0.3)
+    g = _argmax_gate(n_out.probs, 0.3, 0.3)
     cur = start
     for _ in range(2):
         cur = np.clip(cur @ rel_m.astype(float), 0, 1) * g
@@ -158,15 +163,16 @@ def test_custom_walk_strict_drops_unsupported_seeds(rng):
 
 
 def _reference_custom_walk(state, rel, n_out, gates, steps, strict=False):
-    """The walk as a chain of public states: gate both inputs, `walk_step`
-    `steps` times, the entrywise max with the gated seeds unless strict, then
-    every column of mass above 1 divided by its sum."""
-    start = gate(state, gates.alpha_fg, gates.alpha_bg)
-    guided = gate(n_out, gates.beta_fg, gates.beta_bg)
+    """The walk spelled out on its own: gate both inputs by the argmax rule,
+    `steps` times clip01(cur @ M) times the gated output, the entrywise max
+    with the gated seeds unless strict, then every column of mass above 1
+    divided by its sum. Every intermediate state is checked as a SeedState."""
+    start = _argmax_gate(state.probs, gates.alpha_fg, gates.alpha_bg)
+    guided = _argmax_gate(n_out.probs, gates.beta_fg, gates.beta_bg)
     cur = start
     for _ in range(steps):
-        cur = walk_step(cur, rel, guided)
-    mixed = cur.probs if strict else np.maximum(start.probs, cur.probs)
+        cur = SeedState(np.clip(cur @ rel.m_rel, 0, 1) * guided).probs
+    mixed = cur if strict else np.maximum(start, cur)
     sums = mixed.sum(axis=0)
     return SeedState(mixed / np.where(sums > 1.0, sums, 1.0)), sums
 
@@ -204,7 +210,7 @@ def test_custom_walk_mass_and_seed_support(seed, c, n, thresholds, steps, strict
     assert ((mixed >= 0) & (mixed <= 1)).all()
     assert (mixed.sum(axis=0) <= 1 + 1e-6).all()
     if not strict:
-        seeded = gate(s, gates.alpha_fg, gates.alpha_bg).probs.any(axis=0)
+        seeded = _argmax_gate(s.probs, gates.alpha_fg, gates.alpha_bg).any(axis=0)
         assert mixed.any(axis=0)[seeded].all()
 
 
@@ -241,6 +247,29 @@ def test_custom_walk_builds_one_state(rng, monkeypatch):
     assert len(built) == 1 and built[0] is mixed
 
 
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_custom_walk_spreads_through_the_matrix_once_per_step(rng, monkeypatch, steps):
+    s, rel, n_out = _walk_case(rng, 3, 9)
+    calls = []
+    spread = RelationshipMatrix.spread
+
+    def spy(self, cur):
+        calls.append(self)
+        return spread(self, cur)
+
+    monkeypatch.setattr(RelationshipMatrix, "spread", spy)
+    custom_walk(s, rel, n_out, GateParams(0.3, 0.3, 0.3, 0.3), steps)
+    assert len(calls) == steps and all(r is rel for r in calls)
+
+
+def test_dense_matrix_read_only_by_relgraph_and_cli():
+    # everything else goes through RelationshipMatrix's methods, so the
+    # matrix's storage can change behind them
+    src = Path(seedloop.__file__).parent
+    readers = {p.name for p in src.glob("*.py") if ".m_rel" in p.read_text()}
+    assert readers == {"relgraph.py", "cli.py"}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
@@ -258,7 +287,7 @@ def test_gate_keeps_or_zeroes_each_column(seed, c, n, t_fg, t_bg):
     p[:, at] = 0.0
     p[0, at & (rng.random(n) < 0.5)] = t_bg
     p[1, at & (p[0] == 0)] = t_fg
-    out = gate(SeedState(p), t_fg, t_bg).probs
+    out = _gate(p, t_fg, t_bg)
     # the dominant category is the first one at the column maximum
     top = (p == p.max(axis=0)).argmax(axis=0)
     below = p.max(axis=0) < np.where(top == 0, t_bg, t_fg)
@@ -379,10 +408,6 @@ def test_shape_mismatch_errors(rng, monkeypatch):
         seed_update(a, b, 0.5)
     with pytest.raises(ShapeMismatch):
         convergence_check(a, b)
-    with pytest.raises(ShapeMismatch):
-        walk_step(a, rel_from(np.eye(4)), b)
-    with pytest.raises(ShapeMismatch):  # rows match the state, columns do not
-        walk_step(a, rel_from(np.ones((4, 5))), a)
 
     def no_work(*args):
         raise AssertionError("the walk ran before its shapes were checked")
