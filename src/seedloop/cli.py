@@ -121,14 +121,17 @@ def _cmd_walk(args):
 
 
 def _cmd_eval(args):
-    if args.pred and args.gt:
-        paths = [(args.pred, args.gt)]
-    elif args.pred_dir and args.gt_dir:
-        paths = prediction_pairs(args.pred_dir, args.gt_dir)
-    else:
-        raise MissingFile("need --pred/--gt or --pred-dir/--gt-dir")
-    pairs = ((load_label_pgm(pred), load_label_pgm(gt)) for pred, gt in paths)
-    result = score_pairs(pairs, args.classes)
+    def pairs():  # read as score_pairs iterates, after its --classes check
+        if args.pred and args.gt:
+            paths = [(args.pred, args.gt)]
+        elif args.pred_dir and args.gt_dir:
+            paths = prediction_pairs(args.pred_dir, args.gt_dir)
+        else:
+            raise MissingFile("need --pred/--gt or --pred-dir/--gt-dir")
+        for pred, gt in paths:
+            yield load_label_pgm(pred), load_label_pgm(gt)
+
+    result = score_pairs(pairs(), args.classes)
     if result is None:
         raise EmptyConfusion("confusion matrix has no counts")
     print(format_scores(result))

@@ -87,10 +87,13 @@ class MissingFile(SeedloopError):
     pass
 
 
-def check_int(name, value):
-    """Raise InvalidParams unless value is an integer; a bool is not one."""
+def check_int(name, value, low=None):
+    """Raise InvalidParams unless value is an integer, and at least `low`
+    when given; a bool is not an integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParams(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidParams(f"{name} must be >= {low}, got {value}")
 
 
 def check_int_fields(params):

@@ -54,12 +54,10 @@ class LoopConfig:
 
     def __post_init__(self):
         check_int_fields(self)
-        if self.total_epochs < 1 or self.update_every < 1:
-            raise InvalidParams("bad loop schedule")
+        for name in ("total_epochs", "update_every", "walk_steps", "epochs_per_phase", "topk"):
+            check_int(name, getattr(self, name), low=1)
         if not 0.0 <= self.w <= 1.0:
             raise InvalidParams("w must lie in [0, 1]")
-        if min(self.walk_steps, self.epochs_per_phase, self.topk) < 1:
-            raise InvalidParams("walk_steps, epochs_per_phase and topk must be >= 1")
         if not 2 <= self.n_categories <= IGNORE:  # uint8 ids 0..C-1 below IGNORE
             raise InvalidParams(f"n_categories must lie in [2, {IGNORE}]")
         if not (0.0 <= self.learning_rate < np.inf and 0.0 <= self.l2 < np.inf):

@@ -47,9 +47,7 @@ def distance_matrix(feats: np.ndarray) -> np.ndarray:
 def _check_top_m(m):
     """build_relationship's check of m, which the CLI also runs before it
     loads anything."""
-    check_int("m", m)
-    if m < 1:
-        raise InvalidParams(f"top-m needs m >= 1, got {m}")
+    check_int("m", m, low=1)
 
 
 def _finite_distances(feats: np.ndarray) -> np.ndarray:
@@ -106,6 +104,6 @@ def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int) -> Relat
     cols = np.concatenate([ids, edges[:, 1], edges[:, 0]])
     # the N² distances are freed before the N² output is built
     keep = _top_k_pairs(_finite_distances(feats), rows, cols, min(m, n))
-    rel = np.zeros((n, n), dtype=bool)
-    rel[rows[keep], cols[keep]] = True
-    return RelationshipMatrix(rel.astype(np.float64))
+    rel = np.zeros((n, n))
+    rel[rows[keep], cols[keep]] = 1.0
+    return RelationshipMatrix(rel)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, ShapeMismatch, WOutOfRange, check_int
+from .errors import ShapeMismatch, WOutOfRange, check_int
 from .relgraph import RelationshipMatrix
 from .superpixel import SuperpixelMap
 from .tensorio import IGNORE, LabelMap
@@ -77,24 +77,7 @@ def _gate(p: np.ndarray, t_fg: float, t_bg: float) -> np.ndarray:
 
 def _check_steps(steps):
     """custom_walk's check of steps, which the CLI runs before it loads anything."""
-    check_int("steps", steps)
-    if steps < 1:
-        raise InvalidParams(f"steps must be >= 1, got {steps}")
-
-
-def _walk_step(cur: np.ndarray, rel: RelationshipMatrix, guided: np.ndarray) -> np.ndarray:
-    """One customized random-walk step on probabilities arrays: per category
-    row s, clamp01(s x M) entrywise-times the gated network-output row. The
-    `clip` method is `np.clip` without its dispatch."""
-    return rel.spread(cur).clip(0.0, 1.0) * guided
-
-
-def _renormalize_columns(probs: np.ndarray) -> np.ndarray:
-    """Scale down columns whose sum exceeds 1 so the state invariant holds;
-    `probs` itself when none does."""
-    sums = probs.sum(axis=0)
-    over = sums > 1.0
-    return probs / np.where(over, sums, 1.0) if over.any() else probs
+    check_int("steps", steps, low=1)
 
 
 def custom_walk(
@@ -108,11 +91,13 @@ def custom_walk(
     """Multi-step customized random walk producing the mixed seed.
 
     The seed state is gated with the alpha thresholds and the network output
-    with the beta thresholds; the walk step is applied `steps` times. The
-    mixed seed is the entrywise max of the gated original seeds and the walk
-    result so original seeds are never lost; `strict=True` returns the bare
-    walk result instead. Columns exceeding unit mass are scaled down. The
-    walk runs on arrays; only the mixed seed is built as a checked state.
+    with the beta thresholds. Each of the `steps` walk steps takes, per
+    category row s, clamp01(s x M) entrywise-times the gated network-output
+    row. The mixed seed is the entrywise max of the gated original seeds and
+    the walk result so original seeds are never lost; `strict=True` returns
+    the bare walk result instead. Columns exceeding unit mass are scaled
+    down. The walk runs on arrays; only the mixed seed is built as a checked
+    state.
     """
     _check_steps(steps)
     if state.probs.shape != n_out.probs.shape:
@@ -123,9 +108,12 @@ def custom_walk(
     guided = _gate(n_out.probs, gates.beta_fg, gates.beta_bg)
     cur = start
     for _ in range(steps):
-        cur = _walk_step(cur, rel, guided)
+        # the `clip` method is `np.clip` without its dispatch
+        cur = rel.spread(cur).clip(0.0, 1.0) * guided
     mixed = cur if strict else np.maximum(start, cur)
-    return SeedState(_renormalize_columns(mixed))
+    sums = mixed.sum(axis=0)
+    over = sums > 1.0
+    return SeedState(mixed / np.where(over, sums, 1.0) if over.any() else mixed)
 
 
 def seed_update(s_old: SeedState, n_out: SeedState, w: float) -> SeedState:

@@ -43,7 +43,9 @@ class LinearSegmenter:
         return self.weights.shape[1]
 
 
-def _softmax_columns(logits: np.ndarray) -> np.ndarray:
+def _probs(model: LinearSegmenter, f: np.ndarray) -> np.ndarray:
+    """(C, rows) column softmax of W^T f + b for the feature rows `f`."""
+    logits = model.weights.T @ f.T + model.bias[:, None]
     z = logits - logits.max(axis=0, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=0, keepdims=True)
@@ -55,8 +57,7 @@ def predict(model: LinearSegmenter, feats: np.ndarray) -> SeedState:
         raise ShapeMismatch(
             f"feature dims {feats.shape[1]} != model dims {model.n_features}"
         )
-    logits = model.weights.T @ feats.T + model.bias[:, None]
-    return SeedState(_softmax_columns(logits))
+    return SeedState(_probs(model, feats))
 
 
 def labeled_targets(feats: np.ndarray, mixed: SeedState):
@@ -74,8 +75,7 @@ def labeled_targets(feats: np.ndarray, mixed: SeedState):
 
 def _grad(model: LinearSegmenter, f: np.ndarray, y: np.ndarray, l2: float):
     """(probabilities, grad_w, grad_b) on labeled rows `f` and targets `y`."""
-    logits = model.weights.T @ f.T + model.bias[:, None]
-    p = _softmax_columns(logits)
+    p = _probs(model, f)
     delta = (p - y) / y.shape[1]  # (C, L)
     grad_w = f.T @ delta.T + 2.0 * l2 * model.weights
     grad_b = delta.sum(axis=1)
@@ -119,9 +119,7 @@ def train_epochs(
     overflows them. Once a value is inf or NaN, every later step and every
     sum over it stays so, which lets one check at the end stand for every
     step (numpy still warns of the overflow as it happens)."""
-    check_int("epochs", epochs)
-    if epochs < 1:
-        raise InvalidParams("epochs must be >= 1")
+    check_int("epochs", epochs, low=1)
     loss, grad_w, grad_b = loss_and_grad(model, f, y, l2)
     for step in range(epochs):
         if step > 0:

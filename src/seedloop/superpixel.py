@@ -352,9 +352,7 @@ def region_edges(region_of):
 def _check_max_regions(max_regions):
     """rag_merge's check of max_regions, which the CLI runs before segmenting."""
     if max_regions is not None:
-        check_int("max_regions", max_regions)
-        if max_regions < 1:
-            raise InvalidParams(f"max_regions must be >= 1, got {max_regions}")
+        check_int("max_regions", max_regions, low=1)
 
 
 def rag_merge(

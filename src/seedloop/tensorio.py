@@ -376,12 +376,8 @@ def gen_synthetic(rng_seed: int, count: int, params: SynthParams = SynthParams()
     central blob per shape plus a sparse background ring; everything else is
     ignore (255). Deterministic for a fixed rng_seed.
     """
-    check_int("rng_seed", rng_seed)
-    check_int("count", count)
-    if count < 1:
-        raise InvalidParams("count must be >= 1")
-    if rng_seed < 0:
-        raise InvalidParams(f"rng_seed must be >= 0, got {rng_seed}")
+    check_int("rng_seed", rng_seed, low=0)
+    check_int("count", count, low=1)
     rng = np.random.default_rng(rng_seed)
     h, w = params.height, params.width
     yy, xx = np.mgrid[0:h, 0:w]

@@ -233,10 +233,13 @@ def test_loop_rejected_input_leaves_no_out_dir(synth_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("classes", ["-1", "0", "256"])
-def test_eval_rejects_classes_outside_u8_ids(synth_dir, capsys, classes):
+def test_eval_rejects_classes_outside_u8_ids(synth_dir, tmp_path, capsys, classes):
+    # --classes is checked before any input is listed or read
     gt = str(synth_dir / "0000.gt.pgm")
-    assert main(["eval", "--pred", gt, "--gt", gt, "--classes", classes]) == 1
-    assert "InvalidParams" in capsys.readouterr().err
+    nope = str(tmp_path / "nope")
+    for inputs in (["--pred", gt, "--gt", gt], ["--pred-dir", nope, "--gt-dir", nope], []):
+        assert main(["eval", *inputs, "--classes", classes]) == 1
+        assert "InvalidParams" in capsys.readouterr().err
 
 
 def test_run_and_dir_eval(synth_dir, tmp_path, capsys):

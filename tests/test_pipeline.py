@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from seedloop import (
     run_dataset,
     scores,
 )
+from seedloop.cli import build_parser
 from seedloop.errors import (
     DimensionMismatch,
     EmptySeeds,
@@ -88,6 +91,8 @@ def test_empty_seeds_rejected():
     "make_cfg, bad_label, error",
     [
         (lambda: LoopConfig(topk=0), None, InvalidParams),
+        (lambda: LoopConfig(total_epochs=0), None, InvalidParams),
+        (lambda: LoopConfig(update_every=0), None, InvalidParams),
         (lambda: LoopConfig(n_categories=1), None, InvalidParams),
         (lambda: LoopConfig(n_categories=256), None, InvalidParams),
         (lambda: LoopConfig(n_categories=300), None, InvalidParams),
@@ -117,6 +122,8 @@ def test_empty_seeds_rejected():
     ],
     ids=[
         "topk=0",
+        "total_epochs=0",
+        "update_every=0",
         "n_categories=1",
         "n_categories=256",
         "n_categories=300",
@@ -468,6 +475,22 @@ def test_readme_config_block_is_the_defaults(tmp_path):
     assert parse_config(p) == LoopConfig()
     named = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
     assert named == set(pipeline._CONFIG_KEYS)
+
+
+def test_readme_names_every_cli_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (subcommands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    missing = [
+        f"{name} {flag}"
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag != "--help" and flag.startswith("--")
+        and not re.search(re.escape(flag) + r"(?![\w-])", readme)
+    ]
+    assert missing == []
 
 
 def test_parse_config_unknown_key(tmp_path):

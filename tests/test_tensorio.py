@@ -258,8 +258,9 @@ def test_gen_synthetic_rejects_bad_count():
     for count in (0, 2.0, True):
         with pytest.raises(InvalidParams):
             gen_synthetic(1, count)
-    with pytest.raises(InvalidParams):
-        gen_synthetic(1.0, 1)
+    for rng_seed in (1.0, -1):
+        with pytest.raises(InvalidParams):
+            gen_synthetic(rng_seed, 1)
 
 
 def test_synth_params_validation():
