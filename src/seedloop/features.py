@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .superpixel import SuperpixelMap, _region_sums
+from .superpixel import SuperpixelMap, _gradients, _region_sums
 from .tensorio import RasterImage, load_tensor
 
 N_ORIENT_BINS = 8
@@ -27,24 +27,17 @@ def standardize(values: np.ndarray) -> np.ndarray:
 
 def superpixel_features(image: RasterImage, spmap: SuperpixelMap) -> np.ndarray:
     """Mean/std per RGB channel (6), mean gradient magnitude (1), and an
-    8-bin gradient-orientation histogram (8), unscaled."""
+    8-bin gradient-orientation histogram (8), unscaled.
+
+    The gradients are np.gradient's central differences of the (R+G+B)/3
+    gray level, one-sided at the borders and zero along a 1-pixel side; an
+    orientation np.arctan2(gy, gx) in [-pi, pi] falls in bin
+    (theta + pi) / (2 pi) * 8, truncated and clamped to 0..7."""
     if (spmap.height, spmap.width) != (image.height, image.width):
         raise DimensionMismatch("image and superpixel map dimensions differ")
-    # central differences of (R+G+B)/3 grayscale, one-sided at the borders;
-    # np.gradient needs two samples, so a 1-pixel side has zero gradient.
-    # The uint16 channel sum is exact, so gray equals the float64 sum / 3
-    rgb = image.data
-    gray = (rgb[..., 0].astype(np.uint16) + rgb[..., 1] + rgb[..., 2]) / 3.0
-    gy, gx = (
-        np.gradient(gray, axis=a) if gray.shape[a] > 1 else np.zeros_like(gray) for a in (0, 1)
+    counts, sums, squares, mag, hist = _region_sums(
+        spmap, image, *_gradients(image), N_ORIENT_BINS
     )
-    theta = np.arctan2(gy, gx)  # [-pi, pi]
-    bins = np.clip(
-        ((theta + np.pi) / (2 * np.pi) * N_ORIENT_BINS).astype(np.int64),
-        0,
-        N_ORIENT_BINS - 1,
-    )
-    counts, sums, squares, mag, hist = _region_sums(spmap, image, gx, gy, bins, N_ORIENT_BINS)
     n_px = counts[:, None]
     mean = sums / n_px
     std = np.sqrt(np.maximum(squares / n_px - mean**2, 0.0))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch, check_int
-from .superpixel import SuperpixelMap, region_edges
+from .superpixel import SuperpixelMap
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,14 @@ def build_relationship(feats: np.ndarray, spmap: SuperpixelMap, m: int) -> Relat
     diagonal when m smaller-index columns share its zero distance (duplicate
     feature rows). Rows rank independently, so M[i, j] and M[j, i] may differ.
     Only the pairs M can hold are ranked: the diagonal and both directions of
-    every `region_edges` pair. Non-finite descriptors or distances raise
+    every `spmap.edges` pair. Non-finite descriptors or distances raise
     InvalidParams before any rank.
     """
     _check_top_m(m)
     n = spmap.n_regions
     if feats.shape[0] != n:
         raise ShapeMismatch(f"{feats.shape[0]} feature rows for {n} regions")
-    edges = region_edges(spmap.region_of)
+    edges = spmap.edges
     ids = np.arange(n)
     rows = np.concatenate([ids, edges[:, 0], edges[:, 1]])
     cols = np.concatenate([ids, edges[:, 1], edges[:, 0]])

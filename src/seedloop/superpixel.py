@@ -9,7 +9,7 @@ import os
 import subprocess
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +49,18 @@ TWO_THREAD_PIXELS = 2**16
 
 @dataclass(frozen=True)
 class SuperpixelMap:
-    """Per-pixel region ids, contiguous 0..n_regions-1, each region 4-connected."""
+    """Per-pixel region ids, contiguous 0..n_regions-1, each region 4-connected.
+
+    n_regions is the largest id + 1, found once by the constructor's check.
+    `edges` are the map's `region_edges`: `rag_merge` passes the pairs it
+    derives as _edges, and any other map computes them from its pixels on
+    first use. Neither takes part in == or repr."""
 
     region_of: np.ndarray  # (height, width) int32
+    _edges: np.ndarray | None = field(
+        default=None, repr=False, compare=False, kw_only=True
+    )
+    n_regions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.region_of
@@ -59,9 +68,11 @@ class SuperpixelMap:
             raise ShapeMismatch("region map must be a non-empty [height, width] array")
         if not np.issubdtype(r.dtype, np.integer):
             raise ShapeMismatch(f"region ids must be integers, got {r.dtype}")
+        top = r.max()
         # max < size first: it keeps bincount from allocating for a stray huge id
-        if r.min() < 0 or r.max() >= r.size or not np.bincount(r.ravel()).all():
-            raise ShapeMismatch(f"region ids must be exactly 0..{r.max()}")
+        if r.min() < 0 or top >= r.size or not np.bincount(r.ravel()).all():
+            raise ShapeMismatch(f"region ids must be exactly 0..{top}")
+        object.__setattr__(self, "n_regions", int(top) + 1)
 
     @property
     def height(self) -> int:
@@ -72,8 +83,11 @@ class SuperpixelMap:
         return self.region_of.shape[1]
 
     @property
-    def n_regions(self) -> int:
-        return int(self.region_of.max()) + 1
+    def edges(self) -> np.ndarray:
+        """region_edges(region_of), computed on first use unless given."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", region_edges(self.region_of))
+        return self._edges
 
 
 # the blur's kernel has 2 * int(4 sigma + 0.5) + 1 taps, built in numpy before
@@ -143,24 +157,44 @@ def _threads(n):
     return 2 if min(len(os.sched_getaffinity(0)), _cpu_quota()) >= 2 else 1
 
 
-def _region_sums(spmap, image, gx, gy, bins, n_bins):
+def _gradients(image):
+    """The gradients gx and gy of image's gray level and their orientation,
+    each a flat float64 array in scan order and a view of this thread's
+    workspace, which the next call overwrites. The gray level (r + g + b) /
+    3.0 and its np.gradient along each side (zero along a side of one pixel)
+    are one pass in _felzenszwalb.c; the orientation is numpy's
+    np.arctan2(gy, gx), whose rounding C does not reproduce."""
+    h, w = image.height, image.width
+    n = h * w
+    _, _, rec, _, thresh = _buffers(n)  # free once felz_segment is done
+    gx, gy, theta = rec.view(np.float64)[: 3 * n].reshape(3, n)
+    rgb = np.ascontiguousarray(image.data).ravel()
+    _load_felz().gray_gradients(h, w, rgb, thresh, gx, gy)
+    np.arctan2(gy, gx, out=theta)
+    return gx, gy, theta
+
+
+def _region_sums(spmap, image, gx, gy, theta, n_bins):
     """Per-region pixel counts (n,), RGB sums (n, 3) and RGB sums of squares
-    (n, 3) in one scan-order pass in _felzenszwalb.c. When n_bins > 0, given
-    the (h, w) float64 gradients gx and gy and int64 bins in 0..n_bins-1,
-    the pass also gives each region's sum of hypot(gx, gy) (n,), added in
-    scan order as np.bincount adds, and its count of each bin (n, n_bins);
-    with n_bins 0 the three gradient arrays may be empty and those two sums
-    are zero. On _threads' two threads, a second thread computes the hypots
-    of half the pixels into this thread's workspace."""
+    (n, 3) in one scan-order pass in _felzenszwalb.c over the map's int32
+    ids. When n_bins > 0, given the float64 gradients gx and gy and their
+    orientation theta = np.arctan2(gy, gx) in scan order, the pass also
+    gives each region's sum of hypot(gx, gy) (n,), added in scan order as
+    np.bincount adds, and its count of each orientation bin (n, n_bins),
+    the bin of theta being ((theta + pi) / (2 pi) * n_bins) truncated and
+    clamped to 0..n_bins-1; with n_bins 0 the three gradient arrays may be
+    empty and those two sums are zero. On _threads' two threads, a second
+    thread computes the hypots of the last 3/5 of the pixels into this
+    thread's workspace."""
     n = spmap.n_regions
     counts, sums, squares = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3))
     mag, hist = np.zeros(n), np.zeros((n, n_bins))
-    region = spmap.region_of.astype(np.int64, copy=False).ravel()
+    region = np.ascontiguousarray(spmap.region_of, dtype=np.int32).ravel()
     threads = _threads(region.size)
     scratch = _buffers(region.size)[1] if n_bins > 0 and threads > 1 else np.empty(0)
     _load_felz().region_sums(
         region.size, region, image.data.ravel(), counts, sums.ravel(), squares.ravel(),
-        gx.ravel(), gy.ravel(), bins.ravel(), n_bins, mag, hist.ravel(), scratch, threads,
+        gx.ravel(), gy.ravel(), theta.ravel(), n_bins, mag, hist.ravel(), scratch, threads,
     )
     return counts, sums, squares, mag, hist
 
@@ -197,6 +231,7 @@ def _load_felz():
     lib = ctypes.CDLL(str(path))
     img = np.ctypeslib.ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    i32 = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
     map_i64 = np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
@@ -220,12 +255,15 @@ def _load_felz():
     # h, w, label, parent (scratch), id (out)
     lib.label_components.argtypes = [c_i64, c_i64, map_i64, i64, map_i32]
     lib.label_components.restype = None
-    # n_pixels, region, rgb, counts, sums, squares, gx, gy, bin, n_bins, mag, hist,
-    # scratch, threads; the outputs are added to, gx, gy, bin, mag and hist
-    # are read only when n_bins > 0, and scratch (n_pixels - n_pixels // 2
-    # values) only then on two threads
+    # h, w, rgb, gray (scratch), gx (out), gy (out)
+    lib.gray_gradients.argtypes = [c_i64, c_i64, u8, f64, f64, f64]
+    lib.gray_gradients.restype = None
+    # n_pixels, region, rgb, counts, sums, squares, gx, gy, theta, n_bins, mag,
+    # hist, scratch, threads; the outputs are added to, gx, gy, theta, mag
+    # and hist are read only when n_bins > 0, and scratch (n_pixels -
+    # n_pixels * 2 // 5 values) only then on two threads
     lib.region_sums.argtypes = [
-        c_i64, i64, u8, f64, f64, f64, f64, f64, i64, c_i64, f64, f64, f64, c_i64
+        c_i64, i32, u8, f64, f64, f64, f64, f64, f64, c_i64, f64, f64, f64, c_i64
     ]
     lib.region_sums.restype = None
     return lib
@@ -247,8 +285,9 @@ _WORKSPACE = _Workspace()
 def _buffers(n):
     """This thread's buffers for an n-pixel image: the blurred image (3n),
     then felz_segment's scratch, gen-indexed weights (4n, also the blur's
-    and the region sums' scratch), sort records (8n) and per-pixel sizes and
-    thresholds (n each)."""
+    and the region sums' scratch), sort records (8n, also where _gradients
+    puts its three arrays) and per-pixel sizes and thresholds (n each, the
+    thresholds also _gradients' gray image)."""
     ws = _WORKSPACE
     if ws.n != n:
         ws.n, ws.buffers = -1, ()  # the old buffers go before the new ones come
@@ -331,22 +370,26 @@ def _segment(img, params):
     return roots, ids
 
 
-def region_edges(region_of):
-    """Unique (i, j), i < j, region pairs sharing a 4-connected border, as an
-    (E, 2) int64 array in lexicographic order. Each pair is one int64 key
-    i * n + j, so sorting the keys sorts the pairs."""
-    n = int(region_of.max()) + 1
-    region_of = region_of.astype(np.int64, copy=False)  # int64 keys for any int dtype
+def _unique_pairs(pairs, n):
+    """The distinct (min(a, b), max(a, b)) of the a != b among the int64
+    id arrays (a, b) of pairs, ids below n, as an (E, 2) int64 array in
+    lexicographic order. Each pair is one int64 key i * n + j, so sorting the
+    keys sorts the pairs."""
     keys = np.concatenate(
-        [
-            np.minimum(a, b)[a != b] * n + np.maximum(a, b)[a != b]
-            for a, b in (
-                (region_of[:, :-1], region_of[:, 1:]),
-                (region_of[:-1, :], region_of[1:, :]),
-            )
-        ]
+        [np.minimum(a, b)[a != b] * n + np.maximum(a, b)[a != b] for a, b in pairs]
     )
     return np.stack(np.divmod(np.unique(keys), n), axis=1)
+
+
+def region_edges(region_of):
+    """Unique (i, j), i < j, region pairs sharing a 4-connected border, as an
+    (E, 2) int64 array in lexicographic order."""
+    n = int(region_of.max()) + 1
+    pairs = []
+    for a, b in ((region_of[:, :-1], region_of[:, 1:]), (region_of[:-1, :], region_of[1:, :])):
+        border = a != b  # only the few pixels on a border become int64 keys
+        pairs.append((a[border].astype(np.int64), b[border].astype(np.int64)))
+    return _unique_pairs(pairs, n)
 
 
 def _check_max_regions(max_regions):
@@ -370,7 +413,9 @@ def rag_merge(
     A merge keeps the smaller id, and survivors are numbered 0.. in id
     order. Ids in scan order, as `felzenszwalb` makes them, stay in scan order:
     a group's smallest id names its first pixel. Merged regions are unions of
-    regions across 4-connected borders, so 4-connected regions stay so.
+    regions across 4-connected borders, so 4-connected regions stay so, and
+    two merged regions touch if and only if two of their regions do: the
+    output carries the input's `edges` mapped to their survivors as its own.
 
     The merge loop and the numbering are one call into _felzenszwalb.c, and
     its distance rounds as the felzenszwalb edge weight does.
@@ -382,8 +427,9 @@ def rag_merge(
     _check_max_regions(max_regions)
     n = spmap.n_regions
     empty = np.empty(0)  # n_bins 0: no gradient sums
-    counts, sums, _, _, _ = _region_sums(spmap, image, empty, empty, np.empty(0, np.int64), 0)
-    ea, eb = region_edges(spmap.region_of).T.copy()
+    counts, sums, _, _, _ = _region_sums(spmap, image, empty, empty, empty, 0)
+    pairs = spmap.edges
+    ea, eb = pairs.T.copy()
     final = np.arange(n, dtype=np.int64)  # becomes each region's survivor id
     # at most n regions are ever alive, so a cap of n or more forces no merge;
     # min keeps a larger one inside the native int64
@@ -392,4 +438,5 @@ def rag_merge(
     _load_felz().rag_merge_loop(
         n, len(ea), ea, eb, sums.ravel(), counts, final, dist, float(merge_thresh), cap
     )
-    return SuperpixelMap(final.astype(np.int32)[spmap.region_of])
+    merged = _unique_pairs([(final[pairs[:, 0]], final[pairs[:, 1]])], n)
+    return SuperpixelMap(final.astype(np.int32)[spmap.region_of], _edges=merged)

@@ -4,8 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench.workloads import WORKLOADS
-from seedloop import SynthParams, build_relationship, gen_synthetic
+from seedloop import (
+    SegParams,
+    SynthParams,
+    build_relationship,
+    felzenszwalb,
+    gen_synthetic,
+    rag_merge,
+    superpixel,
+    superpixel_features,
+)
 from seedloop import relgraph
+from seedloop.features import standardize
 from seedloop.errors import InvalidParams, ShapeMismatch
 from seedloop.pipeline import prepare_scene
 from seedloop.relgraph import RelationshipMatrix, _check_top_m, distance_matrix
@@ -192,6 +202,28 @@ def test_similarity_duplicate_rows_can_drop_the_diagonal():
     # m smaller-index duplicates push a row's own column out of its top m
     rel = build_relationship(np.array([[0.0], [0.0], [0.0], [5.0]]), K4, 2)
     assert list(np.diag(rel.m_rel)) == [1, 1, 0, 1]
+
+
+def test_build_relationship_reads_a_rag_merge_output_without_region_edges(monkeypatch):
+    # a many_regions scene: N > m, so the rank decides which pairs stay
+    (img, _, _), = gen_synthetic(7, 1, SynthParams(128, 128))
+    params = SegParams(k=20, min_size=5, merge_thresh=10)
+    merged = rag_merge(felzenszwalb(img, params), img, params.merge_thresh)
+    feats = standardize(superpixel_features(img, merged))
+    calls = []
+
+    def spy(region_of):
+        calls.append(region_of.shape)
+        return region_edges(region_of)
+
+    monkeypatch.setattr(superpixel, "region_edges", spy)
+    monkeypatch.setattr(relgraph, "region_edges", spy, raising=False)
+    rel = build_relationship(feats, merged, 10)
+    assert calls == []
+    # a map without carried pairs finds them from its pixels, to the same matrix
+    fresh = build_relationship(feats, SuperpixelMap(merged.region_of), 10)
+    assert calls == [img.data.shape[:2]]
+    assert rel.m_rel.tobytes() == fresh.m_rel.tobytes()
 
 
 @settings(max_examples=50, deadline=None)

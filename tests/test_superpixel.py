@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import os
@@ -11,8 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
+from perfbench.workloads import WORKLOADS
 from seedloop import (
     RasterImage,
     SegParams,
@@ -461,6 +465,55 @@ def test_region_edges_sorted_unique_pairs(rng):
     assert region_edges(np.zeros((3, 4), dtype=np.int32)).shape == (0, 2)
 
 
+def _assert_carries_its_edges(merged):
+    """A rag_merge output carries exactly region_edges of its own map."""
+    assert merged._edges is not None
+    want = region_edges(merged.region_of)
+    _assert_same_bits(merged.edges, want)
+
+
+# every scene of the three benchmark workloads, merged as configured and at
+# threshold 0, which merges nothing
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_rag_merge_carries_its_region_edges_on_workload_scenes(name):
+    w = WORKLOADS[name]
+    for img, _, _ in gen_synthetic(w.scene_seed, w.count, SynthParams(w.size, w.size)):
+        spmap = felzenszwalb(img, w.cfg.seg)
+        for thresh in (w.cfg.seg.merge_thresh, 0.0):
+            _assert_carries_its_edges(rag_merge(spmap, img, thresh))
+
+
+def test_rag_merge_carries_its_region_edges_on_native_merge_cases():
+    for spmap, img, thresh, max_regions in _native_merge_cases():
+        _assert_carries_its_edges(rag_merge(spmap, img, thresh, max_regions))
+        _assert_carries_its_edges(rag_merge(spmap, img, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=0.0, max_value=300.0),
+    st.none() | st.integers(min_value=1, max_value=20),
+)
+def test_rag_merge_carries_its_region_edges_on_random_maps(seed, h, w, n_values, thresh, cap):
+    rng = np.random.default_rng(seed)
+    img = make_image(rng.integers(0, 256, size=(h, w, 3)))
+    merged = rag_merge(random_spmap(rng, h, w, n_values), img, thresh, cap)
+    _assert_carries_its_edges(merged)
+    # a merged map merged again derives its pairs from the carried ones
+    _assert_carries_its_edges(rag_merge(merged, img, thresh))
+
+
+def test_spmap_n_regions_and_edges_stay_out_of_eq_and_repr():
+    spmap = SuperpixelMap(np.array([[0, 1], [2, 2]], dtype=np.int32))
+    assert spmap.n_regions == 3 and spmap.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert repr(spmap) == f"SuperpixelMap(region_of={spmap.region_of!r})"
+    assert [f.name for f in dataclasses.fields(spmap) if f.compare] == ["region_of"]
+
+
 def _reference_split(raw):
     """Whole-image mask per label, then a per-pixel first-seen relabel."""
     out = np.full(raw.shape, -1, dtype=np.int64)
@@ -700,6 +753,40 @@ def test_felzenszwalb_min_size_beyond_a_double_acts_as_whole_image():
     assert np.array_equal(felzenszwalb(img, SegParams(min_size=10**400)).region_of, whole.region_of)
 
 
+def _min_sizes(img, params):
+    """1, a min_size that the first union-find pass's components straddle,
+    and one above the pixel count: the min-size pass skips every edge, some
+    and none."""
+    first = _reference_roots(_smoothed(img, params.sigma), dataclasses.replace(params, min_size=1))
+    sizes = np.bincount(first)
+    sizes = sizes[sizes > 0]
+    between = (int(sizes.min()) + int(sizes.max())) // 2 + 1
+    assert sizes.min() < between <= sizes.max()
+    return 1, between, img.height * img.width + 1
+
+
+# a 64x64 scene, and a 128x128 one at k=20 with hundreds of regions
+_MIN_SIZE_SCENES = [(64, SegParams()), (128, SegParams(k=20, min_size=5))]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("size, params", _MIN_SIZE_SCENES, ids=["64", "128"])
+def test_min_size_pass_matches_oracle_from_none_to_all_skipped(
+    size, params, threads, monkeypatch
+):
+    (img, _, _), = gen_synthetic(7, 1, SynthParams(size, size))
+    monkeypatch.setattr(superpixel, "_threads", _forced_threads(threads))
+    for min_size in _min_sizes(img, params):
+        _assert_same_segmentation(img, dataclasses.replace(params, min_size=min_size))
+
+
+@pytest.mark.parametrize("size, params", _MIN_SIZE_SCENES, ids=["64", "128"])
+def test_min_size_pass_same_on_two_threads_from_none_to_all_skipped(size, params, monkeypatch):
+    (img, _, _), = gen_synthetic(7, 1, SynthParams(size, size))
+    for min_size in _min_sizes(img, params):
+        _assert_schedules_agree(img, dataclasses.replace(params, min_size=min_size), monkeypatch)
+
+
 def _scipy_blur(image, sigma):
     return ndimage.gaussian_filter(image.data.astype(np.float64), (sigma, sigma, 0))
 
@@ -764,7 +851,9 @@ def _native_cases():
     sort: the tie-heavy shapes at k=20, where ties decide merges, small
     shapes blurred by kernels longer than their lines, a ramp and a constant
     image, whose runs of equal top bits the fix-up sorts by radix or leaves,
-    and one 64x64 and one 256x256 scene."""
+    one 64x64 and one 256x256 scene; then single rows and columns, 2-pixel
+    sides and a 64x64 scene at min_size 1 and above h * w, where the min-size
+    pass skips every edge and none."""
     for shape in _SHAPES:
         for sigma in (0.0, 0.8):
             for img in _shape_images(shape, sigma):
@@ -780,6 +869,12 @@ def _native_cases():
     for size in (64, 256):  # 256x256 takes two threads where the host has two CPUs
         (img, _, _), = gen_synthetic(7, 1, SynthParams(size, size))
         yield img, SegParams()
+    shapes = ((1, 9), (9, 1), (2, 2), (2, 9), (9, 2))
+    images = [img for shape in shapes for img in _shape_images(shape, 0.8)]
+    images.append(gen_synthetic(7, 1)[0][0])
+    for img in images:
+        for min_size in (1, img.height * img.width + 1):
+            yield img, SegParams(k=20, min_size=min_size)
 
 
 def _digest(spmap):
