@@ -1,6 +1,6 @@
 /* Graph-based segmentation of Felzenszwalb & Huttenlocher (IJCV 2004), its
  * greedy region merge and the per-pixel passes around them, called from
- * seedloop.superpixel as six functions.
+ * seedloop.superpixel and seedloop.pipeline as seven functions.
  *
  * gauss_blur smooths an image before its segmentation, bit for bit as
  * scipy.ndimage.gaussian_filter does. felz_segment builds the 8-connected
@@ -8,11 +8,14 @@
  * index), runs the two union-find passes over the sorted edges and numbers
  * the 4-connected components of the result; it needs h * w <= 2^30.
  *
- * label_components splits a label map into 4-connected components,
- * gray_gradients gives an image's gray level and its np.gradient arrays,
- * region_sums adds up per-region pixel statistics in scan order, and
- * rag_merge_loop merges adjacent regions greedily and numbers the
- * survivors. All six take every buffer from the caller and cannot fail.
+ * label_components splits a label map into 4-connected components and,
+ * for felz_segment, sums up each component's pixels and lists the borders
+ * between components as it numbers them. gray_gradients gives an image's
+ * gray level and its np.gradient arrays, region_sums adds up per-region
+ * pixel statistics in scan order, label_counts counts each region's pixels
+ * per label, and rag_merge_loop merges adjacent regions greedily and
+ * numbers the survivors. All seven take every buffer from the caller and
+ * cannot fail.
  *
  * gauss_blur, felz_segment and region_sums take a thread count: at 2 they
  * run part of their work on a second thread, with every value computed and
@@ -29,20 +32,24 @@
 void gauss_blur(int64_t h, int64_t w, const uint8_t *restrict rgb, int64_t r,
                 const double *restrict fw, double *restrict tmp, double *restrict out,
                 int64_t n_threads);
-void felz_segment(int64_t h, int64_t w, const double *img, double k, double min_size,
-                  double *wgt, uint64_t *rec, int64_t *size, double *thresh, int64_t *root,
-                  int32_t *id, int64_t n_threads);
-void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
-                    double *sums, double *counts, int64_t *final, double *dist,
-                    double merge_thresh, int64_t max_regions);
-void label_components(int64_t h, int64_t w, const int64_t *label, int64_t *parent,
-                      int32_t *id);
+int64_t felz_segment(int64_t h, int64_t w, const double *img, const uint8_t *rgb, double k,
+                     double min_size, double *wgt, uint64_t *rec, int64_t *size,
+                     double *thresh, int64_t *root, int32_t *id, int64_t *n_pairs,
+                     int64_t n_threads);
+int64_t rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
+                       double *sums, double *counts, int64_t *final, double *dist,
+                       double merge_thresh, int64_t max_regions);
+int64_t label_components(int64_t h, int64_t w, const int64_t *label, int64_t *parent,
+                         int32_t *id, const uint8_t *rgb, int64_t *stats, int64_t *pairs,
+                         int64_t *n_pairs);
 void gray_gradients(int64_t h, int64_t w, const uint8_t *rgb, double *gray, double *gx,
                     double *gy);
 void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb,
                  double *counts, double *sums, double *squares, const double *gx,
                  const double *gy, const double *theta, int64_t n_bins, double *mag,
                  double *hist, double *scratch, int64_t n_threads);
+int64_t label_counts(int64_t n_pixels, const int32_t *region, const uint8_t *label,
+                     int64_t ignore, int64_t n_categories, int64_t *counts);
 
 #define DIGIT_BITS 11
 #define N_BUCKETS (1 << DIGIT_BITS)
@@ -509,14 +516,19 @@ SHARED_LOOP void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *e
  * leave a component whose pixels touch only diagonally, so label_components
  * splits each root's pixels into 4-connected regions, numbered 0.. by first
  * pixel in scan order. Which root names a component therefore does not
- * matter. The rest is scratch: wgt of 4 * h * w weights, one per generation
- * index, rec of 8 * h * w records, the sort's two buffers of 4 * h * w each,
- * and size and thresh of h * w values each. On two threads the second
- * sorts the edges bucket by bucket while this one merges along them (see
- * struct felz_job); the edges come in the same order either way. */
-void felz_segment(int64_t h, int64_t w, const double *img, double k, double min_size,
-                  double *wgt, uint64_t *rec, int64_t *size, double *thresh, int64_t *root,
-                  int32_t *id, int64_t n_threads)
+ * matter. Returns the region count n; the numbering also sums up each
+ * region's pixels of the (h, w, 3) u8 image rgb into rec, 7 int64 values a
+ * region, and writes *n_pairs border pairs into wgt, 2 int64 values a pair,
+ * as label_components describes. The rest is
+ * scratch: wgt of 4 * h * w weights, one per generation index, rec of
+ * 8 * h * w records, the sort's two buffers of 4 * h * w each, and size
+ * and thresh of h * w values each. On two threads the second sorts the
+ * edges bucket by bucket while this one merges along them (see struct
+ * felz_job); the edges come in the same order either way. */
+int64_t felz_segment(int64_t h, int64_t w, const double *img, const uint8_t *rgb, double k,
+                     double min_size, double *wgt, uint64_t *rec, int64_t *size,
+                     double *thresh, int64_t *root, int32_t *id, int64_t *n_pairs,
+                     int64_t n_threads)
 {
     const int64_t step[4] = {1, w, w + 1, w - 1};
     int64_t n_edges = h * (w - 1) + (h - 1) * w + 2 * (h - 1) * (w - 1);
@@ -537,7 +549,8 @@ void felz_segment(int64_t h, int64_t w, const double *img, double k, double min_
         uint64_t *edges = sorted_edges(h, w, img, step, n_edges, wgt, rec, rec + 4 * h * w);
         union_find(h * w, n_edges, edges, wgt, step, k, min_size, root, size, thresh, NULL);
     }
-    label_components(h, w, root, size, id); /* size is scratch by now */
+    /* size is scratch by now, and the edges in wgt and rec are spent */
+    return label_components(h, w, root, size, id, rgb, (int64_t *)rec, (int64_t *)wgt, n_pairs);
 }
 
 /* Links the root of b under the root of a, or the other way, so that the
@@ -552,28 +565,106 @@ static void link_first(int64_t *parent, int64_t a, int64_t b)
         parent[a] = b;
 }
 
+/* Adds pixels p0..p1-1 of the u8 image rgb, a run of one region, to that
+ * region's 7 slots: their count, their sums of each channel and their sums
+ * of each channel's squares, added up in registers. */
+static void add_run(int64_t *slot, const uint8_t *rgb, int64_t p0, int64_t p1)
+{
+    int64_t s0 = 0, s1 = 0, s2 = 0, q0 = 0, q1 = 0, q2 = 0, p;
+    for (p = p0; p < p1; p++) {
+        int64_t r = rgb[3 * p], g = rgb[3 * p + 1], b = rgb[3 * p + 2];
+        s0 += r, s1 += g, s2 += b;
+        q0 += r * r, q1 += g * g, q2 += b * b;
+    }
+    slot[0] += p1 - p0;
+    slot[1] += s0, slot[2] += s1, slot[3] += s2;
+    slot[4] += q0, slot[5] += q1, slot[6] += q2;
+}
+
+/* Appends (a, b) as pair m of pairs, 2 values a pair, unless a == b or it
+ * equals pair m - 1; returns the new pair count. */
+static int64_t add_pair(int64_t *pairs, int64_t m, int64_t a, int64_t b)
+{
+    if (a == b || (m > 0 && pairs[2 * m - 2] == a && pairs[2 * m - 1] == b))
+        return m;
+    pairs[2 * m] = a;
+    pairs[2 * m + 1] = b;
+    return m + 1;
+}
+
+/* add_pair of (id[q - w], v) for each pixel q of p0..p1-1, a run of region
+ * v, that has an upper neighbor. */
+static int64_t add_up_pairs(int64_t *pairs, int64_t m, const int32_t *id, int64_t w, int64_t p0,
+                            int64_t p1, int64_t v)
+{
+    int64_t q;
+    for (q = p0 > w ? p0 : w; q < p1; q++)
+        if (id[q - w] != v)
+            m = add_pair(pairs, m, id[q - w], v);
+    return m;
+}
+
 /* Numbers the 4-connected components of equal labels in the h x w map
  * label: id[p] is the component of pixel p, 0.. by first pixel in scan
- * order; parent is scratch of h * w values. Every link keeps the smaller
- * pixel index as the root, so a component's root is its first pixel,
- * numbered before any pixel after it. */
-void label_components(int64_t h, int64_t w, const int64_t *label, int64_t *parent,
-                      int32_t *id)
+ * order; parent is scratch of h * w values. Returns the component count.
+ * A pixel equal to its left or upper neighbor takes that neighbor's parent;
+ * equal to both, it also links their roots, unless the upper-left pixel is
+ * equal as well and has joined them already. Every link keeps the smaller
+ * pixel index as the root, and path halving only points a pixel further
+ * back, so a component's root is its first pixel and any other pixel's
+ * parent comes before it: the numbering pass gives a root the next number
+ * and another pixel its parent's, with no find, and meets each pixel's left
+ * and upper neighbors numbered.
+ *
+ * The numbering pass also works run by run, a run being pixels of equal
+ * ids in scan order. When stats is set, it gives component r its pixel
+ * count at stats[7r], the sums of rgb's three channels at stats[7r + 1..3]
+ * and their squares' at stats[7r + 4..6], rgb being an (h, w, 3) u8 image:
+ * a component's slots are zeroed when it gets its number, and a run is
+ * added up in registers (add_run) where it ends. When pairs is set, it gets
+ * each (id[p - 1], id[p]) and (id[p - w], id[p]) whose ids differ, the
+ * first where a run starts and the second where it ends, 2 values a pair,
+ * but not a pair equal to the one written just before it; *n_pairs gets
+ * their count, less than 2 * h * w.
+ * label_components(h, w, label, parent, id, NULL, NULL, NULL, NULL) only
+ * numbers. */
+int64_t label_components(int64_t h, int64_t w, const int64_t *label, int64_t *parent,
+                         int32_t *id, const uint8_t *rgb, int64_t *stats, int64_t *pairs,
+                         int64_t *n_pairs)
 {
-    int64_t n = 0, y, x, p;
+    int64_t n = 0, m = 0, y, x, p, cur = -1, start = 0;
     for (y = 0, p = 0; y < h; y++) {
         for (x = 0; x < w; x++, p++) {
-            parent[p] = p;
-            if (x > 0 && label[p - 1] == label[p])
-                link_first(parent, p - 1, p);
-            if (y > 0 && label[p - w] == label[p])
+            int64_t l = label[p];
+            int left = x > 0 && label[p - 1] == l, up = y > 0 && label[p - w] == l;
+            parent[p] = left ? parent[p - 1] : up ? parent[p - w] : p;
+            if (left && up && label[p - w - 1] != l)
                 link_first(parent, p - w, p);
         }
     }
-    for (p = 0; p < h * w; p++) {
-        int64_t r = find(parent, p);
-        id[p] = r == p ? (int32_t)n++ : id[r];
+    for (y = 0, p = 0; y < h; y++) {
+        for (x = 0; x < w; x++, p++) {
+            int64_t first = parent[p] == p, v = first ? n++ : id[parent[p]];
+            id[p] = (int32_t)v;
+            if (v != cur) { /* a run starts: p is the first pixel, or id[p - 1] is cur */
+                if (stats && cur >= 0)
+                    add_run(stats + 7 * cur, rgb, start, p);
+                if (pairs && cur >= 0)
+                    m = add_up_pairs(pairs, m, id, w, start, p, cur);
+                if (stats && first)
+                    memset(stats + 7 * v, 0, 7 * sizeof *stats);
+                if (pairs && x > 0)
+                    m = add_pair(pairs, m, cur, v);
+                cur = v;
+                start = p;
+            }
+        }
     }
+    if (stats)
+        add_run(stats + 7 * cur, rgb, start, p);
+    if (pairs)
+        *n_pairs = add_up_pairs(pairs, m, id, w, start, p, cur);
+    return n;
 }
 
 /* np.gradient at unit spacing along a line of n steps of s values each,
@@ -638,33 +729,46 @@ static int64_t orient_bin(double theta, int64_t n_bins)
 }
 
 /* region_sums over pixels p0..p1-1; hyp, when set, holds the hypot of
- * pixel p at hyp[p - p0]. */
+ * pixel p at hyp[p - p0]. A run of equal region ids adds up its count, its
+ * colors and their squares in int64 registers and adds them to the region's
+ * slots where the run ends; mag[r] is read where the run starts and stored
+ * where it ends, so its hypots are still added one by one in scan order. */
 SHARED_LOOP void add_pixels(int64_t p0, int64_t p1, const int32_t *region, const uint8_t *rgb,
                             double *counts, double *sums, double *squares, const double *gx,
                             const double *gy, const double *hyp, const double *theta,
                             int64_t n_bins, double *mag, double *hist)
 {
-    int64_t p;
+    int64_t p, q;
     int c;
-    for (p = p0; p < p1; p++) {
-        int64_t r = region[p];
-        counts[r] += 1.0;
+    for (p = p0; p < p1; p = q) {
+        int64_t r = region[p], sum[3] = {0, 0, 0}, square[3] = {0, 0, 0};
+        double m = n_bins > 0 ? mag[r] : 0.0;
+        for (q = p; q < p1 && region[q] == r; q++) {
+            for (c = 0; c < 3; c++) {
+                int64_t v = rgb[3 * q + c];
+                sum[c] += v;
+                square[c] += v * v;
+            }
+            if (n_bins > 0) {
+                m += hyp ? hyp[q - p0] : hypot(gx[q], gy[q]);
+                hist[n_bins * r + orient_bin(theta[q], n_bins)] += 1.0;
+            }
+        }
+        counts[r] += (double)(q - p);
         for (c = 0; c < 3; c++) {
-            int v = rgb[3 * p + c];
-            sums[3 * r + c] += v;
-            squares[3 * r + c] += v * v;
+            sums[3 * r + c] += (double)sum[c];
+            squares[3 * r + c] += (double)square[c];
         }
-        if (n_bins > 0) {
-            mag[r] += hyp ? hyp[p - p0] : hypot(gx[p], gy[p]);
-            hist[n_bins * r + orient_bin(theta[p], n_bins)] += 1.0;
-        }
+        if (n_bins > 0)
+            mag[r] = m;
     }
 }
 
 /* Per-region sums over n_pixels pixels in scan order; pixel p lies in
  * region[p] and has color rgb[3p..3p+2]. Adds to counts[r] each pixel of
  * region r, to sums[3r + c] its color and to squares[3r + c] the color's
- * square. These are integers below 2^53, so they are exact in any order.
+ * square. These are integers below 2^53 (a region's squares are at most
+ * 2^30 * 255^2), so they are exact in any order.
  * When n_bins > 0, also adds hypot(gx[p], gy[p]) to mag[r], pixel by pixel
  * in scan order as np.bincount adds its weights, and 1 to
  * hist[n_bins * r + b], b the orient_bin of theta[p] = np.arctan2(gy[p],
@@ -695,6 +799,37 @@ void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb,
     }
 }
 
+/* Adds to counts[n_categories * r + l] the pixels of region r labeled l, for
+ * the n_pixels pixels of the region ids region and the u8 labels label,
+ * skipping the label ignore; a run of pixels of equal region and label is
+ * counted in a register. Returns how many labels other than ignore are
+ * n_categories or more; those are not counted. */
+int64_t label_counts(int64_t n_pixels, const int32_t *region, const uint8_t *label,
+                     int64_t ignore, int64_t n_categories, int64_t *counts)
+{
+    int64_t p, over = 0, slot = -1, run = 0;
+    for (p = 0; p < n_pixels; p++) {
+        int64_t l = label[p], s;
+        if (l == ignore)
+            continue;
+        if (l >= n_categories) {
+            over++;
+            continue;
+        }
+        s = n_categories * region[p] + l;
+        if (s != slot) {
+            if (slot >= 0)
+                counts[slot] += run;
+            slot = s;
+            run = 0;
+        }
+        run++;
+    }
+    if (slot >= 0)
+        counts[slot] += run;
+    return over;
+}
+
 /* Mean-color distance of regions a and b, means sums[3r + c] / counts[r]. */
 static double mean_dist(const double *sums, const double *counts, int64_t a, int64_t b)
 {
@@ -717,10 +852,11 @@ static double mean_dist(const double *sums, const double *counts, int64_t a, int
  * and counts are updated in place, and final (n long) comes in as 0..n-1.
  * On return final[r] is the number of the survivor that holds region r,
  * survivors numbered 0.. in id order: each merge keeps the smaller id, so
- * one ascending pass numbers a region's parent before the region. */
-void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
-                    double *sums, double *counts, int64_t *final, double *dist,
-                    double merge_thresh, int64_t max_regions)
+ * one ascending pass numbers a region's parent before the region. Returns
+ * the survivor count. */
+int64_t rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
+                       double *sums, double *counts, int64_t *final, double *dist,
+                       double merge_thresh, int64_t max_regions)
 {
     int64_t n_alive = n, e, r, m;
     for (e = 0; e < n_edges; e++)
@@ -760,4 +896,5 @@ void rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
     }
     for (r = 0, m = 0; r < n; r++)
         final[r] = final[r] == r ? m++ : final[final[r]];
+    return m;
 }

@@ -32,7 +32,7 @@ from .seeds import (
     seed_update,
 )
 from .segmenter import LinearSegmenter, labeled_targets, predict, train_epochs
-from .superpixel import SegParams, SuperpixelMap, felzenszwalb, rag_merge
+from .superpixel import SegParams, SuperpixelMap, _load_felz, felzenszwalb, rag_merge
 from .tensorio import IGNORE, LabelMap, RasterImage, load_scene, make_dir, save_outputs, scene_ids
 
 
@@ -145,17 +145,16 @@ class Scene:
 
 
 def region_label_counts(spmap: SuperpixelMap, labels: LabelMap, n_categories: int) -> np.ndarray:
-    """(n_regions, n_categories) counts of each region's pixels per label;
-    ignore pixels are not counted."""
+    """(n_regions, n_categories) int64 counts of each region's pixels per
+    label; ignore pixels are not counted. One pass in _felzenszwalb.c."""
     if (labels.height, labels.width) != (spmap.height, spmap.width):
         raise DimensionMismatch("label map and superpixel map dimensions differ")
-    flat = labels.labels.ravel()
-    valid = flat != IGNORE
-    if (flat[valid] >= n_categories).any():
+    counts = np.zeros((spmap.n_regions, n_categories), np.int64)
+    region = np.ascontiguousarray(spmap.region_of, dtype=np.int32).ravel()
+    flat = np.ascontiguousarray(labels.labels).ravel()
+    if _load_felz().label_counts(region.size, region, flat, IGNORE, n_categories, counts.ravel()):
         raise DimensionMismatch(f"label >= n_categories ({n_categories})")
-    idx = spmap.region_of.ravel()[valid].astype(np.int64) * n_categories + flat[valid]
-    counts = np.bincount(idx, minlength=spmap.n_regions * n_categories)
-    return counts.reshape(spmap.n_regions, n_categories)
+    return counts
 
 
 def pixel_state_to_superpixels(
@@ -196,7 +195,8 @@ def prepare_scene(
             raise DimensionMismatch("ground-truth and image dimensions differ")
         if (gt.labels[gt.labels != IGNORE] >= cfg.n_categories).any():
             raise DimensionMismatch("ground-truth label >= n_categories")
-    spmap = rag_merge(felzenszwalb(image, cfg.seg), image, cfg.seg.merge_thresh)
+    raw = felzenszwalb(image, cfg.seg)
+    spmap = rag_merge(raw, image, cfg.seg.merge_thresh, _stats=raw._stats)
     feats = standardize(superpixel_features(image, spmap))
     rel = build_relationship(feats, spmap, m=cfg.topk)
     s0 = pixel_state_to_superpixels(seeds, spmap, cfg.n_categories)

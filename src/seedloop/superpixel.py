@@ -47,20 +47,23 @@ _FELZ_FLAGS = (
 TWO_THREAD_PIXELS = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperpixelMap:
     """Per-pixel region ids, contiguous 0..n_regions-1, each region 4-connected.
 
-    n_regions is the largest id + 1, found once by the constructor's check.
-    `edges` are the map's `region_edges`: `rag_merge` passes the pairs it
-    derives as _edges, and any other map computes them from its pixels on
-    first use. Neither takes part in == or repr."""
+    n_regions is the largest id + 1, found by the constructor's check, which
+    the maps that `felzenszwalb` and `rag_merge` number skip (`_numbered`).
+    `edges` are the map's `region_edges`: those two pass the pairs they
+    derive as _edges, and any other map computes them from its pixels on
+    first use. `felzenszwalb` also passes its regions' pixel counts (n,), RGB
+    sums (n, 3) and RGB sums of squares (n, 3) over the image it segmented,
+    as _region_sums adds them up, as _stats; other maps have None. Maps
+    compare by identity."""
 
     region_of: np.ndarray  # (height, width) int32
-    _edges: np.ndarray | None = field(
-        default=None, repr=False, compare=False, kw_only=True
-    )
-    n_regions: int = field(init=False, repr=False, compare=False)
+    _edges: np.ndarray | None = field(default=None, init=False, repr=False)
+    _stats: tuple | None = field(default=None, init=False, repr=False)
+    n_regions: int = field(init=False, repr=False)
 
     def __post_init__(self):
         r = self.region_of
@@ -73,6 +76,18 @@ class SuperpixelMap:
         if r.min() < 0 or top >= r.size or not np.bincount(r.ravel()).all():
             raise ShapeMismatch(f"region ids must be exactly 0..{top}")
         object.__setattr__(self, "n_regions", int(top) + 1)
+
+    @classmethod
+    def _numbered(cls, region_of, n_regions, edges, stats=None):
+        """The map of the int32 ids region_of that native code numbered
+        0..n_regions-1, each region 4-connected, and its edges and stats,
+        without the constructor's full-image check: every such map passes
+        it, as tests/test_superpixel.py pins."""
+        spmap = cls.__new__(cls)
+        values = region_of, edges, stats, n_regions
+        for name, value in zip(("region_of", "_edges", "_stats", "n_regions"), values):
+            object.__setattr__(spmap, name, value)
+        return spmap
 
     @property
     def height(self) -> int:
@@ -120,7 +135,8 @@ def _components(labels):
     _felzenszwalb.c."""
     ids = np.empty(labels.shape, np.int32)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    _load_felz().label_components(*labels.shape, labels, np.empty(labels.size, np.int64), ids)
+    parent = np.empty(labels.size, np.int64)
+    _load_felz().label_components(*labels.shape, labels, parent, ids, None, None, None, None)
     return ids
 
 
@@ -220,6 +236,17 @@ def _build_felz(lib):
         raise NativeBuildError(f"gcc failed on {_FELZ_SOURCE}:\n{proc.stderr}")
 
 
+def _or_null(ptr):
+    """The ndpointer type ptr, taking None as well, which passes NULL."""
+
+    class OrNull(ptr):
+        @classmethod
+        def from_param(cls, obj):
+            return None if obj is None else super().from_param(obj)
+
+    return OrNull
+
+
 @functools.cache
 def _load_felz():
     """The library built from _felzenszwalb.c on first use into
@@ -241,20 +268,27 @@ def _load_felz():
     # h, w, rgb, r, fw (its r + 1 values), tmp (scratch), out, threads
     lib.gauss_blur.argtypes = [c_i64, c_i64, u8, c_i64, f64, f64, img, c_i64]
     lib.gauss_blur.restype = None
-    # h, w, image, k, min_size, wgt, rec, size, thresh (the four scratch),
-    # root (out), id (out), threads
+    # h, w, image, rgb, k, min_size, wgt, rec, size, thresh (the four
+    # scratch), root (out), id (out), the pair count (out), threads; returns
+    # the region count, and leaves each region's sums in rec and the border
+    # pairs in wgt
     lib.felz_segment.argtypes = [
-        c_i64, c_i64, img, c_f64, c_f64, f64, u64, i64, f64, i64, map_i32, c_i64
+        c_i64, c_i64, img, u8, c_f64, c_f64, f64, u64, i64, f64, i64, map_i32, i64, c_i64
     ]
-    lib.felz_segment.restype = None
+    lib.felz_segment.restype = c_i64
     # n, n_edges, ea, eb, sums, counts, final, dist, merge_thresh, max_regions;
     # every array is updated in place, dist is scratch, final goes in as
-    # 0..n-1 and comes out as each region's survivor id
+    # 0..n-1 and comes out as each region's survivor id; returns the
+    # survivor count
     lib.rag_merge_loop.argtypes = [c_i64, c_i64, i64, i64, f64, f64, i64, f64, c_f64, c_i64]
-    lib.rag_merge_loop.restype = None
-    # h, w, label, parent (scratch), id (out)
-    lib.label_components.argtypes = [c_i64, c_i64, map_i64, i64, map_i32]
-    lib.label_components.restype = None
+    lib.rag_merge_loop.restype = c_i64
+    # h, w, label, parent (scratch), id (out), then rgb, stats, pairs and the
+    # pair count, all None to only number; returns the component count
+    lib.label_components.argtypes = [
+        c_i64, c_i64, map_i64, i64, map_i32, _or_null(u8), _or_null(i64), _or_null(i64),
+        _or_null(i64),
+    ]
+    lib.label_components.restype = c_i64
     # h, w, rgb, gray (scratch), gx (out), gy (out)
     lib.gray_gradients.argtypes = [c_i64, c_i64, u8, f64, f64, f64]
     lib.gray_gradients.restype = None
@@ -266,6 +300,10 @@ def _load_felz():
         c_i64, i32, u8, f64, f64, f64, f64, f64, f64, c_i64, f64, f64, f64, c_i64
     ]
     lib.region_sums.restype = None
+    # n_pixels, region, label, ignore, n_categories, counts (added to);
+    # returns the count of labels other than ignore at n_categories or more
+    lib.label_counts.argtypes = [c_i64, i32, u8, c_i64, c_i64, i64]
+    lib.label_counts.restype = c_i64
     return lib
 
 
@@ -351,23 +389,36 @@ def felzenszwalb(image: RasterImage, params: SegParams = SegParams()) -> Superpi
     h, w = image.height, image.width
     if h * w > 2**30:
         raise DimOverflow(f"a {h}x{w} image has more than 2**30 pixels")
-    return SuperpixelMap(_segment(_blur(image, params.sigma), params)[1])
+    _, ids, stats, edges = _segment(_blur(image, params.sigma), params, image.data)
+    return SuperpixelMap._numbered(ids, len(stats[0]), edges, stats)
 
 
-def _segment(img, params):
-    """felz_segment on a blurred float64 (h, w, 3) image: each pixel's root,
-    as a flat int64 array in scan order, and its (h, w) int32 region id, on
-    _threads' count. The scratch is this thread's workspace, 4 slots a pixel
+def _segment(img, params, rgb):
+    """felz_segment on a blurred float64 (h, w, 3) image, on _threads' count,
+    with rgb the u8 (h, w, 3) image it was blurred from: each pixel's root,
+    as a flat int64 array in scan order, its (h, w) int32 region id, its
+    regions' pixel counts, RGB sums and RGB sums of squares over rgb (see
+    SuperpixelMap), and their edges as region_edges gives them. The
+    numbering that gives the ids also sums up the regions and lists the
+    border pairs, into this thread's workspace: the scratch, 4 slots a pixel
     for the sort, so the edge count stays in C. No component exceeds h * w
     pixels, so a min_size above h * w + 1 acts as h * w + 1, which a double
     holds."""
     h, w, _ = img.shape
     n = h * w
     roots, ids = np.empty(n, np.int64), np.empty((h, w), np.int32)
-    scratch = _buffers(n)[1:]
+    n_pairs = np.zeros(1, np.int64)
+    wgt, rec, size, thresh = _buffers(n)[1:]
     img, min_size = np.ascontiguousarray(img), float(min(params.min_size, n + 1))
-    _load_felz().felz_segment(h, w, img, params.k, min_size, *scratch, roots, ids, _threads(n))
-    return roots, ids
+    n_regions = _load_felz().felz_segment(
+        h, w, img, np.ascontiguousarray(rgb).ravel(), params.k, min_size, wgt, rec, size,
+        thresh, roots, ids, n_pairs, _threads(n),
+    )
+    # 7 a region: the count, 3 sums, 3 sums of squares
+    sums = rec.view(np.int64)[: 7 * n_regions].reshape(n_regions, 7)
+    stats = tuple(sums[:, cols].astype(np.float64) for cols in (0, slice(1, 4), slice(4, 7)))
+    pairs = wgt.view(np.int64)[: 2 * n_pairs[0]].reshape(-1, 2)
+    return roots, ids, stats, _unique_pairs([(pairs[:, 0], pairs[:, 1])], n_regions)
 
 
 def _unique_pairs(pairs, n):
@@ -403,6 +454,8 @@ def rag_merge(
     image: RasterImage,
     merge_thresh: float,
     max_regions: int | None = None,
+    *,
+    _stats: tuple | None = None,
 ) -> SuperpixelMap:
     """Greedily merge the closest adjacent region pair by mean RGB distance.
 
@@ -417,6 +470,11 @@ def rag_merge(
     two merged regions touch if and only if two of their regions do: the
     output carries the input's `edges` mapped to their survivors as its own.
 
+    _stats, when the caller has them, are spmap's regions' stats over image
+    (see SuperpixelMap), which then takes no pass over its pixels. A map's
+    own _stats count only when handed on so: the image they were taken over
+    may not be this one, or may have been rewritten since.
+
     The merge loop and the numbering are one call into _felzenszwalb.c, and
     its distance rounds as the felzenszwalb edge weight does.
     """
@@ -425,9 +483,11 @@ def rag_merge(
     if not 0 <= merge_thresh < np.inf:  # NaN fails every comparison, as in SegParams
         raise InvalidParams(f"merge_thresh must be finite and >= 0, got {merge_thresh}")
     _check_max_regions(max_regions)
+    if _stats is None:
+        empty = np.empty(0)  # n_bins 0: no gradient sums
+        _stats = _region_sums(spmap, image, empty, empty, empty, 0)[:3]
     n = spmap.n_regions
-    empty = np.empty(0)  # n_bins 0: no gradient sums
-    counts, sums, _, _, _ = _region_sums(spmap, image, empty, empty, empty, 0)
+    counts, sums = (a.copy() for a in _stats[:2])  # the merge updates them in place
     pairs = spmap.edges
     ea, eb = pairs.T.copy()
     final = np.arange(n, dtype=np.int64)  # becomes each region's survivor id
@@ -435,8 +495,9 @@ def rag_merge(
     # min keeps a larger one inside the native int64
     cap = n if max_regions is None else min(int(max_regions), n)
     dist = np.empty(len(ea))
-    _load_felz().rag_merge_loop(
+    n_merged = _load_felz().rag_merge_loop(
         n, len(ea), ea, eb, sums.ravel(), counts, final, dist, float(merge_thresh), cap
     )
-    merged = _unique_pairs([(final[pairs[:, 0]], final[pairs[:, 1]])], n)
-    return SuperpixelMap(final.astype(np.int32)[spmap.region_of], _edges=merged)
+    merged = _unique_pairs([(final[pairs[:, 0]], final[pairs[:, 1]])], n_merged)
+    region_of = np.take(final.astype(np.int32), spmap.region_of)  # a third of []'s time
+    return SuperpixelMap._numbered(region_of, n_merged, merged)

@@ -32,7 +32,7 @@ from .errors import (
 IGNORE = 255  # label value excluded from supervision and evaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RasterImage:
     """8-bit RGB image; `data` has shape (height, width, 3)."""
 
@@ -54,7 +54,7 @@ class RasterImage:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelMap:
     """Per-pixel category ids in 0..C-1 with 255 reserved as ignore;
     `labels` has shape (height, width)."""

@@ -6,16 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seedloop.features as features
 import seedloop.pipeline as pipeline
 import seedloop.segmenter as segmenter
+import seedloop.superpixel as superpixel
+from perfbench.workloads import WORKLOADS
 from seedloop import (
     IGNORE,
     LabelMap,
     LoopConfig,
+    SynthParams,
     confusion,
+    felzenszwalb,
     gen_synthetic,
     labels_from_state,
     parse_config,
+    rag_merge,
     run_closed_loop,
     run_dataset,
     scores,
@@ -34,6 +40,7 @@ from seedloop.pipeline import (
     end_epoch,
     pixel_state_to_superpixels,
     prepare_scene,
+    region_label_counts,
     run_epoch,
     score_pairs,
     seeds_as_prediction,
@@ -78,6 +85,72 @@ def test_pixel_state_matches_brute_force(rng):
         for c in range(4):
             expected = (vals == c).mean() if vals.size else 0.0
             assert state.probs[c, rid] == pytest.approx(expected)
+
+
+def _bincount_label_counts(spmap, labels, n_categories):
+    """region_label_counts as np.bincount over the non-ignored pixels gives
+    it: the oracle of the native pass."""
+    flat = labels.labels.ravel()
+    valid = flat != IGNORE
+    if (flat[valid] >= n_categories).any():
+        raise DimensionMismatch(f"label >= n_categories ({n_categories})")
+    idx = spmap.region_of.ravel()[valid].astype(np.int64) * n_categories + flat[valid]
+    counts = np.bincount(idx, minlength=spmap.n_regions * n_categories)
+    return counts.reshape(spmap.n_regions, n_categories)
+
+
+def _assert_label_counts_match_bincount(spmap, labels, n_categories):
+    got = region_label_counts(spmap, labels, n_categories)
+    want = _bincount_label_counts(spmap, labels, n_categories)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+# each scene's ground truth and seeds, its ground truth with every label at
+# the top category C - 1, and an all-IGNORE map
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_region_label_counts_match_bincount_on_workload_scenes(name):
+    w = WORKLOADS[name]
+    n = w.cfg.n_categories
+    for img, gt, seeds in gen_synthetic(w.scene_seed, w.count, SynthParams(w.size, w.size)):
+        spmap = rag_merge(felzenszwalb(img, w.cfg.seg), img, w.cfg.seg.merge_thresh)
+        top = make_labels(np.where(gt.labels == IGNORE, IGNORE, n - 1))
+        for labels in (gt, seeds, top, make_labels(np.full_like(gt.labels, IGNORE))):
+            _assert_label_counts_match_bincount(spmap, labels, n)
+        bad = gt.labels.copy()
+        bad[-1, -1] = n  # the last pixel, after every run has been counted
+        with pytest.raises(DimensionMismatch, match="n_categories"):
+            region_label_counts(spmap, make_labels(bad), n)
+
+
+def test_region_label_counts_match_bincount_on_random_maps(rng):
+    for h, w in ((1, 9), (9, 1), (1, 1), (7, 8)):
+        for n_values in (1, 3):
+            spmap = random_spmap(rng, h, w, n_values)
+            for n in (1, 4, 255):
+                arr = rng.integers(0, n, size=(h, w))
+                arr[rng.random((h, w)) < 0.3] = IGNORE
+                _assert_label_counts_match_bincount(spmap, make_labels(arr), n)
+
+
+def test_prepare_scene_sums_regions_once_and_rescans_no_edges(monkeypatch):
+    # felzenszwalb's numbering hands rag_merge the raw regions' sums and
+    # edges; only superpixel_features' pass, which adds the gradients, is left
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapped
+
+    for module, name in ((superpixel, "_region_sums"), (features, "_region_sums"),
+                         (superpixel, "region_edges")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    img, gt, seeds = gen_synthetic(7, 1, SynthParams(256, 256))[0]
+    prepare_scene(img, seeds, LoopConfig(), gt)
+    assert calls == ["_region_sums"]
 
 
 def test_empty_seeds_rejected():

@@ -27,6 +27,7 @@ from seedloop import (
     superpixel,
     superpixel_features,
 )
+from seedloop.cli import _spmap_from_tensor
 from seedloop.errors import (
     DimensionMismatch,
     DimOverflow,
@@ -34,11 +35,14 @@ from seedloop.errors import (
     NativeBuildError,
     ShapeMismatch,
 )
+from seedloop.pipeline import region_label_counts
 from seedloop.superpixel import (
     SuperpixelMap,
     _components,
+    _region_sums,
     region_edges,
 )
+from seedloop.tensorio import IGNORE, LabelMap
 from tests.conftest import make_image, random_spmap
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -511,7 +515,92 @@ def test_spmap_n_regions_and_edges_stay_out_of_eq_and_repr():
     spmap = SuperpixelMap(np.array([[0, 1], [2, 2]], dtype=np.int32))
     assert spmap.n_regions == 3 and spmap.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert repr(spmap) == f"SuperpixelMap(region_of={spmap.region_of!r})"
-    assert [f.name for f in dataclasses.fields(spmap) if f.compare] == ["region_of"]
+    # maps compare by identity, so n_regions and the edges never take part
+    assert spmap == spmap and spmap != SuperpixelMap(spmap.region_of.copy())
+
+
+def _assert_native_map(spmap, image):
+    """A map that felzenszwalb or rag_merge numbered without the
+    constructor's check is int32, passes that check with its own n_regions,
+    carries region_edges of its own map and, when it carries stats,
+    _region_sums' over image, byte for byte."""
+    assert spmap.region_of.dtype == np.int32
+    assert SuperpixelMap(spmap.region_of).n_regions == spmap.n_regions
+    _assert_carries_its_edges(spmap)
+    if spmap._stats is not None:
+        empty = np.empty(0)
+        want = _region_sums(spmap, image, empty, empty, empty, 0)[:3]
+        assert len(spmap._stats) == 3
+        for got, want in zip(spmap._stats, want):
+            _assert_same_bits(got, want)
+
+
+def _assert_native_maps(image, params, thresholds):
+    """felzenszwalb's map of image, which carries its stats, and rag_merge's
+    of it at each threshold, stats handed on or not, all as
+    _assert_native_map holds them; the hand-on leaves the raw stats as they
+    were and gives the same map."""
+    raw = felzenszwalb(image, params)
+    assert raw._stats is not None
+    _assert_native_map(raw, image)
+    before = [a.copy() for a in raw._stats]
+    for thresh in thresholds:
+        merged = rag_merge(raw, image, thresh, _stats=raw._stats)
+        _assert_native_map(merged, image)
+        assert np.array_equal(merged.region_of, rag_merge(raw, image, thresh).region_of)
+    for got, want in zip(raw._stats, before):
+        _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_native_maps_pass_the_full_check_on_workload_scenes(name):
+    w = WORKLOADS[name]
+    for img, _, _ in gen_synthetic(w.scene_seed, w.count, SynthParams(w.size, w.size)):
+        _assert_native_maps(img, w.cfg.seg, (w.cfg.seg.merge_thresh, 0.0))
+
+
+def test_native_maps_pass_the_full_check_on_native_cases():
+    for img, params in _native_cases():
+        _assert_native_maps(img, params, (params.merge_thresh, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([1.0, 20.0, 300.0]),
+    st.integers(min_value=1, max_value=30),
+    st.floats(min_value=0.0, max_value=300.0),
+)
+def test_native_maps_pass_the_full_check_on_random_images(seed, h, w, levels, k, min_size, thresh):
+    rng = np.random.default_rng(seed)
+    img = make_image(rng.integers(0, levels, size=(h, w, 3)) * (255 // levels))
+    _assert_native_maps(img, SegParams(k=k, sigma=0.5, min_size=min_size), (thresh,))
+
+
+def test_region_sums_exact_past_int32_on_one_white_region():
+    # 260 * 256 > 2**16 pixels of 255: a channel's sum of squares,
+    # 255**2 * 66560, passes 2**31, as a region's int64 run sums must hold
+    img = make_image(np.full((260, 256, 3), 255))
+    raw = felzenszwalb(img)
+    n = 260 * 256
+    assert raw.n_regions == 1 and 255**2 * n > 2**31
+    want = [[n], [[255 * n] * 3], [[255**2 * n] * 3]]
+    empty = np.empty(0)
+    for stats in (raw._stats, _region_sums(raw, img, empty, empty, empty, 0)[:3]):
+        assert [a.tolist() for a in stats] == want
+    mean_and_std = superpixel_features(img, raw)[0, :6]
+    assert mean_and_std.tolist() == [255.0] * 3 + [0.0] * 3
+
+
+def test_spmap_and_cli_tensor_still_reject_a_gap_in_ids():
+    gap = np.array([[0, 0], [2, 2]])
+    with pytest.raises(ShapeMismatch, match="exactly"):
+        SuperpixelMap(gap.astype(np.int32))
+    with pytest.raises(ShapeMismatch, match="exactly"):
+        _spmap_from_tensor(gap.astype(np.uint16))
 
 
 def _reference_split(raw):
@@ -630,6 +719,12 @@ def _reference_roots(smoothed, params):
     return np.fromiter((uf.find(i) for i in range(h * w)), dtype=np.int64, count=h * w)
 
 
+def _no_rgb(smoothed):
+    """A black image of smoothed's shape, for _segment on a smoothed image
+    that no image was blurred into."""
+    return np.zeros(smoothed.shape, np.uint8)
+
+
 def _reference_felzenszwalb(image, params):
     roots = _reference_roots(_smoothed(image, params.sigma), params)
     return SuperpixelMap(_components(roots.reshape(image.height, image.width)))
@@ -708,7 +803,7 @@ def test_felzenszwalb_matches_oracle_on_long_tie_runs(kind, sigma):
         params = SegParams(k=k, sigma=sigma, min_size=min_size)
         _assert_same_segmentation(img, params)
         want = _reference_roots(smoothed, params)
-        assert np.array_equal(superpixel._segment(smoothed, params)[0], want)
+        assert np.array_equal(superpixel._segment(smoothed, params, _no_rgb(smoothed))[0], want)
 
 
 # colors in steps of 20 plus noise below 1e-9 give few weights, each split
@@ -726,7 +821,7 @@ def test_native_roots_match_oracle_on_near_ties(shape):
     for min_size in (2, 5):
         params = SegParams(k=1e-6, sigma=0, min_size=min_size)
         want = _reference_roots(smoothed, params)
-        assert np.array_equal(superpixel._segment(smoothed, params)[0], want)
+        assert np.array_equal(superpixel._segment(smoothed, params, _no_rgb(smoothed))[0], want)
 
 
 def test_fixup_not_quadratic_on_ramp():
@@ -898,7 +993,8 @@ def test_native_edges_match_numpy_oracle_on_scenes():
 
 def test_segment_ids_are_the_components_of_its_roots():
     for img, params in _native_cases():
-        roots, ids = superpixel._segment(superpixel._blur(img, params.sigma), params)
+        blurred = superpixel._blur(img, params.sigma)
+        roots, ids, _, _ = superpixel._segment(blurred, params, img.data)
         assert ids.dtype == np.int32
         assert np.array_equal(ids, _components(roots.reshape(ids.shape)))
 
@@ -1004,15 +1100,16 @@ def _on_threads(monkeypatch, count, call, *args):
     return call(*args)
 
 
-def _assert_segment_schedules_agree(smoothed, params, monkeypatch):
-    """felz_segment gives the same roots and ids on one and on two threads;
-    returns them."""
-    (roots, ids), (roots2, ids2) = (
-        _on_threads(monkeypatch, t, superpixel._segment, smoothed, params) for t in (1, 2)
+def _assert_segment_schedules_agree(smoothed, params, monkeypatch, rgb):
+    """felz_segment gives the same roots, ids, region sums and edges on one
+    and on two threads; returns the roots and the ids."""
+    one, two = (
+        _on_threads(monkeypatch, t, superpixel._segment, smoothed, params, rgb) for t in (1, 2)
     )
-    _assert_same_bits(roots2, roots)
-    _assert_same_bits(ids2, ids)
-    return roots, ids
+    got, want = ((r, i, *s, e) for r, i, s, e in (two, one))
+    for a, b in zip(got, want, strict=True):
+        _assert_same_bits(a, b)
+    return one[:2]
 
 
 def _assert_schedules_agree(img, params, monkeypatch):
@@ -1020,7 +1117,7 @@ def _assert_schedules_agree(img, params, monkeypatch):
     on one and on two threads; returns the blurred image and the roots."""
     blurred = _on_threads(monkeypatch, 1, superpixel._blur, img, params.sigma).copy()
     _assert_same_bits(_on_threads(monkeypatch, 2, superpixel._blur, img, params.sigma), blurred)
-    roots, ids = _assert_segment_schedules_agree(blurred, params, monkeypatch)
+    roots, ids = _assert_segment_schedules_agree(blurred, params, monkeypatch, img.data)
     spmap = SuperpixelMap(ids)
     feats = [_on_threads(monkeypatch, t, superpixel_features, img, spmap) for t in (1, 2)]
     _assert_same_bits(feats[1], feats[0])
@@ -1055,7 +1152,7 @@ def test_two_threads_match_one_on_near_ties(monkeypatch):
     smoothed += rng.uniform(0, 1e-9, size=smoothed.shape)
     for min_size in (2, 5):
         _assert_segment_schedules_agree(
-            smoothed, SegParams(k=1e-6, sigma=0, min_size=min_size), monkeypatch
+            smoothed, SegParams(k=1e-6, sigma=0, min_size=min_size), monkeypatch, _no_rgb(smoothed)
         )
 
 
@@ -1073,15 +1170,15 @@ def test_two_threads_match_one_on_tie_heavy_shapes(shape, sigma, monkeypatch):
 
 
 def _two_thread_digests():
-    """Digests of the blur, the roots, the ids and the features of two
-    256x256 scenes, each native call asked for the thread count that
+    """Digests of the blur, the roots, the ids, the region sums, the edges
+    and the features of two 256x256 scenes, each native call asked for the thread count that
     superpixel._threads gives."""
     params = SegParams()
     for img, _, _ in gen_synthetic(7, 2, SynthParams(256, 256)):
         blurred = superpixel._blur(img, params.sigma)
-        roots, ids = superpixel._segment(blurred, params)
+        roots, ids, stats, edges = superpixel._segment(blurred, params, img.data)
         feats = superpixel_features(img, SuperpixelMap(ids))
-        for arr in (blurred, roots, ids, feats):
+        for arr in (blurred, roots, ids, *stats, edges, feats):
             yield hashlib.sha256(arr.tobytes()).hexdigest()
 
 
@@ -1145,15 +1242,36 @@ def _native_merge_cases():
         yield spmap, img, np.nextafter(d, np.inf), None
 
 
+def _label_maps(img):
+    """Label maps of img's shape for region_label_counts at 4 categories:
+    the red channel's top two bits with its odd values ignored, all IGNORE,
+    and all 3, the top category."""
+    red = img.data[:, :, 0]
+    yield LabelMap(np.where(red % 2 == 1, IGNORE, red >> 6).astype(np.uint8))
+    yield LabelMap(np.full(red.shape, IGNORE, np.uint8))
+    yield LabelMap(np.full(red.shape, 3, np.uint8))
+
+
 def _native_digests():
     """Digests of every native case through each native function: the
-    segmentation, the components of the image's red channel and the
-    features of the segmentation; then of every native merge case."""
+    segmentation, its region sums and edges from the numbering, the
+    components of the image's red channel, the features of the segmentation
+    and the label counts of its _label_maps and of one region; then of
+    every native merge case. The cases hold single rows and columns and
+    one-region images."""
     for img, params in _native_cases():
         spmap = felzenszwalb(img, params)
+        one = SuperpixelMap(np.zeros(spmap.region_of.shape, np.int32))
+        arrays = [
+            *spmap._stats,
+            spmap.edges,
+            _components(img.data[:, :, 0]),
+            superpixel_features(img, spmap),
+            *(region_label_counts(m, lab, 4) for lab in _label_maps(img) for m in (spmap, one)),
+        ]
         yield _digest(spmap)
-        yield hashlib.sha256(_components(img.data[:, :, 0]).tobytes()).hexdigest()
-        yield hashlib.sha256(superpixel_features(img, spmap).tobytes()).hexdigest()
+        for arr in arrays:
+            yield hashlib.sha256(arr.tobytes()).hexdigest()
     for case in _native_merge_cases():
         yield _digest(rag_merge(*case))
 

@@ -26,7 +26,25 @@ from seedloop.errors import (
     UnsupportedMaxval,
     UnsupportedVersion,
 )
+from seedloop.seeds import SeedState
+from seedloop.superpixel import SuperpixelMap
 from tests.conftest import make_image, make_labels
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_image(np.zeros((2, 3, 3))),
+        lambda: make_labels(np.zeros((2, 3))),
+        lambda: SuperpixelMap(np.zeros((2, 3), np.int32)),
+        lambda: SeedState(np.full((2, 3), 0.5)),
+    ],
+    ids=["RasterImage", "LabelMap", "SuperpixelMap", "SeedState"],
+)
+def test_array_dataclasses_compare_by_identity(make):
+    # a generated __eq__ compared the arrays inside tuples and raised ValueError
+    a, b = make(), make()
+    assert a == a and a != b and len({a, a, b}) == 2
 
 
 def test_load_ppm_decodes_pixels(tmp_path):

@@ -1,8 +1,9 @@
 /* Runs gauss_blur, felz_segment and region_sums of _felzenszwalb.c on one
  * and on two threads over a 256x256 image and exits nonzero unless both
- * give the same bytes, or unless MIN_SIZE lies between the smallest and the
- * largest component the first union-find pass leaves, so that the min-size
- * pass both skips edges and links components. Built with -fsanitize=thread
+ * give the same bytes, felz_segment's region sums and border pairs among
+ * them, or unless MIN_SIZE lies between the smallest and the largest
+ * component the first union-find pass leaves, so that the min-size pass
+ * both skips edges and links components. Built with -fsanitize=thread
  * together with _felzenszwalb.c by tests/test_superpixel.py, which also
  * fails on any report of the sanitizer:
  *
@@ -17,9 +18,10 @@
 
 void gauss_blur(int64_t h, int64_t w, const uint8_t *rgb, int64_t r, const double *fw,
                 double *tmp, double *out, int64_t n_threads);
-void felz_segment(int64_t h, int64_t w, const double *img, double k, double min_size,
-                  double *wgt, uint64_t *rec, int64_t *size, double *thresh, int64_t *root,
-                  int32_t *id, int64_t n_threads);
+int64_t felz_segment(int64_t h, int64_t w, const double *img, const uint8_t *rgb, double k,
+                     double min_size, double *wgt, uint64_t *rec, int64_t *size,
+                     double *thresh, int64_t *root, int32_t *id, int64_t *n_pairs,
+                     int64_t n_threads);
 void gray_gradients(int64_t h, int64_t w, const uint8_t *rgb, double *gray, double *gx,
                     double *gy);
 void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb, double *counts,
@@ -37,7 +39,7 @@ void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb, do
 
 struct result {
     double blurred[3 * N], counts[N], sums[3 * N], squares[3 * N], mag[N], hist[BINS * N];
-    int64_t root[N];
+    int64_t root[N], n_regions, n_pairs, stats[7 * N], pairs[4 * N];
     int32_t id[N];
 };
 
@@ -72,8 +74,11 @@ static void run(int64_t n_threads, double min_size, const uint8_t *rgb, const do
         fw[j] /= total;
     memset(out, 0, sizeof *out);
     gauss_blur(H, W, rgb, RADIUS, fw, wgt, out->blurred, n_threads);
-    felz_segment(H, W, out->blurred, K, min_size, wgt, rec, size, thresh, out->root, out->id,
-                 n_threads);
+    out->n_regions = felz_segment(H, W, out->blurred, rgb, K, min_size, wgt, rec, size, thresh,
+                                  out->root, out->id, &out->n_pairs, n_threads);
+    /* the region sums and the border pairs, before region_sums takes wgt */
+    memcpy(out->stats, rec, 7 * out->n_regions * sizeof *out->stats);
+    memcpy(out->pairs, wgt, 2 * out->n_pairs * sizeof *out->pairs);
     region_sums(N, out->id, rgb, out->counts, out->sums, out->squares, gx, gy, theta, BINS,
                 out->mag, out->hist, wgt, n_threads);
 }
