@@ -17,10 +17,10 @@
  * numbers the survivors. All seven take every buffer from the caller and
  * cannot fail.
  *
- * gauss_blur, felz_segment and region_sums take a thread count: at 2 they
- * run part of their work on a second thread, with every value computed and
- * added in the same order as on one thread, so every output is the same.
- * When the second thread cannot start, the call runs on one thread.
+ * gauss_blur and felz_segment take a thread count: at 2 they run part of
+ * their work on a second thread, with every value computed and added in the
+ * same order as on one thread, so every output is the same. When the second
+ * thread cannot start, the call runs on one thread. region_sums runs on one.
  */
 #include <math.h>
 #include <pthread.h>
@@ -47,21 +47,22 @@ void gray_gradients(int64_t h, int64_t w, const uint8_t *rgb, double *gray, doub
 void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb,
                  double *counts, double *sums, double *squares, const double *gx,
                  const double *gy, const double *theta, int64_t n_bins, double *mag,
-                 double *hist, double *scratch, int64_t n_threads);
+                 double *hist, double *scratch);
 int64_t label_counts(int64_t n_pixels, const int32_t *region, const uint8_t *label,
                      int64_t ignore, int64_t n_categories, int64_t *counts);
 
-#define DIGIT_BITS 11
-#define N_BUCKETS (1 << DIGIT_BITS)
-#define N_PASSES 3 /* 3 * 11 bits cover the top 32 bits of a record */
+/* radix_sort's digit: 256-entry histograms stay in L1, and the top bits of
+ * a benchmark scene's edge weights span 24 bits, three passes */
+#define DIGIT_BITS 8
+#define N_DIGITS (1 << DIGIT_BITS)
 /* fix_run sorts a run of up to SHORT_RUN records by merge sort and a longer
- * one by radix_sort_hi: a radix sort's 3 * N_BUCKETS bucket sums cost more
- * than a merge sort's log m levels on short runs and less on long ones, with
- * the two about even near 256 records. Benchmark scenes have no run over 4
- * records out of order; a blurred 256x256 ramp has out-of-order runs of
- * 20k-190k records, on which felz_segment with a merge-sort-only fix-up
- * took up to 1.3x the time of a plain 6-pass radix sort of the full 64-bit
- * keys, and with this split 0.65-0.9x. */
+ * one by radix_sort, whose fixed cost, zeroing and summing its histograms, a
+ * short run does not repay. 256 records was the even point against a radix
+ * sort of 3 x 2048 counters; radix_sort's smaller fixed cost has not been
+ * weighed against it. Benchmark scenes have no run over 4 records out of
+ * order; a blurred 256x256 ramp has out-of-order runs of 20k-190k records,
+ * on which felz_segment with a merge-sort-only fix-up took up to 1.3x the
+ * time of a plain 6-pass radix sort of the full 64-bit keys. */
 #define SHORT_RUN 256
 #define LOW32 UINT64_C(0xffffffff)
 /* felz_segment on two threads scatters the records into SORT_BUCKETS
@@ -70,6 +71,11 @@ int64_t label_counts(int64_t n_pixels, const int32_t *region, const uint8_t *lab
 #define SORT_BUCKETS 256
 /* a waiting thread polls this many times, then gives up the CPU each time */
 #define SPINS 1000
+/* the union-find's merge pass prefetches the weight and both end pixels of
+ * the edge this many edges ahead: at 256x256 the weights (2 MB) and the
+ * parents miss the caches, and the call ran about 4% faster on one thread
+ * and on two; at 64x64 and 128x128 it made no difference */
+#define PREFETCH_AHEAD 32
 /* for the loops that one- and two-thread calls share: inlined, a one-thread
  * call folds its constant bounds and null pointers into them and runs as
  * fast as the plain loops */
@@ -208,31 +214,43 @@ static uint64_t key_of(double x)
     return key;
 }
 
-/* Stable LSD radix sort of the n records of src on their top 32 bits; dst
- * is scratch of n records. Returns whichever of src and dst holds the sorted
- * records. */
-static uint64_t *radix_sort_hi(uint64_t *src, uint64_t *dst, int64_t n)
+/* The number of significant bits of v, 0 for v = 0. */
+static int bit_width(uint64_t v)
 {
-    int64_t hist[N_PASSES][N_BUCKETS], r;
-    int pass;
-    memset(hist, 0, sizeof hist);
-    for (r = 0; r < n; r++)
-        for (pass = 0; pass < N_PASSES; pass++)
-            hist[pass][(src[r] >> (32 + pass * DIGIT_BITS)) & (N_BUCKETS - 1)]++;
-    for (pass = 0; pass < N_PASSES && n > 0; pass++) {
-        int shift = 32 + pass * DIGIT_BITS;
-        int64_t *count = hist[pass], total = 0, b, i;
+    return v ? 64 - __builtin_clzll(v) : 0;
+}
+
+/* Digit pass of record rec's top 32 bits less lo. */
+static unsigned digit(uint64_t rec, uint64_t lo, int pass)
+{
+    return (unsigned)(((rec >> 32) - lo) >> (pass * DIGIT_BITS)) & (N_DIGITS - 1);
+}
+
+/* Stable LSD radix sort of the n records of src on their top 32 bits less
+ * lo, which all lie below 2^bits, bits <= 32: one pass per 8-bit digit, none
+ * for a digit every record shares. dst is scratch of n records. Returns
+ * whichever of src and dst holds the sorted records. */
+static uint64_t *radix_sort(uint64_t *src, uint64_t *dst, int64_t n, uint64_t lo, int bits)
+{
+    int64_t hist[32 / DIGIT_BITS][N_DIGITS], i;
+    int n_passes = (bits + DIGIT_BITS - 1) / DIGIT_BITS, pass;
+    memset(hist, 0, (size_t)n_passes * sizeof *hist);
+    for (i = 0; i < n; i++)
+        for (pass = 0; pass < n_passes; pass++)
+            hist[pass][digit(src[i], lo, pass)]++;
+    for (pass = 0; pass < n_passes && n > 0; pass++) {
+        int64_t *count = hist[pass], total = 0, b;
         uint64_t *tmp;
-        if (count[(src[0] >> shift) & (N_BUCKETS - 1)] == n)
+        if (count[digit(src[0], lo, pass)] == n)
             continue; /* every record shares this digit: the pass moves nothing */
-        for (b = 0; b < N_BUCKETS; b++) { /* counts -> first slot of each bucket */
+        for (b = 0; b < N_DIGITS; b++) { /* counts -> first slot of each digit */
             int64_t c = count[b];
             count[b] = total;
             total += c;
         }
         /* forward scatter: equal digits keep their order, so the sort is stable */
         for (i = 0; i < n; i++)
-            dst[count[(src[i] >> shift) & (N_BUCKETS - 1)]++] = src[i];
+            dst[count[digit(src[i], lo, pass)]++] = src[i];
         tmp = src;
         src = dst;
         dst = tmp;
@@ -270,7 +288,7 @@ static void merge_sort(uint64_t *v, uint64_t *tmp, int64_t n)
  * top bits go back on at the end. */
 static void fix_run(uint64_t *run, int64_t m, uint64_t *tmp, const double *wgt)
 {
-    uint64_t hi = run[0] & ~LOW32, *sorted = run;
+    uint64_t hi = run[0] & ~LOW32, *sorted = run, lo = LOW32, top = 0;
     int64_t i;
     for (i = 1; i < m; i++)
         if ((key_of(wgt[run[i - 1] & LOW32]) & LOW32) > (key_of(wgt[run[i] & LOW32]) & LOW32))
@@ -278,13 +296,15 @@ static void fix_run(uint64_t *run, int64_t m, uint64_t *tmp, const double *wgt)
     if (i == m)
         return;
     for (i = 0; i < m; i++) {
-        uint64_t gen = run[i] & LOW32;
-        run[i] = key_of(wgt[gen]) << 32 | gen;
+        uint64_t gen = run[i] & LOW32, low = key_of(wgt[gen]) & LOW32;
+        lo = low < lo ? low : lo;
+        top = low > top ? low : top;
+        run[i] = low << 32 | gen;
     }
     if (m <= SHORT_RUN)
         merge_sort(run, tmp, m);
     else
-        sorted = radix_sort_hi(run, tmp, m);
+        sorted = radix_sort(run, tmp, m, lo, bit_width(top - lo));
     for (i = 0; i < m; i++)
         run[i] = hi | (sorted[i] & LOW32);
 }
@@ -342,17 +362,17 @@ SHARED_LOOP void build_edges(int64_t h, int64_t w, const double *img, const int6
 
 /* The n_edges edges of an (h, w, 3) row-major image, as build_edges makes
  * them, in (weight, generation index) order. src and dst hold n_edges
- * records each; returns whichever holds the sorted records. Three stable
- * 11-bit LSD radix passes order the records by their top bits and, within
- * equal top bits, by generation index; fix_runs then orders each run of
- * equal top bits by the weight's full bits. */
+ * records each; returns whichever holds the sorted records. A stable radix
+ * sort orders the records by their top bits and, within equal top bits, by
+ * generation index; fix_runs then orders each run of equal top bits by the
+ * weight's full bits. */
 static uint64_t *sorted_edges(int64_t h, int64_t w, const double *img,
                               const int64_t step[4], int64_t n_edges, double *wgt,
                               uint64_t *src, uint64_t *dst)
 {
     uint64_t range[2] = {UINT64_MAX, 0}, *out;
     build_edges(h, w, img, step, 0, h, wgt, src, range);
-    out = radix_sort_hi(src, dst, n_edges);
+    out = radix_sort(src, dst, n_edges, range[0], bit_width(range[1] - range[0]));
     fix_runs(out, n_edges, out == src ? dst : src, wgt); /* the other buffer is scratch */
     return out;
 }
@@ -386,25 +406,28 @@ static void sync_phase(struct felz_job *job, int t, int64_t phase)
 }
 
 /* Thread t's build and scatter; start[b] is where bucket b begins in dst,
- * and start[SORT_BUCKETS] is n_edges. */
-static void scatter_half(struct felz_job *job, int t, int64_t start[SORT_BUCKETS + 1])
+ * and start[SORT_BUCKETS] is n_edges. Bucket b holds the records whose top
+ * bits less *lo, the smallest of them, are b << shift up to (b + 1) <<
+ * shift; returns shift. */
+static int scatter_half(struct felz_job *job, int t, int64_t start[SORT_BUCKETS + 1],
+                        uint64_t *lo)
 {
     int64_t y0 = t ? job->y_mid : 0, first = y0 * (4 * job->w - 3);
     int64_t end = t ? job->n_edges : job->y_mid * (4 * job->w - 3), *count = job->count[t];
-    uint64_t lo, hi;
+    uint64_t hi;
     int64_t at[SORT_BUCKETS], b, i;
     int shift = 0;
 
     build_edges(job->h, job->w, job->img, job->step, y0, t ? job->h : job->y_mid, job->wgt,
                 job->src, job->range[t]);
     sync_phase(job, t, 1);
-    lo = job->range[0][0] < job->range[1][0] ? job->range[0][0] : job->range[1][0];
+    *lo = job->range[0][0] < job->range[1][0] ? job->range[0][0] : job->range[1][0];
     hi = job->range[0][1] > job->range[1][1] ? job->range[0][1] : job->range[1][1];
-    while ((hi - lo) >> shift >= SORT_BUCKETS)
+    while ((hi - *lo) >> shift >= SORT_BUCKETS)
         shift++;
     memset(count, 0, SORT_BUCKETS * sizeof *count);
     for (i = first; i < end; i++)
-        count[((job->src[i] >> 32) - lo) >> shift]++;
+        count[((job->src[i] >> 32) - *lo) >> shift]++;
     sync_phase(job, t, 2);
     start[0] = 0;
     for (b = 0; b < SORT_BUCKETS; b++) {
@@ -412,21 +435,23 @@ static void scatter_half(struct felz_job *job, int t, int64_t start[SORT_BUCKETS
         at[b] = start[b] + (t ? job->count[0][b] : 0);
     }
     for (i = first; i < end; i++)
-        job->dst[at[((job->src[i] >> 32) - lo) >> shift]++] = job->src[i];
+        job->dst[at[((job->src[i] >> 32) - *lo) >> shift]++] = job->src[i];
     sync_phase(job, t, 3);
+    return shift;
 }
 
 static void *sort_buckets(void *arg)
 {
     struct felz_job *job = arg;
     int64_t start[SORT_BUCKETS + 1], b;
-    scatter_half(job, 1, start);
+    uint64_t lo;
+    int shift = scatter_half(job, 1, start, &lo);
     for (b = 0; b < SORT_BUCKETS; b++) {
         int64_t m = start[b + 1] - start[b];
         uint64_t *v = job->dst + start[b], *tmp = job->src + start[b];
         if (m <= SHORT_RUN) {
             merge_sort(v, tmp, m); /* by value: (top bits, generation index) */
-        } else if (radix_sort_hi(v, tmp, m) != v) {
+        } else if (radix_sort(v, tmp, m, lo + ((uint64_t)b << shift), shift) != v) {
             memcpy(v, tmp, (size_t)m * sizeof *v);
         }
         fix_runs(v, m, tmp, job->wgt);
@@ -459,7 +484,8 @@ static int64_t link(int64_t *parent, int64_t *size, int64_t a, int64_t b)
 
 /* The two union-find passes over the n_edges sorted edges, then each
  * pixel's root into root. With ready set, only the first *ready edges are
- * in place so far: the merge pass waits for each edge to be. */
+ * in place so far: the merge pass waits for each edge to be, and prefetches
+ * only for edges in place. */
 SHARED_LOOP void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *edges,
                             const double *wgt, const int64_t step[4], double k,
                             double min_size, int64_t *root, int64_t *size, double *thresh,
@@ -475,6 +501,13 @@ SHARED_LOOP void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *e
     for (e = 0; e < n_edges; e++) {
         if (e == in_place)
             in_place = wait_for(ready, e + 1);
+        if (e + PREFETCH_AHEAD < in_place) {
+            uint64_t ahead = edges[e + PREFETCH_AHEAD] & LOW32;
+            int64_t pa = (int64_t)(ahead >> 2);
+            __builtin_prefetch(&wgt[ahead]);
+            __builtin_prefetch(&root[pa]);
+            __builtin_prefetch(&root[pa + step[ahead & 3]]);
+        }
         uint64_t gen = edges[e] & LOW32;
         int64_t a = (int64_t)(gen >> 2), b = a + step[gen & 3];
         a = find(root, a);
@@ -541,7 +574,8 @@ int64_t felz_segment(int64_t h, int64_t w, const double *img, const uint8_t *rgb
 
     if (n_threads > 1 && n_edges > 0 && pthread_create(&helper, NULL, sort_buckets, &job) == 0) {
         int64_t start[SORT_BUCKETS + 1];
-        scatter_half(&job, 0, start);
+        uint64_t lo;
+        scatter_half(&job, 0, start, &lo);
         union_find(h * w, n_edges, job.dst, wgt, step, k, min_size, root, size, thresh,
                    &job.ready);
         pthread_join(helper, NULL);
@@ -703,22 +737,6 @@ void gray_gradients(int64_t h, int64_t w, const uint8_t *rgb, double *gray, doub
     gradient_line(h, w, gray, gy);
 }
 
-/* hypot(gx[p], gy[p]) into out[p - p0] for p in p0..p1-1, on a second thread */
-struct hypot_job {
-    int64_t p0, p1;
-    const double *gx, *gy;
-    double *out;
-};
-
-static void *hypot_range(void *arg)
-{
-    const struct hypot_job *job = arg;
-    int64_t p;
-    for (p = job->p0; p < job->p1; p++)
-        job->out[p - job->p0] = hypot(job->gx[p], job->gy[p]);
-    return NULL;
-}
-
 /* The bin of orientation theta in [-pi, pi] among n_bins: (theta + pi) /
  * (2 pi) * n_bins truncated, clamped to 0..n_bins-1, in numpy's float64
  * order. */
@@ -728,29 +746,101 @@ static int64_t orient_bin(double theta, int64_t n_bins)
     return b < 0 ? 0 : b < n_bins ? b : n_bins - 1;
 }
 
-/* region_sums over pixels p0..p1-1; hyp, when set, holds the hypot of
- * pixel p at hyp[p - p0]. A run of equal region ids adds up its count, its
- * colors and their squares in int64 registers and adds them to the region's
- * slots where the run ends; mag[r] is read where the run starts and stored
- * where it ends, so its hypots are still added one by one in scan order. */
-SHARED_LOOP void add_pixels(int64_t p0, int64_t p1, const int32_t *region, const uint8_t *rgb,
-                            double *counts, double *sums, double *squares, const double *gx,
-                            const double *gy, const double *hyp, const double *theta,
-                            int64_t n_bins, double *mag, double *hist)
+/* Borges' corrected kernel without fma ("An Improved Algorithm for hypot(a,
+ * b)", 2019) as glibc 2.36's hypot runs it, on ax >= ay >= 0 whose squares
+ * neither overflow nor underflow: h = sqrt(ax^2 + ay^2) less a correction,
+ * taken from ay where h <= 2 ay and else from ax. Both corrections are
+ * computed and one selected, with no branch. */
+static inline double hypot_kernel(double ax, double ay)
+{
+    double h = sqrt(ax * ax + ay * ay), dy = h - ay, dx = h - ax;
+    double t1 = h <= 2.0 * ay ? ax * (2.0 * dy - ax) : 2.0 * dx * (ax - 2.0 * ay);
+    double t2 = h <= 2.0 * ay ? (dy - 2.0 * (ax - ay)) * dy : (4.0 * dx - ay) * ay + dx * dx;
+    return h - (t1 + t2) / (2.0 * h);
+}
+
+/* hypot(x, y) as glibc 2.36 computes it, the function np.hypot calls, with
+ * its branches: inf for an infinite x or y, x + y for a NaN (glibc gives x +
+ * y for inf and a signaling NaN too, which no arithmetic makes); then with
+ * ax = max(|x|, |y|) and ay = min(|x|, |y|), ax + ay where ay is 2^-54 ax or
+ * less, and otherwise the kernel, on ax and ay scaled by 2^-600 when ax >
+ * 2^511 and by 2^600 when ay < 2^-511 and scaled back. */
+static double glibc_hypot(double x, double y)
+{
+    double ax, ay;
+    if (!isfinite(x) || !isfinite(y))
+        return isinf(x) || isinf(y) ? INFINITY : x + y;
+    x = fabs(x);
+    y = fabs(y);
+    ax = x < y ? y : x;
+    ay = x < y ? x : y;
+    if (ax > 0x1p511)
+        return ay <= ax * 0x1p-54 ? ax + ay
+                                  : hypot_kernel(ax * 0x1p-600, ay * 0x1p-600) / 0x1p-600;
+    if (ay < 0x1p-511)
+        return ax >= ay / 0x1p-54 ? ax + ay
+                                  : hypot_kernel(ax / 0x1p-600, ay / 0x1p-600) * 0x1p-600;
+    return ay <= ax * 0x1p-54 ? ax + ay : hypot_kernel(ax, ay);
+}
+
+/* glibc_hypot(gx[p], gy[p]) into mag[p] for p in 0..n-1. The first loop
+ * takes glibc's unscaled path for every pixel with no branch, so it
+ * vectorises: glibc's own branches mispredict on scene gradients. There
+ * ay * 2^54 <= ax is exact, as glibc's ay <= ax * 2^-54 is on that path,
+ * and a zero ay, which glibc's tiny-value branch takes, gives ax + ay as it
+ * does there. A pixel off that path, with a value past 2^511, both values
+ * small, an inf or a NaN, gets NaN, and the second loop runs glibc_hypot
+ * on it; no u8 image gives one. */
+static void magnitudes(int64_t n, const double *restrict gx, const double *restrict gy,
+                       double *restrict mag)
+{
+    int64_t p;
+    for (p = 0; p < n; p++) {
+        double x = fabs(gx[p]), y = fabs(gy[p]);
+        double ax = x < y ? y : x, ay = x < y ? x : y;
+        double m = ay * 0x1p54 <= ax ? ax + ay : hypot_kernel(ax, ay);
+        mag[p] = ax <= 0x1p511 && (ay >= 0x1p-511 || ay * 0x1p54 <= ax) ? m : NAN;
+    }
+    for (p = 0; p < n; p++)
+        if (mag[p] != mag[p])
+            mag[p] = glibc_hypot(gx[p], gy[p]);
+}
+
+/* Per-region sums over n_pixels pixels in scan order; pixel p lies in
+ * region[p] and has color rgb[3p..3p+2]. Adds to counts[r] each pixel of
+ * region r, to sums[3r + c] its color and to squares[3r + c] the color's
+ * square. These are integers below 2^53 (a region's squares are at most
+ * 2^30 * 255^2), so they are exact in any order: a run of equal region ids
+ * adds them up in int64 registers and adds them to the region's slots where
+ * it ends.
+ * When n_bins > 0, also adds hypot(gx[p], gy[p]) to mag[r], pixel by pixel
+ * in scan order as np.bincount adds its weights, and 1 to
+ * hist[n_bins * r + b], b the orient_bin of theta[p] = np.arctan2(gy[p],
+ * gx[p]), which the caller computes, as C cannot round it as numpy does;
+ * otherwise gx, gy, theta, mag, hist and scratch are not touched. The hypots
+ * go into scratch, n_pixels values, in one pass first; mag[r] is read where
+ * a run starts and stored where it ends, so they are still added one by one
+ * in scan order. The caller zeroes every output. */
+void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb,
+                 double *counts, double *sums, double *squares, const double *gx,
+                 const double *gy, const double *theta, int64_t n_bins, double *mag,
+                 double *hist, double *scratch)
 {
     int64_t p, q;
     int c;
-    for (p = p0; p < p1; p = q) {
+    if (n_bins > 0)
+        magnitudes(n_pixels, gx, gy, scratch);
+    for (p = 0; p < n_pixels; p = q) {
         int64_t r = region[p], sum[3] = {0, 0, 0}, square[3] = {0, 0, 0};
         double m = n_bins > 0 ? mag[r] : 0.0;
-        for (q = p; q < p1 && region[q] == r; q++) {
+        for (q = p; q < n_pixels && region[q] == r; q++) {
             for (c = 0; c < 3; c++) {
                 int64_t v = rgb[3 * q + c];
                 sum[c] += v;
                 square[c] += v * v;
             }
             if (n_bins > 0) {
-                m += hyp ? hyp[q - p0] : hypot(gx[q], gy[q]);
+                m += scratch[q];
                 hist[n_bins * r + orient_bin(theta[q], n_bins)] += 1.0;
             }
         }
@@ -761,41 +851,6 @@ SHARED_LOOP void add_pixels(int64_t p0, int64_t p1, const int32_t *region, const
         }
         if (n_bins > 0)
             mag[r] = m;
-    }
-}
-
-/* Per-region sums over n_pixels pixels in scan order; pixel p lies in
- * region[p] and has color rgb[3p..3p+2]. Adds to counts[r] each pixel of
- * region r, to sums[3r + c] its color and to squares[3r + c] the color's
- * square. These are integers below 2^53 (a region's squares are at most
- * 2^30 * 255^2), so they are exact in any order.
- * When n_bins > 0, also adds hypot(gx[p], gy[p]) to mag[r], pixel by pixel
- * in scan order as np.bincount adds its weights, and 1 to
- * hist[n_bins * r + b], b the orient_bin of theta[p] = np.arctan2(gy[p],
- * gx[p]), which the caller computes, as C cannot round it as numpy does;
- * otherwise gx, gy, theta, mag and hist are not touched. The caller zeroes
- * every output. On two threads with n_bins > 0, the second computes the
- * hypots of the pixels from n_pixels * 2 / 5 on into scratch, which holds
- * that many values, while this one adds up the pixels before them: it adds
- * up every pixel, so an even split of the hypots left it the slower one
- * (on a 2-vCPU Xeon host, region_sums of a 256x256 scene took 1.86-1.95 ms
- * at this split, against 1.96-2.11 ms at half). */
-void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb,
-                 double *counts, double *sums, double *squares, const double *gx,
-                 const double *gy, const double *theta, int64_t n_bins, double *mag,
-                 double *hist, double *scratch, int64_t n_threads)
-{
-    struct hypot_job job = {n_pixels * 2 / 5, n_pixels, gx, gy, scratch};
-    pthread_t helper;
-    if (n_bins > 0 && n_threads > 1 && pthread_create(&helper, NULL, hypot_range, &job) == 0) {
-        add_pixels(0, job.p0, region, rgb, counts, sums, squares, gx, gy, NULL, theta, n_bins,
-                   mag, hist);
-        pthread_join(helper, NULL);
-        add_pixels(job.p0, n_pixels, region, rgb, counts, sums, squares, gx, gy, scratch, theta,
-                   n_bins, mag, hist);
-    } else {
-        add_pixels(0, n_pixels, region, rgb, counts, sums, squares, gx, gy, NULL, theta, n_bins,
-                   mag, hist);
     }
 }
 

@@ -77,9 +77,8 @@ def _cmd_superpix(args):
     params = _from_args(SegParams, args)
     _check_max_regions(args.max_regions)
     image = load_ppm(args.image)
-    spmap = rag_merge(
-        felzenszwalb(image, params), image, params.merge_thresh, args.max_regions
-    )
+    raw = felzenszwalb(image, params)
+    spmap = rag_merge(raw, image, params.merge_thresh, args.max_regions, _stats=raw._stats)
     if spmap.n_regions > 1 << 16:
         raise DimOverflow(f"{spmap.n_regions} regions do not fit u16 ids")
     save_tensor(spmap.region_of.astype(np.uint16), args.out)

@@ -26,19 +26,30 @@ from .errors import (
 from .tensorio import RasterImage
 
 _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
-# -ffp-contract=off: no fused multiply-add, so edge weights, thresholds and
-# merge distances round as numpy's do
-# -fno-math-errno: sqrt is the bare instruction
+# -O3: the elementwise loops (the blur, gray_gradients, the magnitudes)
+# vectorise. Each vector lane computes its value by the same operations in
+# the same order as the scalar loop, and -O3 reassociates nothing, so every
+# value rounds as at -O2; the byte tests and golden digests hold either way
+# -fno-trapping-math: the magnitudes compute both of the hypot kernel's
+# corrections and select one; without this flag gcc keeps the branch, for
+# the floating-point exceptions of the path not taken, and that loop does
+# not vectorise. It changes no rounding
+# -ffp-contract=off: no fused multiply-add, so edge weights, thresholds,
+# merge distances and magnitudes round as numpy's do
+# -fno-math-errno: sqrt is the bare instruction, and vectorises
 # -falign-loops=32: loop speed stops hanging on where the code lands; the
 # blur's unchanged loops ran 11-15% slower at 64x64 after code around them
 # moved, and at par with this flag
-# -pthread: the blur, the segmentation and the region sums can take a
-# second thread
-# -lm: hypot is libm's, the function np.hypot calls; it goes after the
-# source, where _build_felz puts these flags
+# -pthread: the blur and the segmentation can take a second thread
+# -lm: at these flags the library calls nothing in libm (sqrt and fabs are
+# instructions, and the magnitudes use no fma); it keeps a build whose
+# added flags turn one into a call linking. It goes after the source, where
+# _build_felz puts these flags
+# No flag may change rounding (-ffast-math and the flags it implies, -mfma)
+# or tie the cached library to the build host (-march=native).
 _FELZ_FLAGS = (
-    "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32",
-    "-pthread", "-lm",
+    "-O3", "-fno-trapping-math", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno",
+    "-falign-loops=32", "-pthread", "-lm",
 )
 
 # the pixel count from which the native passes run on two threads: below it
@@ -199,18 +210,17 @@ def _region_sums(spmap, image, gx, gy, theta, n_bins):
     np.bincount adds, and its count of each orientation bin (n, n_bins),
     the bin of theta being ((theta + pi) / (2 pi) * n_bins) truncated and
     clamped to 0..n_bins-1; with n_bins 0 the three gradient arrays may be
-    empty and those two sums are zero. On _threads' two threads, a second
-    thread computes the hypots of the last 3/5 of the pixels into this
-    thread's workspace."""
+    empty and those two sums are zero. The pass runs on one thread; the
+    hypots are one vectorised pass into this thread's workspace first,
+    rounded as np.hypot rounds them."""
     n = spmap.n_regions
     counts, sums, squares = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3))
     mag, hist = np.zeros(n), np.zeros((n, n_bins))
     region = np.ascontiguousarray(spmap.region_of, dtype=np.int32).ravel()
-    threads = _threads(region.size)
-    scratch = _buffers(region.size)[1] if n_bins > 0 and threads > 1 else np.empty(0)
+    scratch = _buffers(region.size)[1] if n_bins > 0 else np.empty(0)
     _load_felz().region_sums(
         region.size, region, image.data.ravel(), counts, sums.ravel(), squares.ravel(),
-        gx.ravel(), gy.ravel(), theta.ravel(), n_bins, mag, hist.ravel(), scratch, threads,
+        gx.ravel(), gy.ravel(), theta.ravel(), n_bins, mag, hist.ravel(), scratch,
     )
     return counts, sums, squares, mag, hist
 
@@ -293,12 +303,9 @@ def _load_felz():
     lib.gray_gradients.argtypes = [c_i64, c_i64, u8, f64, f64, f64]
     lib.gray_gradients.restype = None
     # n_pixels, region, rgb, counts, sums, squares, gx, gy, theta, n_bins, mag,
-    # hist, scratch, threads; the outputs are added to, gx, gy, theta, mag
-    # and hist are read only when n_bins > 0, and scratch (n_pixels -
-    # n_pixels * 2 // 5 values) only then on two threads
-    lib.region_sums.argtypes = [
-        c_i64, i32, u8, f64, f64, f64, f64, f64, f64, c_i64, f64, f64, f64, c_i64
-    ]
+    # hist, scratch; the outputs are added to, and gx, gy, theta, mag, hist
+    # and scratch (n_pixels values) are touched only when n_bins > 0
+    lib.region_sums.argtypes = [c_i64, i32, u8, f64, f64, f64, f64, f64, f64, c_i64, f64, f64, f64]
     lib.region_sums.restype = None
     # n_pixels, region, label, ignore, n_categories, counts (added to);
     # returns the count of labels other than ignore at n_categories or more
@@ -323,9 +330,10 @@ _WORKSPACE = _Workspace()
 def _buffers(n):
     """This thread's buffers for an n-pixel image: the blurred image (3n),
     then felz_segment's scratch, gen-indexed weights (4n, also the blur's
-    and the region sums' scratch), sort records (8n, also where _gradients
-    puts its three arrays) and per-pixel sizes and thresholds (n each, the
-    thresholds also _gradients' gray image)."""
+    scratch and where the region sums put each pixel's gradient magnitude),
+    sort records (8n, also where _gradients puts its three arrays) and
+    per-pixel sizes and thresholds (n each, the thresholds also _gradients'
+    gray image)."""
     ws = _WORKSPACE
     if ws.n != n:
         ws.n, ws.buffers = -1, ()  # the old buffers go before the new ones come

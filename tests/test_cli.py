@@ -358,6 +358,26 @@ def test_superpix_rejects_more_regions_than_u16_ids(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_superpix_hands_the_raw_sums_to_the_merge(synth_dir, tmp_path, monkeypatch):
+    # the merge took its own _region_sums pass over the image just segmented
+    image = synth_dir / "0000.ppm"
+    img, params = load_ppm(image), SegParams()  # the command's defaults
+    want = superpixel.rag_merge(superpixel.felzenszwalb(img, params), img, params.merge_thresh)
+    save_tensor(want.region_of.astype(np.uint16), tmp_path / "want.dfnt")
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return region_sums(*args)
+
+    region_sums = superpixel._region_sums
+    monkeypatch.setattr(superpixel, "_region_sums", spy)
+    out = tmp_path / "sp.dfnt"
+    assert main(["superpix", "--image", str(image), "--out", str(out)]) == 0
+    assert calls == []
+    assert out.read_bytes() == (tmp_path / "want.dfnt").read_bytes()
+
+
 @pytest.mark.parametrize("max_regions", ["0", "-1"])
 def test_superpix_rejects_max_regions_below_one(
     synth_dir, tmp_path, capsys, monkeypatch, max_regions

@@ -164,6 +164,55 @@ def test_native_magnitude_equals_np_hypot_on_every_reachable_pair():
         assert (hist == 1).all()
 
 
+def _native_magnitudes(gx, gy):
+    """region_sums' magnitude of each (gx, gy) pair, one region a pixel."""
+    m = gx.size
+    spmap = SuperpixelMap(np.arange(m).reshape(1, m))
+    image = make_image(np.zeros((1, m, 3)))
+    return _region_sums(spmap, image, gx, gy, np.zeros(m), 1)[3]
+
+
+def test_native_magnitude_equals_np_hypot_on_signed_pairs():
+    # np.gradient gives signed gx and gy. Every fourth chunk of the reachable
+    # grid, under all four sign pairs and in both orders, with -0.0 among the
+    # values; a zero takes glibc's ax + ay path
+    values = np.concatenate([[-0.0], _reachable_gradients()])
+    assert values[1] == 0.0 and np.signbit(values[0])
+    rows = 256
+    for start in range(0, len(values), 4 * rows):
+        gx, gy = np.meshgrid(values[start : start + rows], values, indexing="ij")
+        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            want = np.hypot(sx * gx, sy * gy).ravel()
+            for a, b in ((sx * gx, sy * gy), (sy * gy, sx * gx)):
+                assert _native_magnitudes(a, b).tobytes() == want.tobytes()
+
+
+def test_native_magnitude_equals_np_hypot_past_the_u8_range():
+    # the paths no u8 image reaches: both scalings, subnormals, overflow to
+    # inf, inf and NaN; random bit patterns of every sign and exponent, half
+    # of them paired with a value within 2^60 of the first
+    rng = np.random.default_rng(5)
+    gx, far = rng.integers(0, 2**64, size=(2, 100_000), dtype=np.uint64).view(np.float64)
+    exps = rng.integers(-60, 60, size=gx.size)
+    with np.errstate(over="ignore"):  # some overflow to inf
+        near = np.ldexp(np.where(np.isfinite(gx), gx, 1.0), exps)
+    gy = np.where(rng.random(gx.size) < 0.5, far, near)
+    special = np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0**-1022, np.nextafter(2.0**-511, 0),
+        2.0**-511, 2.0**511, np.nextafter(2.0**511, np.inf), np.finfo(np.float64).max,
+    ])
+    sx, sy = np.meshgrid(special, special)
+    gx, gy = np.concatenate([gx, sx.ravel()]), np.concatenate([gy, sy.ravel()])
+    with np.errstate(over="ignore", invalid="ignore"):  # a signaling NaN is invalid
+        want = np.hypot(gx, gy)
+    assert np.isnan(gx).any() and np.isinf(want).sum() > len(special)
+    # of two NaNs, x + y keeps the payload of whichever operand the compiler
+    # put first, so a NaN is held to being NaN only
+    got, nan = _native_magnitudes(gx, gy), np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_constant_image_all_zero(rng):
     img = make_image(np.full((6, 6, 3), 77))
     spmap = random_spmap(rng)

@@ -1325,8 +1325,8 @@ def _has_libtsan():
 @pytest.mark.skipif(not _has_libtsan(), reason="gcc has no libtsan")
 def test_two_threads_clean_under_tsan(tmp_path):
     # a C driver: python3 with libtsan preloaded does not start. It runs the
-    # blur, the segmentation and the region sums of a 256x256 image on two
-    # threads and checks them against one
+    # blur and the segmentation of a 256x256 image on two threads, and the
+    # region sums on the result, and checks them against one thread
     driver = Path(__file__).with_name("tsan_driver.c")
     exe = tmp_path / "tsan_driver"
     cmd = ["gcc", "-fsanitize=thread", "-g", "-O1", "-pthread", "-ffp-contract=off",
@@ -1422,10 +1422,24 @@ def test_native_build_reused_from_cache(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == [lib] and lib.stat().st_mtime_ns == stamp
 
 
+# flags that change how a value rounds (fast-math and the flags it implies,
+# or fused multiply-adds), or that tie the cached library to the host that
+# built it
+_FORBIDDEN_FLAGS = {
+    "-ffast-math", "-funsafe-math-optimizations", "-fassociative-math", "-freciprocal-math",
+    "-mfma", "-march=native",
+}
+
+
+def test_native_flags_keep_every_rounding():
+    assert "-ffp-contract=off" in superpixel._FELZ_FLAGS
+    assert not _FORBIDDEN_FLAGS & set(superpixel._FELZ_FLAGS)
+
+
 def test_native_source_compiles_without_warnings(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
-    # linked as _build_felz links it, and every symbol must resolve: hypot
-    # needs the -lm among the flags, after the source
+    # linked as _build_felz links it, and every symbol must resolve, libm's
+    # through the -lm among the flags, after the source
     flags = ["-Wall", "-Wextra", "-Werror", *superpixel._FELZ_FLAGS, "-Wl,--no-undefined"]
     cmd = ["gcc", str(superpixel._FELZ_SOURCE), *flags, "-o", str(tmp_path / "lint.so")]
     proc = subprocess.run(cmd, capture_output=True, text=True)

@@ -1,9 +1,10 @@
-/* Runs gauss_blur, felz_segment and region_sums of _felzenszwalb.c on one
- * and on two threads over a 256x256 image and exits nonzero unless both
- * give the same bytes, felz_segment's region sums and border pairs among
- * them, or unless MIN_SIZE lies between the smallest and the largest
- * component the first union-find pass leaves, so that the min-size pass
- * both skips edges and links components. Built with -fsanitize=thread
+/* Runs gauss_blur and felz_segment of _felzenszwalb.c on one and on two
+ * threads over a 256x256 image, then region_sums (one thread) on the
+ * result, and exits nonzero unless both runs give the same bytes,
+ * felz_segment's region sums and border pairs among them, or unless
+ * MIN_SIZE lies between the smallest and the largest component the first
+ * union-find pass leaves, so that the min-size pass both skips edges and
+ * links components. Built with -fsanitize=thread
  * together with _felzenszwalb.c by tests/test_superpixel.py, which also
  * fails on any report of the sanitizer:
  *
@@ -27,7 +28,7 @@ void gray_gradients(int64_t h, int64_t w, const uint8_t *rgb, double *gray, doub
 void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb, double *counts,
                  double *sums, double *squares, const double *gx, const double *gy,
                  const double *theta, int64_t n_bins, double *mag, double *hist,
-                 double *scratch, int64_t n_threads);
+                 double *scratch);
 
 #define H 256
 #define W 256
@@ -80,7 +81,7 @@ static void run(int64_t n_threads, double min_size, const uint8_t *rgb, const do
     memcpy(out->stats, rec, 7 * out->n_regions * sizeof *out->stats);
     memcpy(out->pairs, wgt, 2 * out->n_pairs * sizeof *out->pairs);
     region_sums(N, out->id, rgb, out->counts, out->sums, out->squares, gx, gy, theta, BINS,
-                out->mag, out->hist, wgt, n_threads);
+                out->mag, out->hist, wgt);
 }
 
 /* Whether MIN_SIZE lies above the smallest and at most the largest
