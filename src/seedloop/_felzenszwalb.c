@@ -9,13 +9,13 @@
  * the 4-connected components of the result; it needs h * w <= 2^30.
  *
  * label_components splits a label map into 4-connected components and,
- * for felz_segment, sums up each component's pixels and lists the borders
- * between components as it numbers them. gray_gradients gives an image's
- * gray level and its np.gradient arrays, region_sums adds up per-region
- * pixel statistics in scan order, label_counts counts each region's pixels
- * per label, and rag_merge_loop merges adjacent regions greedily and
- * numbers the survivors. All seven take every buffer from the caller and
- * cannot fail.
+ * for felz_segment, gives each component its pixel count and color sums,
+ * 4 int64 values a component, and lists the borders between components as
+ * it numbers them. gray_gradients gives an image's gray level and its
+ * np.gradient arrays, region_sums adds up per-region pixel statistics in
+ * scan order, label_counts counts each region's pixels per label, and
+ * rag_merge_loop merges adjacent regions greedily and numbers the
+ * survivors. All seven take every buffer from the caller and cannot fail.
  *
  * gauss_blur and felz_segment take a thread count: at 2 they run part of
  * their work on a second thread, with every value computed and added in the
@@ -38,7 +38,7 @@ int64_t felz_segment(int64_t h, int64_t w, const double *img, const uint8_t *rgb
                      int64_t n_threads);
 int64_t rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
                        double *sums, double *counts, int64_t *final, double *dist,
-                       double merge_thresh, int64_t max_regions);
+                       double merge_thresh);
 int64_t label_components(int64_t h, int64_t w, const int64_t *label, int64_t *parent,
                          int32_t *id, const uint8_t *rgb, int64_t *stats, int64_t *pairs,
                          int64_t *n_pairs);
@@ -549,15 +549,15 @@ SHARED_LOOP void union_find(int64_t n_pixels, int64_t n_edges, const uint64_t *e
  * leave a component whose pixels touch only diagonally, so label_components
  * splits each root's pixels into 4-connected regions, numbered 0.. by first
  * pixel in scan order. Which root names a component therefore does not
- * matter. Returns the region count n; the numbering also sums up each
- * region's pixels of the (h, w, 3) u8 image rgb into rec, 7 int64 values a
- * region, and writes *n_pairs border pairs into wgt, 2 int64 values a pair,
- * as label_components describes. The rest is
- * scratch: wgt of 4 * h * w weights, one per generation index, rec of
- * 8 * h * w records, the sort's two buffers of 4 * h * w each, and size
- * and thresh of h * w values each. On two threads the second sorts the
- * edges bucket by bucket while this one merges along them (see struct
- * felz_job); the edges come in the same order either way. */
+ * matter. Returns the region count n; the numbering also writes each
+ * region's pixel count and color sums over the (h, w, 3) u8 image rgb into
+ * rec, 4 int64 values a region, and *n_pairs border pairs into wgt, 2 int64
+ * values a pair, as label_components describes. The rest is scratch: wgt
+ * of 4 * h * w weights, one per generation index, rec of 8 * h * w records,
+ * the sort's two buffers of 4 * h * w each, and size and thresh of h * w
+ * values each. On two threads the second sorts the edges bucket by bucket
+ * while this one merges along them (see struct felz_job); the edges come in
+ * the same order either way. */
 int64_t felz_segment(int64_t h, int64_t w, const double *img, const uint8_t *rgb, double k,
                      double min_size, double *wgt, uint64_t *rec, int64_t *size,
                      double *thresh, int64_t *root, int32_t *id, int64_t *n_pairs,
@@ -600,19 +600,15 @@ static void link_first(int64_t *parent, int64_t a, int64_t b)
 }
 
 /* Adds pixels p0..p1-1 of the u8 image rgb, a run of one region, to that
- * region's 7 slots: their count, their sums of each channel and their sums
- * of each channel's squares, added up in registers. */
+ * region's 4 slots: their count and their sums of each channel, added up in
+ * registers. */
 static void add_run(int64_t *slot, const uint8_t *rgb, int64_t p0, int64_t p1)
 {
-    int64_t s0 = 0, s1 = 0, s2 = 0, q0 = 0, q1 = 0, q2 = 0, p;
-    for (p = p0; p < p1; p++) {
-        int64_t r = rgb[3 * p], g = rgb[3 * p + 1], b = rgb[3 * p + 2];
-        s0 += r, s1 += g, s2 += b;
-        q0 += r * r, q1 += g * g, q2 += b * b;
-    }
+    int64_t s0 = 0, s1 = 0, s2 = 0, p;
+    for (p = p0; p < p1; p++)
+        s0 += rgb[3 * p], s1 += rgb[3 * p + 1], s2 += rgb[3 * p + 2];
     slot[0] += p1 - p0;
     slot[1] += s0, slot[2] += s1, slot[3] += s2;
-    slot[4] += q0, slot[5] += q1, slot[6] += q2;
 }
 
 /* Appends (a, b) as pair m of pairs, 2 values a pair, unless a == b or it
@@ -652,8 +648,8 @@ static int64_t add_up_pairs(int64_t *pairs, int64_t m, const int32_t *id, int64_
  *
  * The numbering pass also works run by run, a run being pixels of equal
  * ids in scan order. When stats is set, it gives component r its pixel
- * count at stats[7r], the sums of rgb's three channels at stats[7r + 1..3]
- * and their squares' at stats[7r + 4..6], rgb being an (h, w, 3) u8 image:
+ * count at stats[4r] and the sums of rgb's three channels at
+ * stats[4r + 1..3], rgb being an (h, w, 3) u8 image:
  * a component's slots are zeroed when it gets its number, and a run is
  * added up in registers (add_run) where it ends. When pairs is set, it gets
  * each (id[p - 1], id[p]) and (id[p - w], id[p]) whose ids differ, the
@@ -682,11 +678,11 @@ int64_t label_components(int64_t h, int64_t w, const int64_t *label, int64_t *pa
             id[p] = (int32_t)v;
             if (v != cur) { /* a run starts: p is the first pixel, or id[p - 1] is cur */
                 if (stats && cur >= 0)
-                    add_run(stats + 7 * cur, rgb, start, p);
+                    add_run(stats + 4 * cur, rgb, start, p);
                 if (pairs && cur >= 0)
                     m = add_up_pairs(pairs, m, id, w, start, p, cur);
                 if (stats && first)
-                    memset(stats + 7 * v, 0, 7 * sizeof *stats);
+                    memset(stats + 4 * v, 0, 4 * sizeof *stats);
                 if (pairs && x > 0)
                     m = add_pair(pairs, m, cur, v);
                 cur = v;
@@ -695,7 +691,7 @@ int64_t label_components(int64_t h, int64_t w, const int64_t *label, int64_t *pa
         }
     }
     if (stats)
-        add_run(stats + 7 * cur, rgb, start, p);
+        add_run(stats + 4 * cur, rgb, start, p);
     if (pairs)
         *n_pairs = add_up_pairs(pairs, m, id, w, start, p, cur);
     return n;
@@ -898,22 +894,21 @@ static double mean_dist(const double *sums, const double *counts, int64_t a, int
  * (ea[e], eb[e]), ea[e] < eb[e], rows in any order. Each step merges the
  * pair of smallest key ea * n + eb among those whose distance lies within
  * 1e-12 of the minimum; the first row wins a duplicate key. It stops when
- * that pair's distance is not below merge_thresh, unless more than
- * max_regions regions are alive. A merge of (i, j) keeps i: sums and counts
- * of j are added into i, final[j] becomes i, and the rows are rewritten
- * with j as i, self-loops dropped and each pair reordered to a < b. Only
- * rows that touch i get a new distance. All arrays are the caller's: ea,
- * eb and dist (scratch, n_edges long) are compacted in place, sums (n x 3)
- * and counts are updated in place, and final (n long) comes in as 0..n-1.
- * On return final[r] is the number of the survivor that holds region r,
- * survivors numbered 0.. in id order: each merge keeps the smaller id, so
- * one ascending pass numbers a region's parent before the region. Returns
- * the survivor count. */
+ * that pair's distance is not below merge_thresh. A merge of (i, j) keeps
+ * i: sums and counts of j are added into i, final[j] becomes i, and the
+ * rows are rewritten with j as i, self-loops dropped and each pair
+ * reordered to a < b. Only rows that touch i get a new distance. All
+ * arrays are the caller's: ea, eb and dist (scratch, n_edges long) are
+ * compacted in place, sums (n x 3) and counts are updated in place, and
+ * final (n long) comes in as 0..n-1. On return final[r] is the number of
+ * the survivor that holds region r, survivors numbered 0.. in id order:
+ * each merge keeps the smaller id, so one ascending pass numbers a region's
+ * parent before the region. Returns the survivor count. */
 int64_t rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
                        double *sums, double *counts, int64_t *final, double *dist,
-                       double merge_thresh, int64_t max_regions)
+                       double merge_thresh)
 {
-    int64_t n_alive = n, e, r, m;
+    int64_t e, r, m;
     for (e = 0; e < n_edges; e++)
         dist[e] = mean_dist(sums, counts, ea[e], eb[e]);
     while (n_edges > 0) {
@@ -928,7 +923,7 @@ int64_t rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
                 best_key = key;
             }
         }
-        if (dist[best] >= merge_thresh && n_alive <= max_regions)
+        if (dist[best] >= merge_thresh)
             break;
         i = ea[best];
         j = eb[best];
@@ -937,7 +932,6 @@ int64_t rag_merge_loop(int64_t n, int64_t n_edges, int64_t *ea, int64_t *eb,
         sums[3 * i + 2] += sums[3 * j + 2];
         counts[i] += counts[j];
         final[j] = i;
-        n_alive--;
         for (e = 0, m = 0; e < n_edges; e++) {
             int64_t a = ea[e] == j ? i : ea[e], b = eb[e] == j ? i : eb[e];
             if (a == b)

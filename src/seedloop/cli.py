@@ -25,7 +25,6 @@ from .seeds import GateParams, SeedState, _check_steps, custom_walk
 from .superpixel import (
     SegParams,
     SuperpixelMap,
-    _check_max_regions,
     _components,
     felzenszwalb,
     rag_merge,
@@ -75,10 +74,9 @@ def _cmd_synth(args):
 
 def _cmd_superpix(args):
     params = _from_args(SegParams, args)
-    _check_max_regions(args.max_regions)
     image = load_ppm(args.image)
     raw = felzenszwalb(image, params)
-    spmap = rag_merge(raw, image, params.merge_thresh, args.max_regions, _stats=raw._stats)
+    spmap = rag_merge(raw, image, params.merge_thresh, _stats=raw._stats)
     if spmap.n_regions > 1 << 16:
         raise DimOverflow(f"{spmap.n_regions} regions do not fit u16 ids")
     save_tensor(spmap.region_of.astype(np.uint16), args.out)
@@ -174,7 +172,6 @@ def build_parser():
     p = sub.add_parser("superpix", help="compute superpixels")
     p.add_argument("--image", required=True)
     _add_fields(p, SegParams)
-    p.add_argument("--max-regions", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_superpix)
 

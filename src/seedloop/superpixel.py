@@ -20,7 +20,6 @@ from .errors import (
     InvalidParams,
     NativeBuildError,
     ShapeMismatch,
-    check_int,
     check_int_fields,
 )
 from .tensorio import RasterImage
@@ -66,10 +65,9 @@ class SuperpixelMap:
     the maps that `felzenszwalb` and `rag_merge` number skip (`_numbered`).
     `edges` are the map's `region_edges`: those two pass the pairs they
     derive as _edges, and any other map computes them from its pixels on
-    first use. `felzenszwalb` also passes its regions' pixel counts (n,), RGB
-    sums (n, 3) and RGB sums of squares (n, 3) over the image it segmented,
-    as _region_sums adds them up, as _stats; other maps have None. Maps
-    compare by identity."""
+    first use. `felzenszwalb` also passes its regions' pixel counts (n,) and
+    RGB sums (n, 3) over the image it segmented, as _region_sums adds them
+    up, as _stats; other maps have None. Maps compare by identity."""
 
     region_of: np.ndarray  # (height, width) int32
     _edges: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -286,11 +284,10 @@ def _load_felz():
         c_i64, c_i64, img, u8, c_f64, c_f64, f64, u64, i64, f64, i64, map_i32, i64, c_i64
     ]
     lib.felz_segment.restype = c_i64
-    # n, n_edges, ea, eb, sums, counts, final, dist, merge_thresh, max_regions;
-    # every array is updated in place, dist is scratch, final goes in as
-    # 0..n-1 and comes out as each region's survivor id; returns the
-    # survivor count
-    lib.rag_merge_loop.argtypes = [c_i64, c_i64, i64, i64, f64, f64, i64, f64, c_f64, c_i64]
+    # n, n_edges, ea, eb, sums, counts, final, dist, merge_thresh; every
+    # array is updated in place, dist is scratch, final goes in as 0..n-1
+    # and comes out as each region's survivor id; returns the survivor count
+    lib.rag_merge_loop.argtypes = [c_i64, c_i64, i64, i64, f64, f64, i64, f64, c_f64]
     lib.rag_merge_loop.restype = c_i64
     # h, w, label, parent (scratch), id (out), then rgb, stats, pairs and the
     # pair count, all None to only number; returns the component count
@@ -405,13 +402,12 @@ def _segment(img, params, rgb):
     """felz_segment on a blurred float64 (h, w, 3) image, on _threads' count,
     with rgb the u8 (h, w, 3) image it was blurred from: each pixel's root,
     as a flat int64 array in scan order, its (h, w) int32 region id, its
-    regions' pixel counts, RGB sums and RGB sums of squares over rgb (see
-    SuperpixelMap), and their edges as region_edges gives them. The
-    numbering that gives the ids also sums up the regions and lists the
-    border pairs, into this thread's workspace: the scratch, 4 slots a pixel
-    for the sort, so the edge count stays in C. No component exceeds h * w
-    pixels, so a min_size above h * w + 1 acts as h * w + 1, which a double
-    holds."""
+    regions' pixel counts and RGB sums over rgb (see SuperpixelMap), and
+    their edges as region_edges gives them. The numbering that gives the ids
+    also sums up the regions and lists the border pairs, into this thread's
+    workspace: the scratch, 4 slots a pixel for the sort, so the edge count
+    stays in C. No component exceeds h * w pixels, so a min_size above
+    h * w + 1 acts as h * w + 1, which a double holds."""
     h, w, _ = img.shape
     n = h * w
     roots, ids = np.empty(n, np.int64), np.empty((h, w), np.int32)
@@ -422,9 +418,9 @@ def _segment(img, params, rgb):
         h, w, img, np.ascontiguousarray(rgb).ravel(), params.k, min_size, wgt, rec, size,
         thresh, roots, ids, n_pairs, _threads(n),
     )
-    # 7 a region: the count, 3 sums, 3 sums of squares
-    sums = rec.view(np.int64)[: 7 * n_regions].reshape(n_regions, 7)
-    stats = tuple(sums[:, cols].astype(np.float64) for cols in (0, slice(1, 4), slice(4, 7)))
+    # 4 a region: the count and 3 sums
+    sums = rec.view(np.int64)[: 4 * n_regions].reshape(n_regions, 4).astype(np.float64)
+    stats = sums[:, 0], sums[:, 1:]
     pairs = wgt.view(np.int64)[: 2 * n_pairs[0]].reshape(-1, 2)
     return roots, ids, stats, _unique_pairs([(pairs[:, 0], pairs[:, 1])], n_regions)
 
@@ -451,26 +447,19 @@ def region_edges(region_of):
     return _unique_pairs(pairs, n)
 
 
-def _check_max_regions(max_regions):
-    """rag_merge's check of max_regions, which the CLI runs before segmenting."""
-    if max_regions is not None:
-        check_int("max_regions", max_regions, low=1)
-
-
 def rag_merge(
     spmap: SuperpixelMap,
     image: RasterImage,
     merge_thresh: float,
-    max_regions: int | None = None,
     *,
     _stats: tuple | None = None,
 ) -> SuperpixelMap:
     """Greedily merge the closest adjacent region pair by mean RGB distance.
 
-    Repeats while the smallest distance is below merge_thresh (or until
-    max_regions is reached, when given); mean colors are pixel-count-weighted.
-    The pair merged is the first (i, j) in lexicographic order whose distance
-    lies within 1e-12 of the minimum, so near-ties go to the smaller pair.
+    Repeats while the smallest distance is below merge_thresh; mean colors
+    are pixel-count-weighted. The pair merged is the first (i, j) in
+    lexicographic order whose distance lies within 1e-12 of the minimum, so
+    near-ties go to the smaller pair.
     A merge keeps the smaller id, and survivors are numbered 0.. in id
     order. Ids in scan order, as `felzenszwalb` makes them, stay in scan order:
     a group's smallest id names its first pixel. Merged regions are unions of
@@ -490,21 +479,17 @@ def rag_merge(
         raise DimensionMismatch("superpixel map and image dimensions differ")
     if not 0 <= merge_thresh < np.inf:  # NaN fails every comparison, as in SegParams
         raise InvalidParams(f"merge_thresh must be finite and >= 0, got {merge_thresh}")
-    _check_max_regions(max_regions)
     if _stats is None:
         empty = np.empty(0)  # n_bins 0: no gradient sums
-        _stats = _region_sums(spmap, image, empty, empty, empty, 0)[:3]
+        _stats = _region_sums(spmap, image, empty, empty, empty, 0)[:2]
     n = spmap.n_regions
-    counts, sums = (a.copy() for a in _stats[:2])  # the merge updates them in place
+    counts, sums = (a.copy() for a in _stats)  # the merge updates them in place
     pairs = spmap.edges
     ea, eb = pairs.T.copy()
     final = np.arange(n, dtype=np.int64)  # becomes each region's survivor id
-    # at most n regions are ever alive, so a cap of n or more forces no merge;
-    # min keeps a larger one inside the native int64
-    cap = n if max_regions is None else min(int(max_regions), n)
     dist = np.empty(len(ea))
     n_merged = _load_felz().rag_merge_loop(
-        n, len(ea), ea, eb, sums.ravel(), counts, final, dist, float(merge_thresh), cap
+        n, len(ea), ea, eb, sums.ravel(), counts, final, dist, float(merge_thresh)
     )
     merged = _unique_pairs([(final[pairs[:, 0]], final[pairs[:, 1]])], n_merged)
     region_of = np.take(final.astype(np.int32), spmap.region_of)  # a third of []'s time

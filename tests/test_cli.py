@@ -13,7 +13,6 @@ from seedloop import (
     load_ppm,
     superpixel_features,
 )
-import seedloop.cli as cli
 import seedloop.relgraph as relgraph
 import seedloop.superpixel as superpixel
 from seedloop.cli import _spmap_from_tensor, build_parser, main
@@ -378,22 +377,8 @@ def test_superpix_hands_the_raw_sums_to_the_merge(synth_dir, tmp_path, monkeypat
     assert out.read_bytes() == (tmp_path / "want.dfnt").read_bytes()
 
 
-@pytest.mark.parametrize("max_regions", ["0", "-1"])
-def test_superpix_rejects_max_regions_below_one(
-    synth_dir, tmp_path, capsys, monkeypatch, max_regions
-):
-    monkeypatch.setattr(cli, "felzenszwalb", _no_work)
-    out = tmp_path / "sp.dfnt"
-    args = ["superpix", "--image", str(synth_dir / "0000.ppm"), "--out", str(out)]
-    assert main([*args, "--max-regions", max_regions]) == 1
-    assert "InvalidParams" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_superpix_takes_caps_beyond_the_native_ints(synth_dir, tmp_path):
-    # a --max-regions of 2**64 + 2 wrapped to 2 in the native int64 and
-    # merged the scene to 2 regions; a --min-size of 10**400 ended in a
-    # ctypes traceback
+    # a --min-size of 10**400 ended in a ctypes traceback
     image = str(synth_dir / "0000.ppm")
     out = tmp_path / "sp.dfnt"
 
@@ -401,8 +386,6 @@ def test_superpix_takes_caps_beyond_the_native_ints(synth_dir, tmp_path):
         assert main(["superpix", "--image", image, *flags, "--out", str(out)]) == 0
         return load_tensor(out)
 
-    raw = regions("--merge-thresh", "0")
-    assert np.array_equal(regions("--merge-thresh", "0", "--max-regions", str(2**64 + 2)), raw)
     whole = regions("--min-size", str(64 * 64 + 1))
     assert np.array_equal(regions("--min-size", str(10**400)), whole)
 

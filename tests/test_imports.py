@@ -1,10 +1,14 @@
 """Every name a module imports is used in that module: an `ast` check, since
-the test stack carries no linter."""
+the test stack carries no linter. And every native function's ctypes binding
+takes as many arguments as its C prototype."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from seedloop import superpixel
 
 ROOT = Path(__file__).resolve().parents[1]
 # __init__.py imports only to re-export
@@ -33,3 +37,19 @@ def test_every_import_is_used(path):
 def test_unused_import_is_found():
     source = "from __future__ import annotations\nimport os, numpy as np\nfrom x import a, b\nnp.f(a)\n"
     assert unused_imports(source) == ["b", "os"]
+
+
+def native_prototypes(source: str) -> dict:
+    """The parameter count of each function _felzenszwalb.c declares at its
+    top, by name: a prototype ends in ");", a definition in a body."""
+    found = re.findall(r"^(?:void|int64_t) (\w+)\(([^;{]*)\);", source, re.M)
+    return {name: params.count(",") + 1 for name, params in found}
+
+
+# under cdecl an argument that C no longer takes is dropped silently, and a
+# missing one reads whatever the register holds: neither fails at the call
+def test_every_native_binding_matches_its_prototype():
+    prototypes = native_prototypes(superpixel._FELZ_SOURCE.read_text())
+    lib = superpixel._load_felz()
+    assert len(prototypes) == 7
+    assert {name: len(getattr(lib, name).argtypes) for name in prototypes} == prototypes

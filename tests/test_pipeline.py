@@ -566,6 +566,46 @@ def test_readme_names_every_cli_flag():
     assert missing == []
 
 
+def stale_cli_flags(readme, options):
+    """The `sub --flag`s readme names that options, a set of option strings
+    by subcommand, lacks: on a `seedloop sub` line of a code block and on its
+    indented continuation and comment lines, and in an inline span that
+    starts with `sub` or `seedloop sub`."""
+    named, sub, fenced = [], None, False
+    for line in readme.splitlines():
+        if line.startswith("```"):
+            fenced, sub = not fenced, None
+        elif fenced:
+            words = line.split()
+            if words[:1] == ["seedloop"] and len(words) > 1:
+                sub = words[1]
+            elif not line.startswith(" "):
+                sub = None
+            if sub:
+                named += [(sub, flag) for flag in re.findall(r"--[\w-]+", line)]
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        words = span.removeprefix("seedloop ").split()
+        if words and words[0] in options:
+            named += [(words[0], flag) for flag in re.findall(r"--[\w-]+", span)]
+    return [f"{sub} {flag}" for sub, flag in named if flag not in options.get(sub, ())]
+
+
+def test_readme_names_no_stale_cli_flag():
+    (subcommands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {name: set(sub._option_string_actions) for name, sub in subcommands.choices.items()}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert stale_cli_flags(readme, options) == []
+    # a flag superpix lacks, on a continuation line's comment and in a span
+    stale = (
+        "```sh\nseedloop superpix --image a.ppm \\\n"
+        "    --out sp.dfnt   # optional: --retired 50\n```\n"
+        "`superpix --retired N` keeps merging past `--merge-thresh`\n"
+    )
+    assert stale_cli_flags(stale, options) == ["superpix --retired"] * 2
+
+
 def test_parse_config_unknown_key(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("nonsense = 1\n")

@@ -191,34 +191,6 @@ def test_rag_merge_dimension_mismatch(rng):
         rag_merge(spmap, other, 10.0)
 
 
-def test_rag_merge_max_regions_cap(rng):
-    img = make_image(rng.integers(0, 256, size=(16, 16, 3)))
-    spmap = felzenszwalb(img, SegParams(k=50, min_size=2))
-    if spmap.n_regions > 2:
-        merged = rag_merge(spmap, img, 0.0, max_regions=2)
-        assert merged.n_regions == 2
-
-
-# 2.5 merged to 2 regions through int() and True to 1
-@pytest.mark.parametrize("max_regions", [0, -1, 2.5, True])
-def test_rag_merge_rejects_max_regions_below_one(rng, max_regions):
-    img = make_image(rng.integers(0, 256, size=(16, 16, 3)))
-    spmap = felzenszwalb(img, SegParams(k=50, min_size=2))
-    with pytest.raises(InvalidParams):
-        rag_merge(spmap, img, 0.0, max_regions=max_regions)
-
-
-# the cap went to the native int64 as it was: 2**63 wrapped to -2**63 and
-# 2**64 + 2 to 2, which merged the 20 regions down to 1 and 2
-@pytest.mark.parametrize("max_regions", [2**63, 2**64 + 2], ids=["2**63", "2**64+2"])
-def test_rag_merge_cap_beyond_int64_forces_no_merge(max_regions):
-    img, _, _ = gen_synthetic(7, 1)[0]
-    spmap = felzenszwalb(img, SegParams())
-    assert spmap.n_regions == 20
-    merged = rag_merge(spmap, img, 0.0, max_regions=max_regions)
-    assert np.array_equal(merged.region_of, spmap.region_of)
-
-
 @pytest.mark.parametrize("merge_thresh", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
 def test_rag_merge_rejects_merge_thresh_outside_seg_params_range(merge_thresh):
     img, _, _ = gen_synthetic(7, 1)[0]
@@ -235,7 +207,7 @@ def _color_dist(a, b):
     return np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2])
 
 
-def _reference_rag_merge(spmap, image, merge_thresh, max_regions=None):
+def _reference_rag_merge(spmap, image, merge_thresh):
     """Pairwise-scan greedy merge over a dict-of-sets RAG: every step scans
     all alive pairs in (i, j) order and replaces the best only when a
     distance is smaller by more than 1e-12."""
@@ -272,8 +244,7 @@ def _reference_rag_merge(spmap, image, merge_thresh, max_regions=None):
         if best is None:
             break
         d, i, j = best
-        force = max_regions is not None and len(alive) > max_regions
-        if d >= merge_thresh and not force:
+        if d >= merge_thresh:
             break
         sums[i] += sums[j]
         counts[i] += counts[j]
@@ -315,16 +286,28 @@ def _chain_case():
     return img, SuperpixelMap(np.arange(len(levels), dtype=np.int32)[None, :])
 
 
+# merge thresholds at which _reference_rag_merge stops on each _tie_heavy_case
+# seed and on the chain with 3 and with 2 regions left, which their late
+# merges decide: on seed 1 the last merge is nearer than the one before it,
+# and on seed 4 the last but one, so neither stops at the other count
+_LATE_THRESH = {
+    0: (192, 200), 1: (170,), 2: (170, 177), 3: (160, 185), 4: (200,), 5: (195, 196.5),
+    6: (180, 190), 7: (180, 185), 8: (190, 200), 9: (180, 190), 10: (185, 188),
+    11: (153, 160), 1655: (160, 170), "chain": (200, 300),
+}
+
+
 # seed 1655 is a map on which a plain argmin of the distances merges a
 # different pair than the reference does
-@pytest.mark.parametrize("seed", [*range(12), 1655, "chain"])
+@pytest.mark.parametrize("seed", list(_LATE_THRESH))
 def test_rag_merge_matches_pairwise_scan_oracle(seed):
     img, spmap = _chain_case() if seed == "chain" else _tie_heavy_case(seed)
-    for thresh, max_regions in ((30, None), (1e9, None), (0, 2), (0, 3), (25, 2), (25, 3)):
-        got = rag_merge(spmap, img, thresh, max_regions)
-        want = _reference_rag_merge(spmap, img, thresh, max_regions)
+    for thresh in (30, 1e9, *_LATE_THRESH[seed]):
+        got = rag_merge(spmap, img, thresh)
+        want = _reference_rag_merge(spmap, img, thresh)
         assert got.n_regions == want.n_regions
-        assert np.array_equal(got.region_of, want.region_of), (thresh, max_regions)
+        assert np.array_equal(got.region_of, want.region_of), thresh
+        assert thresh not in _LATE_THRESH[seed] or want.n_regions in (2, 3)
 
 
 # One row of pixels: single-pixel regions around a three-pixel region whose
@@ -332,33 +315,33 @@ def test_rag_merge_matches_pairwise_scan_oracle(seed):
 # to right round each 25 as noted; a fused multiply-add chain rounds the
 # at_thresh and below_thresh rows the other way.
 _ROUNDING_CASES = [
-    # d(0, 1) = 25.000000000000004 and d(1, 2) = 25.0: the forced merge
-    # takes the first pair, not the smaller second one
+    # d(0, 1) = 25.000000000000004 and d(1, 2) = 25.0: the merge takes the
+    # first pair, not the smaller second one; the merged mean lies 30.46
+    # from region 2, as region 0 would lie from a merged (1, 2)
     (
-        [(4, 8, 24), (1, 1, 1), (1, 1, 0), (0, 0, 0), (3, 4, 25)],
+        [(39, 109, 125), (60, 117, 136), (60, 117, 136), (59, 118, 137), (84, 114, 141)],
         [0, 1, 1, 1, 2],
-        0,
-        2,
+        26,
         [0, 0, 0, 0, 1],
     ),
     # d = 25.0: not below the threshold, no merge
-    ([(5, 25, 4), (1, 1, 1), (0, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 1, 1, 1]),
+    ([(5, 25, 4), (1, 1, 1), (0, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, [0, 1, 1, 1]),
     # d = 24.999999999999996: below the threshold, merged
-    ([(4, 9, 24), (1, 1, 1), (1, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, None, [0, 0, 0, 0]),
+    ([(4, 9, 24), (1, 1, 1), (1, 1, 1), (0, 0, 0)], [0, 1, 1, 1], 25, [0, 0, 0, 0]),
 ]
 
 
 @pytest.mark.parametrize(
-    "pixels, region_of, thresh, max_regions, expected",
+    "pixels, region_of, thresh, expected",
     _ROUNDING_CASES,
     ids=["near_tie", "at_thresh", "below_thresh"],
 )
-def test_rag_merge_exact_distance_rounding(pixels, region_of, thresh, max_regions, expected):
+def test_rag_merge_exact_distance_rounding(pixels, region_of, thresh, expected):
     img = make_image(np.array([pixels]))
     spmap = SuperpixelMap(np.array([region_of], dtype=np.int32))
-    got = rag_merge(spmap, img, thresh, max_regions)
+    got = rag_merge(spmap, img, thresh)
     assert got.region_of.ravel().tolist() == expected
-    want = _reference_rag_merge(spmap, img, thresh, max_regions)
+    want = _reference_rag_merge(spmap, img, thresh)
     assert np.array_equal(got.region_of, want.region_of)
 
 
@@ -383,7 +366,7 @@ def test_rag_merge_distance_rounds_as_left_to_right_sum():
         assert rag_merge(spmap, img, np.nextafter(d, np.inf)).n_regions == 1, d
 
 
-def _reference_incremental_rag_merge(spmap, image, merge_thresh, max_regions=None):
+def _reference_incremental_rag_merge(spmap, image, merge_thresh):
     """numpy greedy merge over the region-edge rows: after each merge, the
     rows are rewritten, compacted, and only those that touch the kept region
     get a new distance."""
@@ -398,19 +381,16 @@ def _reference_incremental_rag_merge(spmap, image, merge_thresh, max_regions=Non
     ea, eb = region_edges(spmap.region_of).T.copy()
     dist = _color_dist(means[ea], means[eb])
     final = np.arange(n)
-    n_alive = n
     while len(dist):
         near = np.flatnonzero(dist <= dist.min() + 1e-12)
         best = near[np.argmin(ea[near] * n + eb[near])]
-        force = max_regions is not None and n_alive > max_regions
-        if dist[best] >= merge_thresh and not force:
+        if dist[best] >= merge_thresh:
             break
         i, j = ea[best], eb[best]
         sums[i] += sums[j]
         counts[i] += counts[j]
         means[i] = sums[i] / counts[i]
         final[final == j] = i
-        n_alive -= 1
         ea[ea == j] = i
         eb[eb == j] = i
         keep = ea != eb
@@ -422,35 +402,44 @@ def _reference_incremental_rag_merge(spmap, image, merge_thresh, max_regions=Non
 
 
 # the benchmark's large256 and many_regions scenes, merged as configured, to
-# a quarter of their regions, to 3 and to 1
+# 3 regions, to 2 and to 1; late holds each scene's thresholds for 3 and 2
 @pytest.mark.parametrize(
-    "size, params",
-    [(256, SegParams()), (128, SegParams(k=20, min_size=5, merge_thresh=10))],
+    "size, params, late",
+    [
+        (256, SegParams(), ((100, 130), (23, 100), (20, 50), (100, 135), (100, 135))),
+        (
+            128,
+            SegParams(k=20, min_size=5, merge_thresh=10),
+            ((100, 120), (50, 120), (24.5, 120), (50, 120), (23, 120)),
+        ),
+    ],
     ids=["large256", "many_regions"],
 )
-def test_rag_merge_matches_incremental_oracle_on_scenes(size, params):
-    for img, _, _ in gen_synthetic(7, 5, SynthParams(size, size)):
+def test_rag_merge_matches_incremental_oracle_on_scenes(size, params, late):
+    scenes = gen_synthetic(7, 5, SynthParams(size, size))
+    for (img, _, _), (to_3, to_2) in zip(scenes, late, strict=True):
         spmap = felzenszwalb(img, params)
-        n = spmap.n_regions
-        for thresh, max_regions in (
-            (params.merge_thresh, None),
-            (0, 3),
-            (1e9, None),
-            (params.merge_thresh, n // 4),
-        ):
-            got = rag_merge(spmap, img, thresh, max_regions)
-            want = _reference_incremental_rag_merge(spmap, img, thresh, max_regions)
-            assert np.array_equal(got.region_of, want.region_of), (thresh, max_regions)
+        for thresh, left in ((params.merge_thresh, None), (to_3, 3), (to_2, 2), (1e9, 1)):
+            got = rag_merge(spmap, img, thresh)
+            want = _reference_incremental_rag_merge(spmap, img, thresh)
+            assert np.array_equal(got.region_of, want.region_of), thresh
+            assert left in (None, want.n_regions), thresh
 
 
 def test_rag_merge_tie_break_beyond_int32_pair_keys():
-    # 50000 one-pixel regions of one color: every distance ties, and the
-    # first pair (0, 1) wins; an int32 key i * n + j wraps above 46340 regions
-    img = make_image(np.zeros((1, 50000, 3)))
-    spmap = SuperpixelMap(np.arange(50000, dtype=np.int32).reshape(1, -1))
-    merged = rag_merge(spmap, img, 0.0, max_regions=49999)
-    assert merged.n_regions == 49999
-    assert merged.region_of[0, :3].tolist() == [0, 0, 1]
+    # 50000 one-pixel regions in a row, the first three 0, 49999 and 49998 in
+    # grays 100, 110 and 120, the rest 1.. alternating black and white: the
+    # pairs (0, 49999) and (49998, 49999) tie at distance 10 sqrt(3) = 17.3,
+    # and the first wins; its merged gray 105 lies 26.0 from region 49998,
+    # so at threshold 20 no other pair merges. An int32 key i * n + j wraps
+    # above 46340 regions, and 49998 * 50000 + 49999 would win as negative
+    n = 50000
+    ids = np.array([0, n - 1, n - 2, *range(1, n - 2)], dtype=np.int32)
+    gray = np.array([100, 110, 120, *(255 * (np.arange(n - 3) % 2))])
+    img = make_image(np.repeat(gray[None, :, None], 3, axis=2))
+    merged = rag_merge(SuperpixelMap(ids[None, :]), img, 20.0)
+    assert merged.n_regions == n - 1
+    assert merged.region_of[0, :3].tolist() == [0, 0, n - 2]
 
 
 def test_region_edges_sorted_unique_pairs(rng):
@@ -488,8 +477,8 @@ def test_rag_merge_carries_its_region_edges_on_workload_scenes(name):
 
 
 def test_rag_merge_carries_its_region_edges_on_native_merge_cases():
-    for spmap, img, thresh, max_regions in _native_merge_cases():
-        _assert_carries_its_edges(rag_merge(spmap, img, thresh, max_regions))
+    for spmap, img, thresh in _native_merge_cases():
+        _assert_carries_its_edges(rag_merge(spmap, img, thresh))
         _assert_carries_its_edges(rag_merge(spmap, img, 0.0))
 
 
@@ -500,12 +489,11 @@ def test_rag_merge_carries_its_region_edges_on_native_merge_cases():
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=1, max_value=6),
     st.floats(min_value=0.0, max_value=300.0),
-    st.none() | st.integers(min_value=1, max_value=20),
 )
-def test_rag_merge_carries_its_region_edges_on_random_maps(seed, h, w, n_values, thresh, cap):
+def test_rag_merge_carries_its_region_edges_on_random_maps(seed, h, w, n_values, thresh):
     rng = np.random.default_rng(seed)
     img = make_image(rng.integers(0, 256, size=(h, w, 3)))
-    merged = rag_merge(random_spmap(rng, h, w, n_values), img, thresh, cap)
+    merged = rag_merge(random_spmap(rng, h, w, n_values), img, thresh)
     _assert_carries_its_edges(merged)
     # a merged map merged again derives its pairs from the carried ones
     _assert_carries_its_edges(rag_merge(merged, img, thresh))
@@ -523,14 +511,14 @@ def _assert_native_map(spmap, image):
     """A map that felzenszwalb or rag_merge numbered without the
     constructor's check is int32, passes that check with its own n_regions,
     carries region_edges of its own map and, when it carries stats,
-    _region_sums' over image, byte for byte."""
+    _region_sums' counts and sums over image, byte for byte."""
     assert spmap.region_of.dtype == np.int32
     assert SuperpixelMap(spmap.region_of).n_regions == spmap.n_regions
     _assert_carries_its_edges(spmap)
     if spmap._stats is not None:
         empty = np.empty(0)
-        want = _region_sums(spmap, image, empty, empty, empty, 0)[:3]
-        assert len(spmap._stats) == 3
+        want = _region_sums(spmap, image, empty, empty, empty, 0)[:2]
+        assert len(spmap._stats) == 2
         for got, want in zip(spmap._stats, want):
             _assert_same_bits(got, want)
 
@@ -582,15 +570,15 @@ def test_native_maps_pass_the_full_check_on_random_images(seed, h, w, levels, k,
 
 def test_region_sums_exact_past_int32_on_one_white_region():
     # 260 * 256 > 2**16 pixels of 255: a channel's sum of squares,
-    # 255**2 * 66560, passes 2**31, as a region's int64 run sums must hold
+    # 255**2 * 66560, passes 2**31, as region_sums' int64 run sums must hold
     img = make_image(np.full((260, 256, 3), 255))
     raw = felzenszwalb(img)
     n = 260 * 256
     assert raw.n_regions == 1 and 255**2 * n > 2**31
-    want = [[n], [[255 * n] * 3], [[255**2 * n] * 3]]
     empty = np.empty(0)
-    for stats in (raw._stats, _region_sums(raw, img, empty, empty, empty, 0)[:3]):
-        assert [a.tolist() for a in stats] == want
+    sums = _region_sums(raw, img, empty, empty, empty, 0)[:3]
+    assert [a.tolist() for a in sums] == [[n], [[255 * n] * 3], [[255**2 * n] * 3]]
+    assert [a.tolist() for a in raw._stats] == [[n], [[255 * n] * 3]]
     mean_and_std = superpixel_features(img, raw)[0, :6]
     assert mean_and_std.tolist() == [255.0] * 3 + [0.0] * 3
 
@@ -1228,18 +1216,19 @@ def _libasan():
 
 def _native_merge_cases():
     """rag_merge arguments that exercise the native merge: the tie-heavy maps
-    at capped and uncapped thresholds, the exact-rounding rows, and a
-    quarter of the rounding probes at their distance and just above it."""
+    at thresholds that leave many, 3, 2 and 1 regions, the exact-rounding
+    rows, and a quarter of the rounding probes at their distance and just
+    above it."""
     for seed in [*range(12), 1655]:
         img, spmap = _tie_heavy_case(seed)
-        for thresh, max_regions in ((30, None), (1e9, None), (0, 2), (25, 3)):
-            yield spmap, img, thresh, max_regions
-    for pixels, region_of, thresh, max_regions, _ in _ROUNDING_CASES:
+        for thresh in (30, 1e9, *_LATE_THRESH[seed]):
+            yield spmap, img, thresh
+    for pixels, region_of, thresh, _ in _ROUNDING_CASES:
         spmap = SuperpixelMap(np.array([region_of], dtype=np.int32))
-        yield spmap, make_image([pixels]), thresh, max_regions
+        yield spmap, make_image([pixels]), thresh
     for img, spmap, d in _rounding_probes(750):
-        yield spmap, img, d, None
-        yield spmap, img, np.nextafter(d, np.inf), None
+        yield spmap, img, d
+        yield spmap, img, np.nextafter(d, np.inf)
 
 
 def _label_maps(img):
@@ -1330,7 +1319,7 @@ def test_two_threads_clean_under_tsan(tmp_path):
     driver = Path(__file__).with_name("tsan_driver.c")
     exe = tmp_path / "tsan_driver"
     cmd = ["gcc", "-fsanitize=thread", "-g", "-O1", "-pthread", "-ffp-contract=off",
-           str(superpixel._FELZ_SOURCE), str(driver), "-lm", "-o", str(exe)]
+           str(driver), "-lm", "-o", str(exe)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     env = {**os.environ, "TSAN_OPTIONS": "halt_on_error=1"}

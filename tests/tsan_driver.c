@@ -4,31 +4,17 @@
  * felz_segment's region sums and border pairs among them, or unless
  * MIN_SIZE lies between the smallest and the largest component the first
  * union-find pass leaves, so that the min-size pass both skips edges and
- * links components. Built with -fsanitize=thread
- * together with _felzenszwalb.c by tests/test_superpixel.py, which also
- * fails on any report of the sanitizer:
+ * links components. It includes _felzenszwalb.c, so it calls the functions
+ * as the source declares them. tests/test_superpixel.py builds it with
+ * -fsanitize=thread and also fails on any report of the sanitizer:
  *
- *     gcc -fsanitize=thread -g -O1 -pthread src/seedloop/_felzenszwalb.c \
+ *     gcc -fsanitize=thread -g -O1 -pthread -ffp-contract=off \
  *         tests/tsan_driver.c -lm -o tsan_driver && ./tsan_driver
  */
-#include <math.h>
-#include <stdint.h>
+#include "../src/seedloop/_felzenszwalb.c"
+
 #include <stdio.h>
 #include <stdlib.h>
-#include <string.h>
-
-void gauss_blur(int64_t h, int64_t w, const uint8_t *rgb, int64_t r, const double *fw,
-                double *tmp, double *out, int64_t n_threads);
-int64_t felz_segment(int64_t h, int64_t w, const double *img, const uint8_t *rgb, double k,
-                     double min_size, double *wgt, uint64_t *rec, int64_t *size,
-                     double *thresh, int64_t *root, int32_t *id, int64_t *n_pairs,
-                     int64_t n_threads);
-void gray_gradients(int64_t h, int64_t w, const uint8_t *rgb, double *gray, double *gx,
-                    double *gy);
-void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb, double *counts,
-                 double *sums, double *squares, const double *gx, const double *gy,
-                 const double *theta, int64_t n_bins, double *mag, double *hist,
-                 double *scratch);
 
 #define H 256
 #define W 256
@@ -40,7 +26,7 @@ void region_sums(int64_t n_pixels, const int32_t *region, const uint8_t *rgb, do
 
 struct result {
     double blurred[3 * N], counts[N], sums[3 * N], squares[3 * N], mag[N], hist[BINS * N];
-    int64_t root[N], n_regions, n_pairs, stats[7 * N], pairs[4 * N];
+    int64_t root[N], n_regions, n_pairs, stats[4 * N], pairs[4 * N];
     int32_t id[N];
 };
 
@@ -78,7 +64,7 @@ static void run(int64_t n_threads, double min_size, const uint8_t *rgb, const do
     out->n_regions = felz_segment(H, W, out->blurred, rgb, K, min_size, wgt, rec, size, thresh,
                                   out->root, out->id, &out->n_pairs, n_threads);
     /* the region sums and the border pairs, before region_sums takes wgt */
-    memcpy(out->stats, rec, 7 * out->n_regions * sizeof *out->stats);
+    memcpy(out->stats, rec, 4 * out->n_regions * sizeof *out->stats);
     memcpy(out->pairs, wgt, 2 * out->n_pairs * sizeof *out->pairs);
     region_sums(N, out->id, rgb, out->counts, out->sums, out->squares, gx, gy, theta, BINS,
                 out->mag, out->hist, wgt);
