@@ -755,38 +755,17 @@ static inline double hypot_kernel(double ax, double ay)
     return h - (t1 + t2) / (2.0 * h);
 }
 
-/* hypot(x, y) as glibc 2.36 computes it, the function np.hypot calls, with
- * its branches: inf for an infinite x or y, x + y for a NaN (glibc gives x +
- * y for inf and a signaling NaN too, which no arithmetic makes); then with
- * ax = max(|x|, |y|) and ay = min(|x|, |y|), ax + ay where ay is 2^-54 ax or
- * less, and otherwise the kernel, on ax and ay scaled by 2^-600 when ax >
- * 2^511 and by 2^600 when ay < 2^-511 and scaled back. */
-static double glibc_hypot(double x, double y)
-{
-    double ax, ay;
-    if (!isfinite(x) || !isfinite(y))
-        return isinf(x) || isinf(y) ? INFINITY : x + y;
-    x = fabs(x);
-    y = fabs(y);
-    ax = x < y ? y : x;
-    ay = x < y ? x : y;
-    if (ax > 0x1p511)
-        return ay <= ax * 0x1p-54 ? ax + ay
-                                  : hypot_kernel(ax * 0x1p-600, ay * 0x1p-600) / 0x1p-600;
-    if (ay < 0x1p-511)
-        return ax >= ay / 0x1p-54 ? ax + ay
-                                  : hypot_kernel(ax / 0x1p-600, ay / 0x1p-600) * 0x1p-600;
-    return ay <= ax * 0x1p-54 ? ax + ay : hypot_kernel(ax, ay);
-}
-
-/* glibc_hypot(gx[p], gy[p]) into mag[p] for p in 0..n-1. The first loop
- * takes glibc's unscaled path for every pixel with no branch, so it
- * vectorises: glibc's own branches mispredict on scene gradients. There
- * ay * 2^54 <= ax is exact, as glibc's ay <= ax * 2^-54 is on that path,
- * and a zero ay, which glibc's tiny-value branch takes, gives ax + ay as it
- * does there. A pixel off that path, with a value past 2^511, both values
- * small, an inf or a NaN, gets NaN, and the second loop runs glibc_hypot
- * on it; no u8 image gives one. */
+/* hypot(gx[p], gy[p]) into mag[p] for p in 0..n-1, as glibc 2.36's hypot,
+ * the function np.hypot calls, computes it on its unscaled path: with ax
+ * and ay the larger and the smaller of |gx[p]| and |gy[p]|, ax + ay where
+ * ay is 2^-54 ax or less, and otherwise the kernel. The loop has no
+ * branch, so it vectorises: glibc's own branches mispredict on scene
+ * gradients. There ay * 2^54 <= ax is exact, as glibc's ay <= ax * 2^-54
+ * is on that path, and a zero ay, which glibc's tiny-value branch takes,
+ * gives ax + ay as it does there. Every |gx| and |gy| that gray_gradients
+ * gives from a u8 image is 0 or lies in [1/6, 255], all on that path.
+ * glibc's scaled branches, for a value past 2^511 or a nonzero ay below
+ * 2^-511 within 2^54 of ax, and its inf and NaN branches are not copied. */
 static void magnitudes(int64_t n, const double *restrict gx, const double *restrict gy,
                        double *restrict mag)
 {
@@ -794,12 +773,8 @@ static void magnitudes(int64_t n, const double *restrict gx, const double *restr
     for (p = 0; p < n; p++) {
         double x = fabs(gx[p]), y = fabs(gy[p]);
         double ax = x < y ? y : x, ay = x < y ? x : y;
-        double m = ay * 0x1p54 <= ax ? ax + ay : hypot_kernel(ax, ay);
-        mag[p] = ax <= 0x1p511 && (ay >= 0x1p-511 || ay * 0x1p54 <= ax) ? m : NAN;
+        mag[p] = ay * 0x1p54 <= ax ? ax + ay : hypot_kernel(ax, ay);
     }
-    for (p = 0; p < n; p++)
-        if (mag[p] != mag[p])
-            mag[p] = glibc_hypot(gx[p], gy[p]);
 }
 
 /* Per-region sums over n_pixels pixels in scan order; pixel p lies in

@@ -41,9 +41,10 @@ _FELZ_SOURCE = Path(__file__).with_name("_felzenszwalb.c")
 # moved, and at par with this flag
 # -pthread: the blur and the segmentation can take a second thread
 # -lm: at these flags the library calls nothing in libm (sqrt and fabs are
-# instructions, and the magnitudes use no fma); it keeps a build whose
-# added flags turn one into a call linking. It goes after the source, where
-# _build_felz puts these flags
+# instructions, and the magnitudes use no fma), which a test holds by an
+# allow-list of its imports; it keeps a build whose added flags turn one
+# into a call linking. It goes after the source, where _build_felz puts
+# these flags
 # No flag may change rounding (-ffast-math and the flags it implies, -mfma)
 # or tie the cached library to the build host (-march=native).
 _FELZ_FLAGS = (
@@ -129,13 +130,14 @@ class SegParams:
 
     def __post_init__(self):
         check_int_fields(self)
-        if not (  # NaN fails every comparison
-            0 < self.k < np.inf
-            and 0 <= self.sigma <= MAX_SIGMA
-            and self.min_size >= 1
-            and 0 <= self.merge_thresh < np.inf
+        for name, ok, allowed in (  # NaN fails every comparison
+            ("k", 0 < self.k < np.inf, "finite and > 0"),
+            ("sigma", 0 <= self.sigma <= MAX_SIGMA, f"in [0, {MAX_SIGMA}]"),
+            ("min_size", self.min_size >= 1, ">= 1"),
+            ("merge_thresh", 0 <= self.merge_thresh < np.inf, "finite and >= 0"),
         ):
-            raise InvalidParams("bad segmentation parameters")
+            if not ok:
+                raise InvalidParams(f"{name} must be {allowed}, got {getattr(self, name)}")
 
 
 def _components(labels):
@@ -210,7 +212,10 @@ def _region_sums(spmap, image, gx, gy, theta, n_bins):
     clamped to 0..n_bins-1; with n_bins 0 the three gradient arrays may be
     empty and those two sums are zero. The pass runs on one thread; the
     hypots are one vectorised pass into this thread's workspace first,
-    rounded as np.hypot rounds them."""
+    rounded as np.hypot rounds them on every gradient pair _gradients gives
+    from a u8 image (|gx| and |gy| 0 or in [1/6, 255]). It copies only
+    glibc's unscaled hypot path, so other gradients (huge, subnormal, inf
+    or NaN) are outside its contract."""
     n = spmap.n_regions
     counts, sums, squares = np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3))
     mag, hist = np.zeros(n), np.zeros((n, n_bins))

@@ -12,7 +12,7 @@ from seedloop import (
 )
 from seedloop.errors import DimensionMismatch, ShapeMismatch
 from seedloop.features import N_ORIENT_BINS, standardize
-from seedloop.superpixel import SuperpixelMap, _region_sums
+from seedloop.superpixel import SuperpixelMap, _gradients, _region_sums
 from seedloop.tensorio import save_tensor
 from tests.conftest import make_image, random_spmap
 
@@ -187,30 +187,27 @@ def test_native_magnitude_equals_np_hypot_on_signed_pairs():
                 assert _native_magnitudes(a, b).tobytes() == want.tobytes()
 
 
-def test_native_magnitude_equals_np_hypot_past_the_u8_range():
-    # the paths no u8 image reaches: both scalings, subnormals, overflow to
-    # inf, inf and NaN; random bit patterns of every sign and exponent, half
-    # of them paired with a value within 2^60 of the first
-    rng = np.random.default_rng(5)
-    gx, far = rng.integers(0, 2**64, size=(2, 100_000), dtype=np.uint64).view(np.float64)
-    exps = rng.integers(-60, 60, size=gx.size)
-    with np.errstate(over="ignore"):  # some overflow to inf
-        near = np.ldexp(np.where(np.isfinite(gx), gx, 1.0), exps)
-    gy = np.where(rng.random(gx.size) < 0.5, far, near)
-    special = np.array([
-        0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0**-1022, np.nextafter(2.0**-511, 0),
-        2.0**-511, 2.0**511, np.nextafter(2.0**511, np.inf), np.finfo(np.float64).max,
-    ])
-    sx, sy = np.meshgrid(special, special)
-    gx, gy = np.concatenate([gx, sx.ravel()]), np.concatenate([gy, sy.ravel()])
-    with np.errstate(over="ignore", invalid="ignore"):  # a signaling NaN is invalid
-        want = np.hypot(gx, gy)
-    assert np.isnan(gx).any() and np.isinf(want).sum() > len(special)
-    # of two NaNs, x + y keeps the payload of whichever operand the compiler
-    # put first, so a NaN is held to being NaN only
-    got, nan = _native_magnitudes(gx, gy), np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert got[~nan].tobytes() == want[~nan].tobytes()
+def _gradient_images(rng):
+    """u8 images of each kind: random 64x64 ones, strips one pixel wide or
+    high, a constant image and a 0/255 checkerboard."""
+    for _ in range(5):
+        yield make_image(rng.integers(0, 256, size=(64, 64, 3)))
+    for h, w in ((1, 1), (1, 2), (1, 64), (2, 1), (64, 1)):
+        yield make_image(rng.integers(0, 256, size=(h, w, 3)))
+    yield make_image(np.full((9, 11, 3), 77))
+    y, x = np.mgrid[:9, :11]
+    yield make_image(np.repeat(255 * ((x + y) % 2)[:, :, None], 3, axis=2))
+
+
+def test_gradients_stay_on_the_reachable_values(rng):
+    # the native magnitudes copy only glibc's unscaled hypot path, exact on
+    # _reachable_gradients (held to np.hypot above); every gradient must be
+    # one of those, and never -0.0
+    reachable = _reachable_gradients()
+    for img in _gradient_images(rng):
+        values = np.concatenate(_gradients(img)[:2])
+        assert np.isin(np.abs(values), reachable).all()
+        assert not np.signbit(values[values == 0]).any()
 
 
 def test_constant_image_all_zero(rng):
